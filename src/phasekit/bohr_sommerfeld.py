@@ -21,7 +21,7 @@ from .errors import (
     ForbiddenRegionError,
     SeparatrixError,
 )
-from .potentials import Potential, Stability, find_equilibria
+from .potentials import Potential
 from .schrodinger import EigenSolution
 
 #: |E - crest| below this (relative) is treated as a separatrix energy
@@ -73,20 +73,6 @@ def on_shell_momentum(potential: Potential, E: float, q):
     return float(p) if np.ndim(q) == 0 else p
 
 
-def _lowest_minimum(potential: Potential, window=(-10.0, 10.0)) -> tuple[float, float]:
-    points = [
-        pt for pt in find_equilibria(potential, window)
-        if pt.stability is not Stability.MAXIMUM
-    ]
-    if points:
-        q0 = min(points, key=lambda pt: float(potential.value(pt.q0))).q0
-        return q0, float(potential.value(q0))
-    qs = np.linspace(*window, 4097)
-    vals = np.asarray(potential.value(qs), dtype=float)
-    i = int(np.argmin(vals))
-    return float(qs[i]), float(vals[i])
-
-
 def _cross(potential: Potential, E: float, inside: float, outside: float) -> float:
     """Bisect V(q) = E between a classically allowed and a forbidden point."""
     lo, hi = inside, outside
@@ -101,20 +87,20 @@ def _cross(potential: Potential, E: float, inside: float, outside: float) -> flo
     return 0.5 * (lo + hi)
 
 
-def turning_points(potential: Potential, E: float,
-                   window=(-10.0, 10.0)) -> tuple[float, float] | None:
-    """Pair (a, b) with V(a) = V(b) = E around the lowest minimum, or None.
+def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
+    """Pair (a, b) with V(a) = V(b) = E around the global minimum, or None.
 
     Returns None when the motion is unbounded on either side (rotation or
     escape).  E below the potential minimum has no classical motion.
     """
-    q0, v_min = _lowest_minimum(potential, window)
+    land = potential.landscape
+    q0, v_min = land.minimum.q0, land.v_min
     if E < v_min:
         raise ForbiddenRegionError(f"E={E:g} below the potential minimum {v_min:g}")
     if E == v_min:
         return (q0, q0)
 
-    extrema = sorted(pt.q0 for pt in find_equilibria(potential, window))
+    extrema = [pt.q0 for pt in land.equilibria]
 
     def outward(direction: float) -> float | None:
         # V is monotone between adjacent equilibria, so walking them in
@@ -152,9 +138,7 @@ def turning_points(potential: Potential, E: float,
 def classify_motion(potential: Potential, E: float) -> MotionClass:
     """Libration when turning points exist; rotation above a periodic crest."""
     if potential.period is not None:
-        qs = np.linspace(0.0, potential.period, 2049)
-        vals = np.asarray(potential.value(qs), dtype=float)
-        crest, v_min = float(np.max(vals)), float(np.min(vals))
+        crest, v_min = potential.landscape.crest, potential.landscape.v_min
         if crest > v_min and abs(E - crest) <= SEPARATRIX_TOL * max(1.0, abs(crest)):
             raise SeparatrixError(
                 f"E={E:g} sits on the crest {crest:g}; the orbit period diverges"
@@ -272,21 +256,16 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
     if not ns or ns[0] < 0:
         raise ValueError("levels must be a non-empty set of n >= 0")
 
+    land = potential.landscape
     if motion is None:
         # classify at a probe energy: crest + margin for periodic coords,
         # slightly above the minimum otherwise
-        if potential.periodic_coordinate:
-            probe = float(np.max(potential.value(np.linspace(0.0, potential.period, 2049)))) + 1.0
-        else:
-            _, v_min = _lowest_minimum(potential)
-            probe = v_min + 1e-3
+        probe = land.crest + 1.0 if potential.periodic_coordinate else land.v_min + 1e-3
         motion = classify_motion(potential, probe)
 
-    if motion.kind is MotionKind.LIBRATION:
-        _, e_lo = _lowest_minimum(potential)
-    else:
-        qs = np.linspace(0.0, motion.period_length or potential.period, 2049)
-        e_lo = float(np.max(potential.value(qs)))
+    e_lo = land.v_min if motion.kind is MotionKind.LIBRATION else land.crest
+    if e_lo is None:
+        raise ValueError("rotation quantization needs a periodic potential")
 
     h_quantum = 2.0 * math.pi * hbar
     tol_j = 1e-10 * h_quantum

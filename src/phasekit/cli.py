@@ -369,11 +369,6 @@ def _run_wigner(resolved: dict):
     return {"config": echo, "blocks": blocks}, lines
 
 
-def _stable_minima(potential: Potential, window: tuple[float, float]):
-    return [pt for pt in find_equilibria(potential, window)
-            if pt.stability is Stability.MINIMUM]
-
-
 def _run_equilibrium(resolved: dict):
     potential = _potential_arg(resolved["potential"])
     hbar = _parse_float(resolved["hbar"], "hbar")
@@ -383,7 +378,10 @@ def _run_equilibrium(resolved: dict):
     echo = _echo("equilibrium", resolved, potential=potential.to_json(),
                  hbar=hbar, kB=k_B)
     reports = []
-    for pt in _stable_minima(potential, window):
+    # --window is the user's own query, so it is scanned as given, not via the landscape
+    for pt in find_equilibria(potential, window):
+        if pt.stability is not Stability.MINIMUM:
+            continue
         rep = thermo.matching_temperature(potential, pt, hbar=hbar, k_B=k_B)
         reports.append({
             "q0": rep.q0,
@@ -409,9 +407,8 @@ def _run_thermo(resolved: dict):
     profile = thermo.thermo_profile(potential, ens, qs, normalization=normalization)
 
     summary = None
-    minima = _stable_minima(potential, (-10.0, 10.0))
-    if minima:
-        best = min(minima, key=lambda pt: float(potential.value(pt.q0)))
+    best = potential.landscape.minimum
+    if best.stability is Stability.MINIMUM:
         rep = thermo.matching_temperature(potential, best, hbar=ens.hbar, k_B=ens.k_B)
         energy = thermo.equilibrium_energy(potential, best, rep.matched_temperature,
                                            k_B=ens.k_B)

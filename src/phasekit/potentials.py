@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,6 +41,11 @@ class Potential:
 
     def second_derivative(self, q):
         raise NotImplementedError
+
+    @cached_property
+    def landscape(self) -> Landscape:
+        """Equilibria, global minimum and crest, found on first use and kept."""
+        return _build_landscape(self)
 
     def in_domain(self, q) -> bool:
         if self.periodic_coordinate:
@@ -110,14 +115,18 @@ class Polynomial(Potential):
     def mass(self):
         return self.m
 
+    @cached_property
+    def _slopes(self):
+        return npoly.polyder(self.coeffs), npoly.polyder(self.coeffs, 2)
+
     def value(self, q):
         return npoly.polyval(np.asarray(q, dtype=float), self.coeffs)
 
     def derivative(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), npoly.polyder(self.coeffs))
+        return npoly.polyval(np.asarray(q, dtype=float), self._slopes[0])
 
     def second_derivative(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), npoly.polyder(self.coeffs, 2))
+        return npoly.polyval(np.asarray(q, dtype=float), self._slopes[1])
 
     def to_json(self):
         return {"family": "polynomial", "m": self.m, "coeffs": list(self.coeffs)}
@@ -239,6 +248,11 @@ def potential_from_json(obj: dict) -> Potential:
                 kwargs[k] = float(obj[k])
     except (TypeError, ValueError):
         raise ValueError(f"fields of family {family!r} must be numbers")
+    if not all(np.isfinite(v).all() for v in kwargs.values()):
+        raise ValueError(f"fields of family {family!r} must be finite")
+    mass = "inertia" if family == "rotor" else "m"
+    if kwargs.get(mass, 1.0) <= 0.0:
+        raise ValueError(f"field {mass!r} of family {family!r} must be positive")
     return cls(**kwargs)
 
 
@@ -318,33 +332,73 @@ def find_equilibria(
     if np.all(np.abs(dv) <= tolerance * scale):
         return []  # flat gradient: a continuum, not isolated equilibria
 
-    roots: list[float] = []
-    for i in range(subintervals):
-        if dv[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif dv[i] * dv[i + 1] < 0.0:
-            roots.append(_bisect_derivative(potential, grid[i], grid[i + 1], tolerance))
-    if dv[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    brackets = np.append(dv[:-1] * dv[1:] < 0.0, False)
+    roots = [float(grid[i]) if dv[i] == 0.0
+             else _bisect_derivative(potential, grid[i], grid[i + 1], tolerance)
+             for i in np.nonzero((dv == 0.0) | brackets)[0]]
 
     # isolated touches of zero without a sign change (e.g. V' = q^2)
-    small = np.abs(dv) <= tolerance
-    for i in np.nonzero(small)[0]:
+    for i in np.nonzero(np.abs(dv) <= tolerance)[0]:
         qi = float(grid[i])
         if not any(abs(qi - r) <= step for r in roots):
             roots.append(qi)
 
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > step:
-            deduped.append(r)
-
-    out = []
-    for q0 in deduped:
+    out: list[EquilibriumPoint] = []
+    for q0 in sorted(roots):
+        if out and q0 - out[-1].q0 <= step:
+            continue  # one equilibrium bracketed or touched twice
         curv = float(potential.second_derivative(q0))
         out.append(EquilibriumPoint(q0=q0, curvature=curv, stability=_classify(curv)))
     return out
+
+
+@dataclass(frozen=True)
+class Landscape:
+    """A potential's equilibria (roots of V' on the search window, sorted), minimum and crest.
+
+    ``minimum`` is the lowest non-maximum equilibrium, the first on a tie;
+    where there is none (flat, monotone or unbounded V) it is the window's
+    lower end, marked degenerate with zero curvature.  ``v_min`` is V there.
+    ``crest`` is the highest of 2049 samples of one period, or None.
+    """
+
+    equilibria: tuple[EquilibriumPoint, ...]
+    minimum: EquilibriumPoint
+    v_min: float
+    crest: float | None
+
+
+def _build_landscape(potential: Potential) -> Landscape:
+    """Scan (-10, 10), then double the window while an end lies below every equilibrium.
+
+    A doubling scans only the two new shells, so the first window's
+    equilibria never change; families with a period never grow.
+    """
+    window = (-10.0, 10.0)
+    points = find_equilibria(potential, window)
+    # steep walls overflow to inf far out; inf is never the lower end
+    with np.errstate(over="ignore"):
+        for _ in range(60 if potential.period is None else 0):
+            lowest = min((float(potential.value(pt.q0)) for pt in points), default=np.inf)
+            if min(float(potential.value(window[0])), float(potential.value(window[1]))) >= lowest:
+                break
+            lo, hi = window
+            window = (2.0 * lo, 2.0 * hi)
+            # a root on a shared end is found by both scans
+            points = list(dict.fromkeys(find_equilibria(potential, (window[0], lo)) + points
+                                        + find_equilibria(potential, (hi, window[1]))))
+
+        candidates = [pt for pt in points if pt.stability is not Stability.MAXIMUM]
+        if candidates:
+            minimum = min(candidates, key=lambda pt: float(potential.value(pt.q0)))
+        else:  # V is monotone away from any maximum, so its lowest point is an end
+            q = min(window, key=lambda x: float(potential.value(x)))
+            minimum = EquilibriumPoint(q0=q, curvature=0.0, stability=Stability.DEGENERATE)
+        v_min = float(potential.value(minimum.q0))
+
+    crest = None if potential.period is None else float(
+        np.max(potential.value(np.linspace(0.0, potential.period, 2049))))
+    return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest)
 
 
 def is_confining(potential: Potential, bound: float = 10.0) -> bool:

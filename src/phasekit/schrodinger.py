@@ -19,7 +19,7 @@ from scipy.sparse.linalg import eigsh
 
 from .ensemble import CanonicalEnsemble
 from .errors import BoxError, ResolutionError
-from .potentials import Potential, Stability, find_equilibria
+from .potentials import Potential
 
 #: wall amplitudes above this fraction of the peak mean the box clips the state
 WALL_FRACTION = 1e-6
@@ -36,26 +36,11 @@ class EigenSolution:
     spacing: float
 
 
-def _reference_minimum(potential: Potential) -> tuple[float, float]:
-    """(q0, curvature) of the lowest minimum, scanning a generous window."""
-    points = [
-        pt for pt in find_equilibria(potential, (-10.0, 10.0))
-        if pt.stability is Stability.MINIMUM
-    ]
-    if points:
-        best = min(points, key=lambda pt: float(potential.value(pt.q0)))
-        return best.q0, best.curvature
-    qs = np.linspace(-10.0, 10.0, 4097)
-    vals = np.asarray(potential.value(qs), dtype=float)
-    i = int(np.argmin(vals))
-    return float(qs[i]), max(float(potential.second_derivative(qs[i])), 0.0)
-
-
 def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float]:
     """Walls where V clears the highest requested level by a wide margin."""
     if potential.periodic_coordinate:
         return (0.0, potential.period)
-    q0, curvature = _reference_minimum(potential)
+    q0, curvature = potential.landscape.minimum.q0, potential.landscape.minimum.curvature
     m = potential.mass
     omega_local = math.sqrt(max(curvature, 1e-6) / m)
     v0 = float(potential.value(q0))
@@ -99,10 +84,12 @@ def _periodic_eigensolve(potential: Potential, hbar: float,
     )
     mat[0, M - 1] = -0.5 * kin
     mat[M - 1, 0] = -0.5 * kin
-    # shift-invert below the spectrum with a fixed start vector keeps the
-    # solve deterministic
+    # shift-invert below the spectrum; a fixed-seed random start vector keeps
+    # the solve deterministic and, unlike a constant one, has no parity, so
+    # odd states of a symmetric box are not missed
     sigma = float(np.min(v)) - 1.0
-    vals, vecs = eigsh(mat.tocsc(), k=k, sigma=sigma, which="LM", v0=np.ones(M))
+    v0 = np.random.default_rng(0).standard_normal(M)
+    vals, vecs = eigsh(mat.tocsc(), k=k, sigma=sigma, which="LM", v0=v0)
     order = np.argsort(vals)
     return grid, h, vals[order], vecs[:, order]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import CanonicalEnsemble
 from .errors import DomainError, NoRealTemperatureError
-from .potentials import EquilibriumPoint, Potential, Stability, find_equilibria
+from .potentials import EquilibriumPoint, Potential, Stability
 
 
 @dataclass(frozen=True)
@@ -90,28 +90,13 @@ def equilibrium_energy(potentials: Potential | Sequence[Potential],
     return v0 + n_dof * k_B * T
 
 
-def _reference_point(potential: Potential,
-                     search_interval: tuple[float, float]) -> tuple[float, float]:
-    """Lowest-lying non-maximum equilibrium: (V(q0), curvature)."""
-    candidates = [
-        pt for pt in find_equilibria(potential, search_interval)
-        if pt.stability is not Stability.MAXIMUM
-    ]
-    if not candidates:
-        # flat potentials (free rotation) have a continuum at V = const
-        qs = np.linspace(*search_interval, 1024)
-        return float(np.min(potential.value(qs))), 0.0
-    best = min(candidates, key=lambda pt: float(potential.value(pt.q0)))
-    return float(potential.value(best.q0)), max(best.curvature, 0.0)
-
-
 def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q,
-                         q0: float | None = None,
-                         search_interval: tuple[float, float] = (-10.0, 10.0)):
+                         q0: float | None = None):
     """Stationarity defect of the amplitude e^{-beta V} under the Hamiltonian.
 
     Evaluates (beta hbar^2 / 2m) V'' + V - (beta^2 hbar^2 / 2m) (V')^2
-    minus the equilibrium energy at the matched temperature.  Quadratic
+    minus the equilibrium energy at the matched temperature, taken at q0
+    or, by default, at the potential's global minimum.  Quadratic
     potentials at matched beta cancel exactly for every q; other shapes
     leave a q-dependent residual.
     """
@@ -123,11 +108,9 @@ def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q,
     d2v = np.asarray(potential.second_derivative(qa), dtype=float)
     lhs = (beta * hbar**2 / (2.0 * m)) * d2v + v - (beta**2 * hbar**2 / (2.0 * m)) * dv**2
 
-    if q0 is None:
-        v0, curvature = _reference_point(potential, search_interval)
-    else:
-        v0 = float(potential.value(q0))
-        curvature = max(float(potential.second_derivative(q0)), 0.0)
+    q0 = potential.landscape.minimum.q0 if q0 is None else q0
+    v0 = float(potential.value(q0))
+    curvature = max(float(potential.second_derivative(q0)), 0.0)
     e_ref = v0 + 0.5 * hbar * math.sqrt(curvature / m)
     out = lhs - e_ref
     return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out

@@ -59,8 +59,7 @@ def normalization_box(potential: Potential, ens: CanonicalEnsemble) -> tuple[flo
         return (0.0, potential.period)
 
     beta = ens.beta
-    scan = np.linspace(-8.0, 8.0, 4097)
-    center = float(scan[np.argmin(potential.value(scan))])
+    center = potential.landscape.minimum.q0
 
     half = 1.0
     for _ in range(60):

@@ -18,6 +18,7 @@ from phasekit import (
     Rotor,
     SeparatrixError,
 )
+from phasekit import potentials
 from phasekit.bohr_sommerfeld import (
     MotionClass,
     MotionKind,
@@ -250,3 +251,44 @@ class TestQuantize:
     def test_bad_level_requests(self, bad):
         with pytest.raises(ValueError):
             quantize(Harmonic(), bad)
+
+
+SHIFTED_WELL = Polynomial(coeffs=(112.5, -15.0, 0.5))  # (q - 15)^2 / 2
+
+
+class TestLandscapeReuse:
+    def test_quantize_scans_the_landscape_once(self, monkeypatch):
+        scans = []
+        scan = potentials.find_equilibria
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "find_equilibria", counted)
+        pot = Harmonic()
+        quantize(pot, range(11))
+        assert len(scans) == 1
+        turning_points(pot, 3.0)
+        classify_motion(pot, 3.0)
+        assert len(scans) == 1
+
+
+class TestShiftedWell:
+    def test_levels_follow_the_well(self):
+        res = quantize(SHIFTED_WELL, range(3))
+        for lv in res.levels:
+            assert lv.energy == pytest.approx(lv.n + 0.5, abs=1e-9)
+
+    def test_turning_points_bracket_the_well(self):
+        a, b = turning_points(SHIFTED_WELL, 0.5)
+        assert a == pytest.approx(14.0, abs=1e-9)
+        assert b == pytest.approx(16.0, abs=1e-9)
+
+    @settings(max_examples=6, deadline=None)
+    @given(c=st.floats(min_value=-40.0, max_value=40.0))
+    def test_levels_are_translation_invariant(self, c):
+        expected = [lv.energy for lv in quantize(Harmonic(), range(3)).levels]
+        shifted = Polynomial(coeffs=(0.5 * c * c, -c, 0.5))
+        got = [lv.energy for lv in quantize(shifted, range(3)).levels]
+        assert got == pytest.approx(expected, abs=1e-9)

@@ -72,6 +72,21 @@ class TestArgumentHandling:
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "validation"
 
+    def test_non_finite_potential_field(self, run):
+        code, _, err = run("quantize", "--potential",
+                           '{"family": "harmonic", "m": 1.0, "omega": NaN}',
+                           "--levels", "0..1")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "potential")
+
+    def test_negative_mass(self, run):
+        code, _, err = run("oracle", "--potential",
+                           '{"family": "harmonic", "m": -1.0, "omega": 1.0}', "--levels", "2")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "potential")
+
     def test_malformed_grid(self, run):
         code, _, err = run("thermo", "--potential", HARMONIC,
                            "--ensemble", BETA_ONE, "--grid", "0:1")
@@ -223,6 +238,17 @@ class TestWignerCommand:
                            "--deltas", "0:0.1:2")
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "computation"
+
+
+class TestThermoCommand:
+    def test_summary_follows_a_shifted_well(self, run):
+        code, out, _ = run("thermo", "--potential",
+                           '{"family": "polynomial", "m": 1.0, "coeffs": [112.5, -15.0, 0.5]}',
+                           "--ensemble", BETA_ONE, "--grid", "14:16:5")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["q0"] == pytest.approx(15.0, abs=1e-9)
+        assert summary["T_matched"] == pytest.approx(0.5, rel=1e-9)
 
 
 class TestEquilibriumCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from phasekit import (
     DomainError,
+    EquilibriumPoint,
     Harmonic,
     Morse,
     Pendulum,
@@ -18,6 +19,10 @@ from phasekit import (
     is_confining,
     potential_from_json,
 )
+from phasekit import potentials
+from phasekit.potentials import _bisect_derivative, _classify
+
+SEARCH_WINDOW = (-10.0, 10.0)  # where every landscape scan starts
 
 DOUBLE_WELL = Polynomial(m=1.0, coeffs=(0.25, 0.0, -0.5, 0.0, 0.25))
 
@@ -113,6 +118,125 @@ def test_json_rejects_unknown_family_and_fields():
         potential_from_json({"family": "harmonic", "m": 1.0, "omega": 1.0, "phase": 0.0})
     with pytest.raises(ValueError, match="numbers"):
         potential_from_json({"family": "harmonic", "m": "heavy"})
+
+
+@pytest.mark.parametrize("obj,match", [
+    ({"family": "harmonic", "omega": math.nan}, "finite"),
+    ({"family": "morse", "depth": math.inf}, "finite"),
+    ({"family": "polynomial", "coeffs": [0.0, math.nan]}, "finite"),
+    ({"family": "harmonic", "m": -1.0}, "positive"),
+    ({"family": "quartic", "m": 0.0}, "positive"),
+    ({"family": "rotor", "inertia": -2.0}, "positive"),
+])
+def test_json_rejects_non_finite_fields_and_nonpositive_mass(obj, match):
+    with pytest.raises(ValueError, match=match):
+        potential_from_json(obj)
+
+
+def test_polynomial_derivatives_match_polyder():
+    coeffs = (0.3, -1.7, 0.25, 2.0, -0.6)
+    pot = Polynomial(coeffs=coeffs)
+    qs = np.linspace(-3.0, 3.0, 101)
+    for order, method in ((1, pot.derivative), (2, pot.second_derivative)):
+        expected = np.polynomial.polynomial.polyval(
+            qs, np.polynomial.polynomial.polyder(coeffs, order))
+        assert np.array_equal(method(qs), expected)
+        assert float(method(0.7)) == float(np.polynomial.polynomial.polyval(
+            0.7, np.polynomial.polynomial.polyder(coeffs, order)))
+
+
+def loop_equilibria(potential, interval, tolerance=1e-12, subintervals=2048):
+    """Reference: the subinterval-by-subinterval bracket loop of find_equilibria."""
+    a, b = interval
+    grid = np.linspace(a, b, subintervals + 1)
+    dv = np.asarray(potential.derivative(grid), dtype=float)
+    step = (b - a) / subintervals
+    if np.all(np.abs(dv) <= tolerance * max(1.0, float(np.max(np.abs(dv))))):
+        return []
+    roots = []
+    for i in range(subintervals):
+        if dv[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif dv[i] * dv[i + 1] < 0.0:
+            roots.append(_bisect_derivative(potential, grid[i], grid[i + 1], tolerance))
+    if dv[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    for i in np.nonzero(np.abs(dv) <= tolerance)[0]:
+        qi = float(grid[i])
+        if not any(abs(qi - r) <= step for r in roots):
+            roots.append(qi)
+    roots.sort()
+    deduped = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > step:
+            deduped.append(r)
+    return [EquilibriumPoint(q0=q0, curvature=float(potential.second_derivative(q0)),
+                             stability=_classify(float(potential.second_derivative(q0))))
+            for q0 in deduped]
+
+
+def _scan_cases():
+    rng = np.random.default_rng(7)
+    cases = [(Harmonic(), SEARCH_WINDOW), (Quartic(), SEARCH_WINDOW),
+             (Morse(depth=5.0, width=0.7), SEARCH_WINDOW), (Pendulum(), (-0.5, 7.0)),
+             (Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)), (-1.0, 1.0))]
+    for _ in range(12):
+        coeffs = tuple(float(c) for c in np.round(rng.uniform(-3.0, 3.0, rng.integers(3, 7)), 3))
+        cases.append((Polynomial(coeffs=coeffs), SEARCH_WINDOW))
+    return cases
+
+
+@pytest.mark.parametrize("potential,interval", _scan_cases())
+def test_vectorised_scan_matches_the_loop_bit_for_bit(potential, interval):
+    assert find_equilibria(potential, interval) == loop_equilibria(potential, interval)
+
+
+class TestLandscape:
+    def test_centred_well_keeps_the_first_window(self):
+        land = DOUBLE_WELL.landscape
+        assert list(land.equilibria) == find_equilibria(DOUBLE_WELL, SEARCH_WINDOW)
+        assert land.minimum == land.equilibria[0]  # the first of two equal wells
+        assert land.v_min == float(DOUBLE_WELL.value(land.minimum.q0))
+        assert land.crest is None
+
+    def test_built_once_per_potential(self):
+        pot = Harmonic()
+        assert pot.landscape is pot.landscape
+
+    def test_window_grows_past_a_shifted_well(self):
+        pot = Polynomial(coeffs=(112.5, -15.0, 0.5))
+        land = pot.landscape
+        assert land.equilibria == (land.minimum,)
+        assert land.minimum.q0 == pytest.approx(15.0, abs=1e-9)
+        assert land.minimum.stability is Stability.MINIMUM
+        assert land.v_min == pytest.approx(0.0, abs=1e-12)
+
+    def test_growth_keeps_the_equilibria_of_the_first_window(self, monkeypatch):
+        # a metastable well at 0 (barrier tops at +-5) on a potential unbounded below
+        pot = Polynomial(coeffs=(0.0, 0.0, 1.0, 0.0, -0.02))
+        scans = []
+        scan = potentials.find_equilibria
+        monkeypatch.setattr(potentials, "find_equilibria",
+                            lambda p, interval: scans.append(interval) or scan(p, interval))
+        land = pot.landscape
+        monkeypatch.undo()
+        assert len(scans) == 1 + 2 * 60  # the first window, then two shells per doubling
+        assert scans[-1] == (10.0 * 2.0**59, 10.0 * 2.0**60)
+        assert list(land.equilibria) == find_equilibria(pot, SEARCH_WINDOW)
+        assert land.minimum.q0 == 0.0
+
+    def test_periodic_family_never_grows(self):
+        land = Pendulum(amplitude=3.0).landscape
+        assert list(land.equilibria) == find_equilibria(Pendulum(amplitude=3.0), SEARCH_WINDOW)
+        assert land.crest == 3.0
+        assert land.v_min == -3.0
+
+    def test_flat_potential_has_a_degenerate_floor(self):
+        land = Rotor().landscape
+        assert land.equilibria == ()
+        assert land.minimum.stability is Stability.DEGENERATE
+        assert land.minimum.curvature == 0.0
+        assert (land.v_min, land.crest) == (0.0, 0.0)
 
 
 def test_double_well_equilibria():

@@ -124,3 +124,15 @@ class TestGroundStateOverlap:
         overlap = ground_state_overlap(Harmonic(), CanonicalEnsemble(beta=2.0), sol)
         assert overlap == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, rel=1e-6)
         assert overlap < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("m,omega,hbar,half,M", [
+    (1.0, 1.0, 1.0, 10.0, 8192),
+    (0.52, 1.756, 0.856, 8.874, 8192),
+])
+def test_periodic_solve_finds_the_first_odd_state(m, omega, hbar, half, M):
+    # a constant Lanczos start vector is even on a symmetric box and misses
+    # the odd first excited state, returning 0.5 and 2.5 hbar omega
+    sol = fd_eigensolve(Harmonic(m=m, omega=omega), hbar=hbar, box=(-half, half),
+                        M=M, k=2, boundary="periodic")
+    assert sol.eigenvalues / (hbar * omega) == pytest.approx([0.5, 1.5], abs=1e-4)
