@@ -52,6 +52,9 @@ class SpectrumLevel:
     energy: float
     oracle_energy: float | None = None
     relative_error: float | None = None
+    #: certified J(E) and period T(E) of the level's final iterate
+    action: float | None = None
+    period: float | None = None
 
 
 @dataclass(frozen=True)
@@ -74,17 +77,29 @@ def on_shell_momentum(potential: Potential, E: float, q):
 
 
 def _cross(potential: Potential, E: float, inside: float, outside: float) -> float:
-    """Bisect V(q) = E between a classically allowed and a forbidden point."""
-    lo, hi = inside, outside
+    """Solve V(q) = E between an allowed point (V <= E) and a forbidden one (V > E).
+
+    Safeguarded Newton on V - E with the analytic V' (rtsafe): each evaluation
+    moves the bracket end on its side; a step that leaves the bracket, or is
+    longer than half the step before last, bisects instead.
+    """
+    q = 0.5 * (inside + outside)
+    step = step_old = abs(outside - inside)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(potential.value(mid)) <= E:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-15 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+        f = float(potential.value(q)) - E
+        if f == 0.0:
+            return q
+        inside, outside = (q, outside) if f < 0.0 else (inside, q)
+        slope = float(potential.derivative(q))
+        newton = f / slope if slope != 0.0 else math.inf
+        nxt = q - newton
+        if not min(inside, outside) < nxt < max(inside, outside) or abs(newton) > 0.5 * step_old:
+            nxt = 0.5 * (inside + outside)
+        step_old, step = step, abs(nxt - q)
+        if step <= 1e-15 * max(1.0, abs(nxt)):
+            return nxt
+        q = nxt
+    return q
 
 
 def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
@@ -161,10 +176,41 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gauss_legendre(f, lo: float, hi: float, order: int) -> float:
-    t, w = _leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return half * float(np.sum(w * f(mid + half * t)))
+def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
+                    order: int) -> tuple[float, float, float | None]:
+    """J(E) at `order` and `2 order`, and the period T(E) at `2 order`, on one orbit.
+
+    Librations substitute q = c + r cos(theta) between the turning points, so
+    J's integrand p r sin(theta) is smooth and T's, m r sin(theta) / p, stays
+    finite at both ends.  Rotations integrate over one coordinate period.
+    T is None where the orbit is the bottom of the well.
+    """
+    m = potential.mass
+    libration = motion.kind is MotionKind.LIBRATION
+    if libration:
+        pair = turning_points(potential, E)
+        if pair is None:
+            raise ForbiddenRegionError(f"E={E:g} has no libration turning points")
+        c, r = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[1] - pair[0])
+        if r == 0.0:
+            return 0.0, 0.0, None
+    span = math.pi if libration else motion.period_length or potential.period
+
+    def weights_and_momenta(n: int):
+        t, w = _leggauss(n)
+        q = 0.5 * span * (t + 1.0)
+        w = 0.5 * span * w
+        if libration:
+            q, w = c + r * np.cos(q), 2.0 * r * np.sin(q) * w
+        gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
+        return w, np.sqrt(2.0 * m * gap)
+
+    w, p = weights_and_momenta(order)
+    w2, p2 = weights_and_momenta(2 * order)
+    # a rotation at the crest of a flat potential has p = 0: T is infinite
+    with np.errstate(divide="ignore"):
+        period = m * float(np.sum(w2 / p2))
+    return float(np.sum(w * p)), float(np.sum(w2 * p2)), period
 
 
 def action(potential: Potential, E: float,
@@ -177,49 +223,19 @@ def action(potential: Potential, E: float,
     square-root endpoint singularity; rotations integrate p over one
     coordinate period directly.  Doubling the quadrature order bounds the
     truncation error; disagreement beyond 1e-8 relative raises
-    AccuracyError.  `with_period` adds the finite-difference dJ/dE.
+    AccuracyError.  `with_period` adds dJ/dE, the classical period
+    T(E) = closed integral of m / p dq, from the same quadrature at the
+    doubled order (None at the bottom of a well).
     """
     if motion is None:
         motion = classify_motion(potential, E)
-    m = potential.mass
-
-    def j_of(e: float, n: int) -> float:
-        if motion.kind is MotionKind.LIBRATION:
-            pair = turning_points(potential, e)
-            if pair is None:
-                raise ForbiddenRegionError(f"E={e:g} has no libration turning points")
-            a, b = pair
-            c, r = 0.5 * (a + b), 0.5 * (b - a)
-            if r == 0.0:
-                return 0.0
-
-            def integrand(theta):
-                q = c + r * np.cos(theta)
-                gap = np.maximum(e - np.asarray(potential.value(q), dtype=float), 0.0)
-                return np.sqrt(2.0 * m * gap) * r * np.sin(theta)
-
-            return 2.0 * _gauss_legendre(integrand, 0.0, math.pi, n)
-
-        length = motion.period_length or potential.period
-
-        def integrand(q):
-            gap = np.maximum(e - np.asarray(potential.value(q), dtype=float), 0.0)
-            return np.sqrt(2.0 * m * gap)
-
-        return _gauss_legendre(integrand, 0.0, length, n)
-
-    j = j_of(E, 2 * order)
-    estimate = abs(j - j_of(E, order))
+    j_coarse, j, period = _loop_integrals(potential, E, motion, order)
+    estimate = abs(j - j_coarse)
     if estimate > 1e-8 * max(abs(j), 1.0):
         raise AccuracyError(
             f"action quadrature not converged at order {2 * order}", estimate=estimate
         )
-
-    dj = None
-    if with_period:
-        delta = 1e-6 * (abs(E) + 1.0)
-        dj = (j_of(E + delta, 2 * order) - j_of(E - delta, 2 * order)) / (2.0 * delta)
-    return ActionProfile(energy=E, action=j, dJ_dE=dj)
+    return ActionProfile(energy=E, action=j, dJ_dE=period if with_period else None)
 
 
 def _target_action(n: int, motion: MotionClass, hbar: float) -> float:
@@ -244,13 +260,19 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
              motion: MotionClass | None = None,
              oracle: EigenSolution | None = None,
              order: int = 128) -> SpectrumResult:
-    """Solve J(E) = target(n) for each requested level by bisection.
+    """Solve J(E) = target(n) for each requested level by safeguarded Newton steps.
 
-    The search bracket starts at the bottom of the classically allowed
-    band and doubles its width until J exceeds the target; monotonicity of
-    J on the bracket is spot-checked by sampling.  Failure to bracket
-    (e.g. levels beyond a dissociation threshold) raises BracketError
-    naming the level.
+    dJ/dE is the period T(E), which `action` returns with J.  Steps follow
+    log(J - J(e_lo)) against log(E - e_lo) from the band bottom e_lo, a line
+    for power-law wells (harmonic, quartic, rotor), so one step lands there.
+    A bracket lo < hi with J(lo) < target <= J(hi) stays open above until an
+    iterate reaches the target or escapes (or, once hi is known, fails the
+    accuracy gate); a step that leaves it, or is longer than half the step
+    before last, bisects.  Level n starts from the level before it, the first
+    from e_lo + 1e-3 max(|e_lo|, 1).  BracketError: T <= 0 or J outside
+    [J(lo), J(hi)] at an iterate (not monotone), or a bracket that shrinks to
+    nothing short of the target (beyond dissociation, a separatrix jump in J).
+    Levels carry the certified J and T of their final iterate.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns or ns[0] < 0:
@@ -267,111 +289,87 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
     if e_lo is None:
         raise ValueError("rotation quantization needs a periodic potential")
 
-    h_quantum = 2.0 * math.pi * hbar
-    tol_j = 1e-10 * h_quantum
+    tol_j = 1e-10 * 2.0 * math.pi * hbar
+    # loop action at the bottom of the band; taken without the accuracy
+    # gate because a crest kink slows the quadrature there
+    j_floor = (0.0 if motion.kind is MotionKind.LIBRATION
+               else _loop_integrals(potential, e_lo, motion, 256)[1])
 
-    def j_at(e: float) -> float:
-        return action(potential, e, motion=motion, order=order).action
-
-    def j_floor() -> float:
-        # loop action at the bottom of the band; evaluated without the
-        # accuracy gate because a crest kink slows the quadrature there
-        if motion.kind is MotionKind.LIBRATION:
-            return 0.0
-        length = motion.period_length or potential.period
-        m = potential.mass
-
-        def integrand(q):
-            gap = np.maximum(e_lo - np.asarray(potential.value(q), dtype=float), 0.0)
-            return np.sqrt(2.0 * m * gap)
-
-        return _gauss_legendre(integrand, 0.0, length, 512)
+    def solve(n: int, target: float, start: tuple | None) -> tuple[float, float, float]:
+        # the certified (E, J, T) with |J(E) - target| <= tol_j
+        lo, j_lo = (e_lo, j_floor) if start is None else start[:2]
+        hi = j_hi = math.inf
+        point, last, step, step_old = start, lo, math.inf, math.inf
+        e = e_lo + 1e-3 * max(abs(e_lo), 1.0) if start is None else None
+        for _ in range(200):
+            if e is None:
+                guess = math.nan
+                if point is not None and point[1] > j_floor:
+                    # Newton from the latest certified iterate on log(J - J_floor)
+                    # against log(E - e_lo), whose slope is a power-law well's power
+                    e_p, j_p, t_p = point
+                    power = t_p * (e_p - e_lo) / (j_p - j_floor)
+                    stretch = math.log((target - j_floor) / (j_p - j_floor)) / power
+                    guess = e_lo + (e_p - e_lo) * math.exp(min(stretch, 700.0))
+                if hi == math.inf:
+                    e = guess if guess > lo else e_lo + 2.0 * (last - e_lo)
+                elif lo < guess < hi and abs(guess - last) <= 0.5 * step_old:
+                    e = guess
+                elif hi - lo > 1e-15 * max(abs(lo), abs(hi), 1.0):
+                    e = 0.5 * (lo + hi)
+                else:
+                    raise BracketError(
+                        f"level n={n}: the certified bound-orbit action only reaches {j_lo:g} "
+                        f"below E={hi:g}, where the orbit escapes or its action cannot be "
+                        f"certified, short of the target {target:g}" if j_hi == math.inf else
+                        f"level n={n}: J(E) jumps from {j_lo:g} to {j_hi:g} at E={lo:g}, "
+                        f"across the target {target:g}"
+                    )
+                if hi < math.inf:  # steps count once the bracket is closed
+                    step_old, step = step, abs(e - last)
+            last = e
+            try:
+                profile = action(potential, e, motion=motion, order=order, with_period=True)
+            except ForbiddenRegionError:
+                hi, j_hi = e, math.inf
+            except AccuracyError:
+                if hi == math.inf:  # a kink at the band bottom fails the gate: go up
+                    e = e_lo + 2.0 * (e - e_lo)
+                    continue
+                hi, j_hi = e, math.inf
+            else:
+                j, t = profile.action, profile.dJ_dE
+                if not (t > 0.0 and j_lo - tol_j <= j <= j_hi + tol_j):
+                    raise BracketError(f"level n={n}: J(E) is not monotone on the search bracket")
+                if abs(j - target) <= tol_j:
+                    return e, j, t
+                if j < target:
+                    lo, j_lo = e, j
+                else:
+                    hi, j_hi = e, j
+                point = (e, j, t)
+            e = None
+        raise BracketError(f"level n={n}: no certified J(E) within {tol_j:g} of {target:g}")
 
     levels = []
+    start = None
     for n in ns:
         target = _target_action(n, motion, hbar)
-        j_lo = j_floor()
-        if target < j_lo - tol_j:
+        if target < j_floor - tol_j:
             raise BracketError(
                 f"level n={n}: target action {target:g} below the minimum loop action "
-                f"{j_lo:g}; no such rotation state"
+                f"{j_floor:g}; no such rotation state"
             )
-        if abs(target - j_lo) <= tol_j:
-            e_n = e_lo
+        if abs(target - j_floor) <= tol_j:
+            e_n, j_n, t_n = e_lo, j_floor, None
         else:
-            width = max(abs(e_lo), 1.0) * 1e-3
-            hi = e_lo + width
-            last_closed = e_lo
-            lo = e_lo
-            grown = False
-            for _ in range(80):
-                try:
-                    j_hi = j_at(hi)
-                except ForbiddenRegionError:
-                    # the orbit opened up between last_closed and hi; walk
-                    # back toward the escape energy, keeping the highest
-                    # energy whose action quadrature still certifies, and
-                    # see whether the bounded action reaches the target
-                    lo_e, hi_e = last_closed, hi
-                    best = None
-                    for _ in range(80):
-                        mid = 0.5 * (lo_e + hi_e)
-                        try:
-                            j_mid = j_at(mid)
-                        except (ForbiddenRegionError, AccuracyError):
-                            hi_e = mid
-                        else:
-                            best = (mid, j_mid)
-                            lo_e = mid
-                            if j_mid >= target:
-                                break
-                    if best is None or best[1] < target - tol_j:
-                        reach = best[1] if best is not None else j_at(last_closed)
-                        raise BracketError(
-                            f"level n={n}: the certified bound-orbit action only "
-                            f"reaches {reach:g} below the escape energy, short of "
-                            f"the target {target:g}"
-                        )
-                    hi = best[0]
-                    grown = True
-                    break
-                except AccuracyError:
-                    # a kink at the band bottom defeats the quadrature gate
-                    # just above e_lo; certified energies start further up
-                    width *= 2.0
-                    hi = e_lo + width
-                    continue
-                if j_hi >= target:
-                    grown = True
-                    break
-                last_closed = hi
-                lo = hi
-                width *= 2.0
-                hi = e_lo + width
-            if not grown:
-                raise BracketError(f"level n={n}: bracket growth exhausted before J reached {target:g}")
-
-            lo_probe = lo if lo > e_lo else e_lo + 1e-12 * max(1.0, abs(e_lo))
-            samples = [j_at(e) for e in np.linspace(lo_probe, hi, 7)]
-            if any(b < a - tol_j for a, b in zip(samples, samples[1:])):
-                raise BracketError(f"level n={n}: J(E) is not monotone on the search bracket")
-
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                j_mid = j_at(mid)
-                if abs(j_mid - target) <= tol_j:
-                    lo = hi = mid
-                    break
-                if j_mid < target:
-                    lo = mid
-                else:
-                    hi = mid
-            e_n = 0.5 * (lo + hi)
+            e_n, j_n, t_n = start = solve(n, target, start)
 
         oracle_e = _oracle_level(oracle, n, motion) if oracle is not None else None
         rel = None
         if oracle_e is not None:
             rel = (e_n - oracle_e) / max(abs(oracle_e), 1e-300)
-        levels.append(SpectrumLevel(n=n, energy=e_n, oracle_energy=oracle_e, relative_error=rel))
+        levels.append(SpectrumLevel(n=n, energy=e_n, oracle_energy=oracle_e,
+                                    relative_error=rel, action=j_n, period=t_n))
 
     return SpectrumResult(motion=motion, levels=tuple(levels))

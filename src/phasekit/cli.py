@@ -472,10 +472,8 @@ def _run_quantize(resolved: dict):
     columns = ["n", "E_bs", "E_oracle", "relative_error"]
     if resolved["djde"] == "on":
         for row, lv in zip(rows, result.levels):
-            profile = bs.action(potential, lv.energy, motion=result.motion,
-                                with_period=True)
-            row["J"] = profile.action
-            row["dJ_dE"] = profile.dJ_dE
+            row["J"] = lv.action
+            row["dJ_dE"] = lv.period
         columns += ["J", "dJ_dE"]
     payload = {"config": echo, "motion": result.motion.kind.value, "levels": rows}
     lines = ["# phasekit quantize", f"# config: {_compact_json(echo)}",
@@ -539,6 +537,9 @@ def _run_oracle(resolved: dict):
     box = None
     if resolved["box"] is not None:
         box = _parse_interval(resolved["box"], "box")
+    elif boundary == "periodic" and not potential.periodic_coordinate:
+        raise ConfigError("periodic boundary on a line potential needs an explicit box",
+                          field="box")
 
     solution = schrodinger.fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k,
                                          boundary=boundary)

@@ -18,7 +18,7 @@ from phasekit import (
     Rotor,
     SeparatrixError,
 )
-from phasekit import potentials
+from phasekit import bohr_sommerfeld, potentials
 from phasekit.bohr_sommerfeld import (
     MotionClass,
     MotionKind,
@@ -112,6 +112,40 @@ class TestTurningPoints:
         assert b > 1.0
 
 
+def bisect_crossing(potential, E, inside, outside):
+    """Reference for `_cross`: bisect V(q) = E to 1e-15 relative."""
+    lo, hi = inside, outside
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(potential.value(mid)) <= E:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) <= 1e-15 * max(1.0, abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+TILTED_WELL = Polynomial(m=1.0, coeffs=(0.0, 0.3, -4.0, 0.0, 1.0))
+
+
+class TestCrossingsAgainstBisection:
+    @pytest.mark.parametrize("potential, energies", [
+        (Harmonic(), [1e-3, 0.5, 7.25, 80.0]),
+        (Quartic(m=1.0, lam=2.0), [1e-3, 0.3, 5.0, 60.0]),
+        (Morse(m=1.0, depth=120.0, width=1.0), [0.5, 30.0, 90.0, 110.0]),
+        (Pendulum(), [-0.9, 0.0, 0.5, 0.99]),
+        (TILTED_WELL, [-4.0, -3.5, -1.0, 0.5, 6.0]),
+    ])
+    def test_newton_roots_match_the_bisection_reference(self, potential, energies,
+                                                        monkeypatch):
+        newton = [turning_points(potential, E) for E in energies]
+        monkeypatch.setattr(bohr_sommerfeld, "_cross", bisect_crossing)
+        reference = [turning_points(potential, E) for E in energies]
+        for got, want in zip(newton, reference):
+            assert got == pytest.approx(want, rel=1e-14)
+
+
 class TestClassifyMotion:
     def test_harmonic_is_always_libration(self):
         assert classify_motion(Harmonic(), 3.7).kind is MotionKind.LIBRATION
@@ -169,6 +203,26 @@ class TestAction:
     def test_pendulum_period_from_dJ_dE(self):
         prof = action(Pendulum(), 0.5, with_period=True)
         assert prof.dJ_dE == pytest.approx(4.0 * ellipk(0.75), rel=1e-6)
+
+    @pytest.mark.parametrize("omega, E", [(1.0, 0.5), (0.7, 3.0), (2.5, 40.0)])
+    def test_harmonic_quadrature_period(self, omega, E):
+        prof = action(Harmonic(m=1.3, omega=omega), E, with_period=True)
+        assert prof.dJ_dE == pytest.approx(2.0 * math.pi / omega, rel=1e-9)
+
+    @pytest.mark.parametrize("amplitude, E", [(1.0, -0.5), (1.0, 0.5), (3.0, 2.4)])
+    def test_pendulum_quadrature_period(self, amplitude, E):
+        m = 0.8
+        prof = action(Pendulum(m=m, amplitude=amplitude), E, with_period=True)
+        exact = 4.0 * math.sqrt(m / amplitude) * ellipk((E + amplitude) / (2.0 * amplitude))
+        assert prof.dJ_dE == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("E", [1.0, 6.0, 11.0])
+    def test_morse_quadrature_period(self, E):
+        depth, width, m = 12.0, 1.0, 1.0
+        omega = width * math.sqrt(2.0 * depth / m)
+        prof = action(Morse(m=m, depth=depth, width=width), E, with_period=True)
+        exact = 2.0 * math.pi / (omega * math.sqrt(1.0 - E / depth))
+        assert prof.dJ_dE == pytest.approx(exact, rel=1e-9)
 
     def test_action_grows_with_energy(self):
         js = [action(Quartic(), E).action for E in np.linspace(0.1, 5.0, 9)]
@@ -292,3 +346,63 @@ class TestShiftedWell:
         shifted = Polynomial(coeffs=(0.5 * c * c, -c, 0.5))
         got = [lv.energy for lv in quantize(shifted, range(3)).levels]
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.fixture
+def action_calls(monkeypatch):
+    """Arguments of every `action` call that goes through the module."""
+    calls = []
+    counted = action
+    monkeypatch.setattr(bohr_sommerfeld, "action",
+                        lambda *a, **k: calls.append(a) or counted(*a, **k))
+    return calls
+
+
+def _target(n, motion, hbar):
+    return (n + (0.5 if motion.kind is MotionKind.LIBRATION else 0.0)) * 2.0 * math.pi * hbar
+
+
+class TestNewtonLevelSolve:
+    @pytest.mark.parametrize("potential, ns, motion, hbar, bound", [
+        (Harmonic(), range(11), None, 1.0, 2),
+        (Quartic(), range(3, 11), None, 1.0, 2),
+        (Rotor(), range(11), None, 1.0, 2),
+        (Morse(m=1.0, depth=120.0, width=1.0), range(8), None, 1.0, 8),
+        (Pendulum(), [0, 1, 2], None, 1.0, 8),
+        (Pendulum(), [2, 3, 4, 5], ROTATION_2PI, 1.0, 8),
+        (TILTED_WELL, range(4), None, 0.3, 8),
+    ], ids=["harmonic", "quartic", "rotor", "morse", "pendulum-libration",
+            "pendulum-rotation", "tilted-double-well"])
+    def test_action_evaluations_per_level(self, potential, ns, motion, hbar, bound,
+                                          action_calls):
+        res = quantize(potential, ns, hbar=hbar, motion=motion)
+        assert len(action_calls) <= bound * len(res.levels)
+        for lv in res.levels:
+            assert abs(lv.action - _target(lv.n, res.motion, hbar)) <= 1e-10 * 2.0 * math.pi * hbar
+
+    def test_target_in_a_separatrix_gap_fails_within_bounded_work(self, action_calls):
+        # below the hump the orbit stays in the deeper well and J tends to
+        # 5.867; above it the orbit spans both wells and J is about twice
+        # that, so the n = 1 target 3 pi lies in the jump
+        tilted = Polynomial(m=1.0211, coeffs=(0, -0.00385, -1.37296, 0, 0.26199))
+        with pytest.raises(BracketError, match="certified bound-orbit action only reaches"):
+            quantize(tilted, [1])
+        assert len(action_calls) <= 80
+
+    @settings(max_examples=5, deadline=None)
+    @given(omega=st.floats(min_value=0.2, max_value=5.0),
+           hbar=st.floats(min_value=0.05, max_value=3.0),
+           m=st.floats(min_value=0.2, max_value=5.0))
+    def test_harmonic_levels_scale_as_hbar_omega(self, omega, hbar, m):
+        res = quantize(Harmonic(m=m, omega=omega), range(4), hbar=hbar)
+        for lv in res.levels:
+            assert lv.energy == pytest.approx((lv.n + 0.5) * hbar * omega, rel=1e-9)
+
+    @settings(max_examples=5, deadline=None)
+    @given(c=st.floats(min_value=-50.0, max_value=50.0))
+    def test_constant_offset_shifts_every_level(self, c):
+        coeffs = (0.0, 0.0, 0.5, 0.0, 0.1)
+        base = [lv.energy for lv in quantize(Polynomial(coeffs=coeffs), range(4)).levels]
+        shifted = Polynomial(coeffs=(c,) + coeffs[1:])
+        got = [lv.energy for lv in quantize(shifted, range(4)).levels]
+        assert got == pytest.approx([e + c for e in base], rel=1e-9, abs=1e-9)

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from phasekit import Quartic
+from phasekit import bohr_sommerfeld as bs
 from phasekit.cli import _fmt, main
 
 HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
@@ -86,6 +88,13 @@ class TestArgumentHandling:
         assert code == 2
         error = json.loads(err)["error"]
         assert (error["kind"], error["field"]) == ("validation", "potential")
+
+    def test_periodic_boundary_on_a_line_needs_a_box(self, run):
+        code, _, err = run("oracle", "--potential", HARMONIC, "--levels", "2",
+                           "--boundary", "periodic")
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "box")
 
     def test_malformed_grid(self, run):
         code, _, err = run("thermo", "--potential", HARMONIC,
@@ -281,6 +290,22 @@ class TestQuantizeCommand:
         for row in json.loads(out)["levels"]:
             assert row["dJ_dE"] == pytest.approx(2.0 * math.pi, rel=1e-6)
             assert row["J"] == pytest.approx((row["n"] + 0.5) * 2.0 * math.pi, rel=1e-9)
+
+    def test_djde_columns_reuse_the_level_solve(self, run, monkeypatch):
+        calls = []
+        action = bs.action
+        monkeypatch.setattr(bs, "action", lambda *a, **k: calls.append(a) or action(*a, **k))
+        code, out, _ = run("quantize", "--potential", QUARTIC, "--levels", "0..3",
+                           "--djde", "on")
+        assert code == 0
+        in_cli = len(calls)
+        bs.quantize(Quartic(), range(4))
+        assert len(calls) == 2 * in_cli  # the columns cost no action evaluation
+        monkeypatch.undo()
+        # J keeps its meaning: the action at 2 * order at E_n, with its period
+        for row in json.loads(out)["levels"]:
+            profile = bs.action(Quartic(), row["E_bs"], with_period=True)
+            assert (row["J"], row["dJ_dE"]) == (profile.action, profile.dJ_dE)
 
     def test_dissociated_level_is_a_computation_error(self, run):
         code, _, err = run("quantize", "--potential",
