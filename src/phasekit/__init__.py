@@ -31,9 +31,7 @@ from .potentials import (
     Quartic,
     Rotor,
     Stability,
-    eval_potential,
     find_equilibria,
-    is_confining,
     potential_from_json,
 )
 
@@ -63,9 +61,7 @@ __all__ = [
     "TrajectoryError",
     "beta_for_temperature",
     "ensemble_from_json",
-    "eval_potential",
     "find_equilibria",
-    "is_confining",
     "potential_from_json",
 ]
 

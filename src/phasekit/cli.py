@@ -2,9 +2,11 @@
 
 Every subcommand resolves its options from defaults, then an optional JSON
 config file (--config), then explicit flags, rejecting unknown keys at each
-layer.  Output is deterministic: stable key order, floats printed with 17
-significant digits, and the fully-resolved configuration echoed in every
-artifact so a run can be reproduced from its own output.
+layer, and parses each option once into a typed value.  Output is
+deterministic: stable key order, floats printed with 17 significant digits,
+and the fully-resolved configuration echoed in every artifact so a run can be
+reproduced from its own output.  A runner returns its JSON body and its CSV
+sections; one emitter renders either format from them.
 
 Exit codes: 0 success, 1 computation error, 2 validation error.  Errors are
 emitted as a JSON object on stderr.
@@ -13,8 +15,11 @@ emitted as a JSON object on stderr.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from . import propagator as prop
 from . import schrodinger, thermo, wigner
 from .ensemble import CanonicalEnsemble, ensemble_from_json
 from .errors import ConfigError, PhasekitError
-from .potentials import Potential, Stability, find_equilibria, potential_from_json
+from .potentials import Stability, find_equilibria, potential_from_json
 
 
 # ---------------------------------------------------------------- formatting
@@ -35,74 +40,103 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt(value)
-    return json.dumps(value)
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_to_json(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
-            return "[" + ", ".join(_json_scalar(v) for v in seq) + "]"
-        items = [f"{pad}  {_to_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_scalar(value)
-
-
-def _compact_json(value) -> str:
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_compact_json(v)}"
-                               for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_compact_json(v) for v in value) + "]"
-    return _json_scalar(value)
-
-
-def _csv_cell(value) -> str:
+def _cell(value) -> str:
+    """A scalar as one CSV cell, or as the value of a ``# key: value`` line."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return _fmt(value)
     return str(value)
+
+
+def _json(value, indent: int | None = None) -> str:
+    """JSON text on one line, or, given an ``indent`` level, one entry per line.
+
+    Lists of scalars stay on one line in either form.
+    """
+    deeper = None if indent is None else indent + 1
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(str(k))}: {_json(v, deeper)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_json(v, deeper) for v in value]
+        if not any(isinstance(v, (dict, list, tuple)) for v in value):
+            indent = None
+    elif isinstance(value, float):
+        return _fmt(value)
+    else:
+        return json.dumps(value)
+    if indent is None or not items:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "  " * indent
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _comment(value) -> str:
+    """A dict as JSON, a tuple in the lo:hi interval syntax, a list as cells."""
+    if isinstance(value, dict):
+        return _json(value)
+    if isinstance(value, tuple):
+        return ":".join(map(_cell, value))
+    if isinstance(value, list):
+        return ",".join(map(_cell, value))
+    return _cell(value)
+
+
+def _emit(subcommand: str, echo: dict, body: dict, sections: list, fmt: str) -> str:
+    """The artifact: ``{"config": echo, **body}`` as JSON, or the CSV sections.
+
+    A section is (comments, header, rows); comments with a None value are left
+    out of the CSV.
+    """
+    if fmt == "json":
+        return _json({"config": echo, **body}, indent=0) + "\n"
+    lines = [f"# phasekit {subcommand}", f"# config: {_json(echo)}"]
+    for comments, header, rows in sections:
+        lines += [f"# {k}: {_comment(v)}" for k, v in comments.items() if v is not None]
+        lines.append(",".join(header))
+        lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _table(rows: list[dict], columns) -> list[list]:
+    return [[row[c] for c in columns] for row in rows]
 
 
 # ------------------------------------------------------------------- parsing
 
 def _parse_float(text, field: str) -> float:
     try:
-        return float(text)
+        if isinstance(text, bool):  # JSON true is not the number 1
+            raise TypeError
+        value = float(text)
     except (TypeError, ValueError):
         raise ConfigError(f"expected a number for {field!r}, got {text!r}", field=field)
+    if not math.isfinite(value):
+        raise ConfigError(f"{field!r} must be finite, got {text!r}", field=field)
+    return value
 
 
-def _parse_int(text, field: str) -> int:
+def _parse_positive(text, field: str) -> float:
+    value = _parse_float(text, field)
+    if value <= 0:
+        raise ConfigError(f"{field!r} must be positive", field=field)
+    return value
+
+
+def _parse_int(text, field: str, low: int | None = None) -> int:
     try:
-        return int(text)
-    except (TypeError, ValueError):
+        value = int(text)
+        if isinstance(text, bool) or value != float(text):  # no silent truncation of 2.9
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected an integer for {field!r}, got {text!r}", field=field)
+    if low is not None and value < low:
+        raise ConfigError(f"{field!r} must be >= {low}", field=field)
+    return value
 
 
 def _parse_range(text, field: str) -> np.ndarray:
@@ -110,12 +144,8 @@ def _parse_range(text, field: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{field!r} must look like start:stop:count", field=field)
-    start = _parse_float(parts[0], field)
-    stop = _parse_float(parts[1], field)
-    count = _parse_int(parts[2], field)
-    if count < 1:
-        raise ConfigError(f"{field!r} needs count >= 1", field=field)
-    return np.linspace(start, stop, count)
+    return np.linspace(_parse_float(parts[0], field), _parse_float(parts[1], field),
+                       _parse_int(parts[2], field, low=1))
 
 
 def _parse_interval(text, field: str) -> tuple[float, float]:
@@ -133,20 +163,16 @@ def _parse_levels(text, field: str) -> list[int]:
     parts = str(text).split("..")
     if len(parts) != 2:
         raise ConfigError(f"{field!r} must look like n0..n1", field=field)
-    n0, n1 = _parse_int(parts[0], field), _parse_int(parts[1], field)
-    if n0 < 0 or n1 < n0:
-        raise ConfigError(f"{field!r} needs 0 <= n0 <= n1", field=field)
-    return list(range(n0, n1 + 1))
+    n0 = _parse_int(parts[0], field, low=0)
+    return list(range(n0, _parse_int(parts[1], field, low=n0) + 1))
 
 
 def _parse_slices(text, field: str) -> list[int]:
-    out = []
-    for tok in str(text).split(","):
-        n = _parse_int(tok, field)
-        if n < 1:
-            raise ConfigError(f"{field!r} entries must be >= 1", field=field)
-        out.append(n)
-    return out
+    return [_parse_int(tok, field, low=1) for tok in str(text).split(",")]
+
+
+def _parse_energy(text, field: str):
+    return "auto" if str(text) == "auto" else _parse_float(text, field)
 
 
 def _load_json_arg(value, field: str):
@@ -166,29 +192,23 @@ def _load_json_arg(value, field: str):
         raise ConfigError(f"invalid JSON for {field!r}: {exc}", field=field)
 
 
-def _potential_arg(value, field: str = "potential") -> Potential:
+def _parse_potentials(value, field: str) -> list:
+    """One potential object or a list of them."""
     obj = _load_json_arg(value, field)
-    if isinstance(obj, list):
-        raise ConfigError(f"{field!r} must be a single potential object", field=field)
     try:
-        return potential_from_json(obj)
+        return [potential_from_json(e) for e in (obj if isinstance(obj, list) else [obj])]
     except ValueError as exc:
         raise ConfigError(str(exc), field=field)
 
 
-def _potential_list_arg(value, field: str = "potential") -> list[Potential]:
+def _parse_potential(value, field: str):
     obj = _load_json_arg(value, field)
-    blocks = obj if isinstance(obj, list) else [obj]
-    out = []
-    for entry in blocks:
-        try:
-            out.append(potential_from_json(entry))
-        except ValueError as exc:
-            raise ConfigError(str(exc), field=field)
-    return out
+    if isinstance(obj, list):
+        raise ConfigError(f"{field!r} must be a single potential object", field=field)
+    return _parse_potentials(obj, field)[0]
 
 
-def _ensemble_arg(value, field: str = "ensemble") -> CanonicalEnsemble:
+def _parse_ensemble(value, field: str) -> CanonicalEnsemble:
     obj = _load_json_arg(value, field)
     if not isinstance(obj, dict):
         raise ConfigError(f"{field!r} must be a JSON object", field=field)
@@ -206,7 +226,14 @@ class Option:
     default: object = None
     required: bool = False
     choices: tuple = ()
+    #: (value, field) -> typed value; None keeps the value as given
+    parse: Callable | None = None
 
+
+#: options written in a compact text syntax are echoed as written, the rest as parsed
+_ECHO_AS_WRITTEN = (_parse_range, _parse_interval, _parse_levels, _parse_slices)
+
+_GRID_SIZE = partial(_parse_int, low=64)  # the smallest grid fd_eigensolve accepts
 
 GLOBAL_OPTIONS = (
     Option("format", default="json", choices=("json", "csv")),
@@ -216,77 +243,92 @@ GLOBAL_OPTIONS = (
 
 SCHEMAS: dict[str, tuple[Option, ...]] = {
     "wigner": (
-        Option("potential", required=True),
-        Option("ensemble", required=True),
-        Option("grid", required=True),
-        Option("deltas", required=True),
+        Option("potential", required=True, parse=_parse_potentials),
+        Option("ensemble", required=True, parse=_parse_ensemble),
+        Option("grid", required=True, parse=_parse_range),
+        Option("deltas", required=True, parse=_parse_range),
     ),
     "equilibrium": (
-        Option("potential", required=True),
-        Option("hbar", default=1.0),
-        Option("kB", default=1.0),
-        Option("window", default="-10:10"),
+        Option("potential", required=True, parse=_parse_potential),
+        Option("hbar", default=1.0, parse=_parse_positive),
+        Option("kB", default=1.0, parse=_parse_positive),
+        Option("window", default="-10:10", parse=_parse_interval),
     ),
     "thermo": (
-        Option("potential", required=True),
-        Option("ensemble", required=True),
-        Option("grid", required=True),
+        Option("potential", required=True, parse=_parse_potential),
+        Option("ensemble", required=True, parse=_parse_ensemble),
+        Option("grid", required=True, parse=_parse_range),
     ),
     "quantize": (
-        Option("potential", required=True),
-        Option("hbar", default=1.0),
+        Option("potential", required=True, parse=_parse_potential),
+        Option("hbar", default=1.0, parse=_parse_positive),
         Option("class", default="auto", choices=("auto", "libration", "rotation")),
-        Option("levels", required=True),
+        Option("levels", required=True, parse=_parse_levels),
         Option("oracle", default="off", choices=("on", "off")),
         Option("djde", default="off", choices=("on", "off")),
-        Option("box", default=None),
-        Option("grid-size", default=16384),
+        Option("box", default=None, parse=_parse_interval),
+        Option("grid-size", default=16384, parse=_GRID_SIZE),
     ),
     "propagate": (
-        Option("potential", required=True),
-        Option("hbar", default=1.0),
-        Option("from", required=True),
-        Option("to", required=True),
-        Option("time", required=True),
-        Option("slices", default="4096"),
-        Option("energy", default="auto"),
+        Option("potential", required=True, parse=_parse_potential),
+        Option("hbar", default=1.0, parse=_parse_positive),
+        Option("from", required=True, parse=_parse_float),
+        Option("to", required=True, parse=_parse_float),
+        Option("time", required=True, parse=_parse_positive),
+        Option("slices", default="4096", parse=_parse_slices),
+        Option("energy", default="auto", parse=_parse_energy),
     ),
     "oracle": (
-        Option("potential", required=True),
-        Option("hbar", default=1.0),
-        Option("levels", default=4),
+        Option("potential", required=True, parse=_parse_potential),
+        Option("hbar", default=1.0, parse=_parse_positive),
+        Option("levels", default=4, parse=partial(_parse_int, low=1)),
         Option("boundary", default="auto", choices=("auto", "dirichlet", "periodic")),
-        Option("box", default=None),
-        Option("grid-size", default=4096),
+        Option("box", default=None, parse=_parse_interval),
+        Option("grid-size", default=4096, parse=_GRID_SIZE),
         Option("eigenvectors", default="off", choices=("on", "off")),
-        Option("overlap-beta", default=None),
+        Option("overlap-beta", default=None, parse=_parse_positive),
     ),
 }
 
 
-def _resolve_options(subcommand: str, cli_pairs: dict, config: dict) -> dict:
+def _resolve_options(subcommand: str, cli_pairs: dict, config: dict) -> tuple[dict, dict]:
+    """(options as written, options as parsed) from defaults, config, then flags."""
     schema = {opt.name: opt for opt in SCHEMAS[subcommand] + GLOBAL_OPTIONS}
-    resolved = {name: opt.default for name, opt in schema.items()}
+    written = {name: opt.default for name, opt in schema.items()}
 
     for source_name, source in (("config", config), ("flag", cli_pairs)):
         for key, value in source.items():
             if key == "subcommand" and source_name == "config":
                 continue
             if key not in schema:
-                raise ConfigError(
-                    f"unknown {source_name} {key!r} for subcommand {subcommand!r}",
-                    field=key,
-                )
-            resolved[key] = value
+                raise ConfigError(f"unknown {source_name} {key!r} for subcommand "
+                                  f"{subcommand!r}", field=key)
+            written[key] = value
 
+    parsed = {}
     for name, opt in schema.items():
-        if opt.required and resolved[name] is None:
+        value = written[name]
+        if opt.required and value is None:
             raise ConfigError(f"missing required option {name!r}", field=name)
-        if opt.choices and resolved[name] is not None and str(resolved[name]) not in opt.choices:
-            raise ConfigError(
-                f"{name!r} must be one of {', '.join(opt.choices)}", field=name
-            )
-    return resolved
+        if opt.choices and value is not None and str(value) not in opt.choices:
+            raise ConfigError(f"{name!r} must be one of {', '.join(opt.choices)}", field=name)
+        parsed[name] = value if value is None or opt.parse is None else opt.parse(value, name)
+    return written, parsed
+
+
+def _config_echo(subcommand: str, written: dict, parsed: dict) -> dict:
+    """The resolved configuration, in a form that reproduces the run."""
+    echo = {"subcommand": subcommand}
+    for opt in SCHEMAS[subcommand] + GLOBAL_OPTIONS:
+        value = parsed[opt.name]
+        if opt.parse in _ECHO_AS_WRITTEN:
+            value = written[opt.name]
+        elif isinstance(value, list):  # wigner's potentials
+            value = [v.to_json() for v in value]
+        elif hasattr(value, "to_json"):
+            value = value.to_json()
+        echo[opt.name] = value
+    return echo
 
 
 def _split_argv(argv: list[str]) -> tuple[str | None, dict, str | None]:
@@ -319,92 +361,48 @@ def _split_argv(argv: list[str]) -> tuple[str | None, dict, str | None]:
 
 
 # ------------------------------------------------------------- subcommands
+#
+# A runner takes the parsed options and returns (JSON body, CSV sections).
 
-def _echo(subcommand: str, resolved: dict, **replacements) -> dict:
-    echo = {"subcommand": subcommand}
-    for key, value in resolved.items():
-        echo[key] = replacements.get(key, value)
-    for key, value in replacements.items():
-        if key not in echo:
-            echo[key] = value
-    return echo
-
-
-def _run_wigner(resolved: dict):
-    potentials = _potential_list_arg(resolved["potential"])
-    ens = _ensemble_arg(resolved["ensemble"])
-    qs = _parse_range(resolved["grid"], "grid")
-    dqs = _parse_range(resolved["deltas"], "deltas")
-
-    echo = _echo("wigner", resolved,
-                 potential=[p.to_json() for p in potentials], ensemble=ens.to_json())
-    blocks = []
-    lines = [f"# phasekit wigner", f"# config: {_compact_json(echo)}"]
-    header = "q,delta_q,re(value),im(value),closed_form,residual"
+def _run_wigner(opts: dict):
+    potentials, ens = opts["potential"], opts["ensemble"]
+    columns = ("q", "delta_q", "re_value", "im_value", "closed_form", "residual")
+    header = ("q", "delta_q", "re(value)", "im(value)", "closed_form", "residual")
+    blocks, sections = [], []
     for pot in potentials:
         rows = []
-        if len(potentials) > 1:
-            lines.append(f"# potential: {_compact_json(pot.to_json())}")
-        lines.append(header)
-        for q in qs:
-            for dq in dqs:
-                quad = wigner.characteristic_quadrature(ens, pot, float(q), float(dq))
-                closed = wigner.characteristic_closed_form(ens, pot, float(q), float(dq))
-                residual = wigner.pde_residual(ens, pot, float(q), float(dq))
-                product = wigner.product_form_characteristic(ens, pot, float(q), float(dq))
-                row = {
-                    "q": float(q),
-                    "delta_q": float(dq),
-                    "re_value": quad.value.real,
-                    "im_value": quad.value.imag,
-                    "closed_form": closed.value.real,
-                    "residual": residual,
-                    "product_form": product.value.real,
-                }
-                rows.append(row)
-                lines.append(",".join(_csv_cell(row[k]) for k in
-                                      ("q", "delta_q", "re_value", "im_value",
-                                       "closed_form", "residual")))
+        for q in map(float, opts["grid"]):
+            for dq in map(float, opts["deltas"]):
+                quad = wigner.characteristic_quadrature(ens, pot, q, dq)
+                closed = wigner.characteristic_closed_form(ens, pot, q, dq)
+                residual = wigner.pde_residual(ens, pot, q, dq)
+                product = wigner.product_form_characteristic(ens, pot, q, dq)
+                rows.append({"q": q, "delta_q": dq, "re_value": quad.value.real,
+                             "im_value": quad.value.imag, "closed_form": closed.value.real,
+                             "residual": residual, "product_form": product.value.real})
         blocks.append({"potential": pot.to_json(), "rows": rows})
-    return {"config": echo, "blocks": blocks}, lines
+        sections.append(({"potential": pot.to_json() if len(potentials) > 1 else None},
+                         header, _table(rows, columns)))
+    return {"blocks": blocks}, sections
 
 
-def _run_equilibrium(resolved: dict):
-    potential = _potential_arg(resolved["potential"])
-    hbar = _parse_float(resolved["hbar"], "hbar")
-    k_B = _parse_float(resolved["kB"], "kB")
-    window = _parse_interval(resolved["window"], "window")
-
-    echo = _echo("equilibrium", resolved, potential=potential.to_json(),
-                 hbar=hbar, kB=k_B)
+def _run_equilibrium(opts: dict):
+    potential = opts["potential"]
     reports = []
     # --window is the user's own query, so it is scanned as given, not via the landscape
-    for pt in find_equilibria(potential, window):
+    for pt in find_equilibria(potential, opts["window"]):
         if pt.stability is not Stability.MINIMUM:
             continue
-        rep = thermo.matching_temperature(potential, pt, hbar=hbar, k_B=k_B)
-        reports.append({
-            "q0": rep.q0,
-            "curvature": rep.curvature,
-            "beta_matched": rep.matched_beta,
-            "T_matched": rep.matched_temperature,
-        })
-    lines = ["# phasekit equilibrium", f"# config: {_compact_json(echo)}",
-             "q0,curvature,beta_matched,T_matched"]
-    for rep in reports:
-        lines.append(",".join(_csv_cell(rep[k]) for k in
-                              ("q0", "curvature", "beta_matched", "T_matched")))
-    return {"config": echo, "reports": reports}, lines
+        rep = thermo.matching_temperature(potential, pt, hbar=opts["hbar"], k_B=opts["kB"])
+        reports.append({"q0": rep.q0, "curvature": rep.curvature,
+                        "beta_matched": rep.matched_beta, "T_matched": rep.matched_temperature})
+    columns = ("q0", "curvature", "beta_matched", "T_matched")
+    return {"reports": reports}, [({}, columns, _table(reports, columns))]
 
 
-def _run_thermo(resolved: dict):
-    potential = _potential_arg(resolved["potential"])
-    ens = _ensemble_arg(resolved["ensemble"])
-    qs = _parse_range(resolved["grid"], "grid")
-    normalization = str(resolved["normalization"])
-
-    echo = _echo("thermo", resolved, potential=potential.to_json(), ensemble=ens.to_json())
-    profile = thermo.thermo_profile(potential, ens, qs, normalization=normalization)
+def _run_thermo(opts: dict):
+    potential, ens, qs = opts["potential"], opts["ensemble"], opts["grid"]
+    profile = thermo.thermo_profile(potential, ens, qs, normalization=opts["normalization"])
 
     summary = None
     best = potential.landscape.minimum
@@ -413,13 +411,9 @@ def _run_thermo(resolved: dict):
         energy = thermo.equilibrium_energy(potential, best, rep.matched_temperature,
                                            k_B=ens.k_B)
         residuals = thermo.schrodinger_residual(potential, ens, qs, q0=best.q0)
-        summary = {
-            "q0": rep.q0,
-            "beta_matched": rep.matched_beta,
-            "T_matched": rep.matched_temperature,
-            "E": energy,
-            "residual_max": float(np.max(np.abs(residuals))),
-        }
+        summary = {"q0": rep.q0, "beta_matched": rep.matched_beta,
+                   "T_matched": rep.matched_temperature, "E": energy,
+                   "residual_max": float(np.max(np.abs(residuals)))}
 
     rows = [
         {"q": float(profile.q[i]), "V": float(profile.potential[i]),
@@ -427,23 +421,17 @@ def _run_thermo(resolved: dict):
          "F_G": float(profile.free_energy[i])}
         for i in range(len(profile.q))
     ]
-    lines = ["# phasekit thermo", f"# config: {_compact_json(echo)}"]
-    if summary is not None:
-        lines.append(f"# summary: {_compact_json(summary)}")
-    lines.append("q,V,psi_sq,S,F_G")
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in ("q", "V", "psi_sq", "S", "F_G")))
-    return {"config": echo, "summary": summary, "rows": rows}, lines
+    columns = ("q", "V", "psi_sq", "S", "F_G")
+    return ({"summary": summary, "rows": rows},
+            [({"summary": summary}, columns, _table(rows, columns))])
 
 
-def _run_quantize(resolved: dict):
-    potential = _potential_arg(resolved["potential"])
-    hbar = _parse_float(resolved["hbar"], "hbar")
-    levels = _parse_levels(resolved["levels"], "levels")
+def _run_quantize(opts: dict):
+    potential, hbar, levels = opts["potential"], opts["hbar"], opts["levels"]
     motion = None
-    if resolved["class"] == "libration":
+    if opts["class"] == "libration":
         motion = bs.MotionClass(kind=bs.MotionKind.LIBRATION)
-    elif resolved["class"] == "rotation":
+    elif opts["class"] == "rotation":
         if potential.period is None:
             raise ConfigError("rotation quantization needs a periodic potential",
                               field="class")
@@ -451,54 +439,32 @@ def _run_quantize(resolved: dict):
                                 period_length=potential.period)
 
     oracle = None
-    if resolved["oracle"] == "on":
-        M = _parse_int(resolved["grid-size"], "grid-size")
+    if opts["oracle"] == "on":
         periodic = potential.periodic_coordinate
-        boundary = "periodic" if periodic else "dirichlet"
         k = 2 * levels[-1] + 1 if periodic else levels[-1] + 1
-        box = None
-        if resolved["box"] is not None:
-            box = _parse_interval(resolved["box"], "box")
-        oracle = schrodinger.fd_eigensolve(potential, hbar=hbar, box=box, M=M,
-                                           k=max(k, 1), boundary=boundary)
+        _check_level_count(k, opts["grid-size"])
+        oracle = schrodinger.fd_eigensolve(potential, hbar=hbar, box=opts["box"],
+                                           M=opts["grid-size"], k=k,
+                                           boundary="periodic" if periodic else "dirichlet")
 
-    echo = _echo("quantize", resolved, potential=potential.to_json(), hbar=hbar)
     result = bs.quantize(potential, levels, hbar=hbar, motion=motion, oracle=oracle)
-    rows = [
-        {"n": lv.n, "E_bs": lv.energy, "E_oracle": lv.oracle_energy,
-         "relative_error": lv.relative_error}
-        for lv in result.levels
-    ]
+    rows = [{"n": lv.n, "E_bs": lv.energy, "E_oracle": lv.oracle_energy,
+             "relative_error": lv.relative_error} for lv in result.levels]
     columns = ["n", "E_bs", "E_oracle", "relative_error"]
-    if resolved["djde"] == "on":
+    if opts["djde"] == "on":
         for row, lv in zip(rows, result.levels):
             row["J"] = lv.action
             row["dJ_dE"] = lv.period
         columns += ["J", "dJ_dE"]
-    payload = {"config": echo, "motion": result.motion.kind.value, "levels": rows}
-    lines = ["# phasekit quantize", f"# config: {_compact_json(echo)}",
-             f"# motion: {result.motion.kind.value}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in columns))
-    return payload, lines
+    motion_kind = result.motion.kind.value
+    return ({"motion": motion_kind, "levels": rows},
+            [({"motion": motion_kind}, columns, _table(rows, columns))])
 
 
-def _run_propagate(resolved: dict):
-    potential = _potential_arg(resolved["potential"])
-    hbar = _parse_float(resolved["hbar"], "hbar")
-    q_a = _parse_float(resolved["from"], "from")
-    q_b = _parse_float(resolved["to"], "to")
-    t = _parse_float(resolved["time"], "time")
-    if t <= 0:
-        raise ConfigError("'time' must be positive", field="time")
-    slice_counts = _parse_slices(resolved["slices"], "slices")
-    energy = resolved["energy"]
-    if str(energy) != "auto":
-        energy = _parse_float(energy, "energy")
-
-    echo = _echo("propagate", resolved, potential=potential.to_json(), hbar=hbar,
-                 **{"from": q_a, "to": q_b, "time": t})
-    limit = prop.kernel_phase(potential, q_a, q_b, t, E=energy, hbar=hbar,
+def _run_propagate(opts: dict):
+    potential, hbar, slice_counts = opts["potential"], opts["hbar"], opts["slices"]
+    q_a, q_b, t = opts["from"], opts["to"], opts["time"]
+    limit = prop.kernel_phase(potential, q_a, q_b, t, E=opts["energy"], hbar=hbar,
                               N=max(max(slice_counts), 4096))
     table = []
     for n in slice_counts:
@@ -506,74 +472,49 @@ def _run_propagate(resolved: dict):
         ph = prop.sliced_phase(traj, potential, limit.energy, hbar=hbar)
         table.append({"N": n, "sliced_phase": ph.total_phase,
                       "error": abs(ph.total_phase - limit.total_phase)})
-    payload = {
-        "config": echo,
-        "S_cl": limit.S_cl,
-        "E": limit.energy,
-        "total_phase": limit.total_phase,
-        "prefactor_log": limit.prefactor_log,
-        "convergence": table,
-    }
-    lines = ["# phasekit propagate", f"# config: {_compact_json(echo)}",
-             f"# S_cl: {_fmt(limit.S_cl)}", f"# E: {_fmt(limit.energy)}",
-             f"# total_phase: {_fmt(limit.total_phase)}",
-             f"# prefactor_log: {_fmt(limit.prefactor_log)}",
-             "N,sliced_phase,error"]
-    for row in table:
-        lines.append(",".join(_csv_cell(row[k]) for k in ("N", "sliced_phase", "error")))
-    return payload, lines
+    summary = {"S_cl": limit.S_cl, "E": limit.energy, "total_phase": limit.total_phase,
+               "prefactor_log": limit.prefactor_log}
+    columns = ("N", "sliced_phase", "error")
+    return {**summary, "convergence": table}, [(summary, columns, _table(table, columns))]
 
 
-def _run_oracle(resolved: dict):
-    potential = _potential_arg(resolved["potential"])
-    hbar = _parse_float(resolved["hbar"], "hbar")
-    k = _parse_int(resolved["levels"], "levels")
-    if k < 1:
-        raise ConfigError("'levels' must be >= 1", field="levels")
-    boundary = str(resolved["boundary"])
-    if boundary == "auto":
-        boundary = "periodic" if potential.periodic_coordinate else "dirichlet"
-    M = _parse_int(resolved["grid-size"], "grid-size")
-    box = None
-    if resolved["box"] is not None:
-        box = _parse_interval(resolved["box"], "box")
-    elif boundary == "periodic" and not potential.periodic_coordinate:
+def _check_level_count(k: int, M: int) -> None:
+    if k > M - 2:  # fd_eigensolve finds at most M - 2 levels
+        raise ConfigError(f"{k} levels need 'grid-size' >= {k + 2}", field="levels")
+
+
+def _run_oracle(opts: dict):
+    potential, hbar, k, box = opts["potential"], opts["hbar"], opts["levels"], opts["box"]
+    if opts["boundary"] == "auto":
+        # the echo shows the boundary the solve used
+        opts["boundary"] = "periodic" if potential.periodic_coordinate else "dirichlet"
+    if box is None and opts["boundary"] == "periodic" and not potential.periodic_coordinate:
         raise ConfigError("periodic boundary on a line potential needs an explicit box",
                           field="box")
 
-    solution = schrodinger.fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k,
-                                         boundary=boundary)
-    echo = _echo("oracle", resolved, potential=potential.to_json(), hbar=hbar,
-                 boundary=boundary)
-    payload = {
-        "config": echo,
-        "box": [solution.box[0], solution.box[1]],
-        "M": solution.M,
-        "boundary": solution.boundary,
-        "eigenvalues": [float(e) for e in solution.eigenvalues],
-    }
-    if resolved["overlap-beta"] is not None:
-        beta = _parse_float(resolved["overlap-beta"], "overlap-beta")
-        ens = CanonicalEnsemble(beta=beta, hbar=hbar)
-        payload["overlap"] = schrodinger.ground_state_overlap(potential, ens, solution)
+    _check_level_count(k, opts["grid-size"])
+    solution = schrodinger.fd_eigensolve(potential, hbar=hbar, box=box,
+                                         M=opts["grid-size"], k=k,
+                                         boundary=opts["boundary"])
+    eigenvalues = [float(e) for e in solution.eigenvalues]
+    body = {"box": [solution.box[0], solution.box[1]], "M": solution.M,
+            "boundary": solution.boundary, "eigenvalues": eigenvalues}
+    comments = {"box": (solution.box[0], solution.box[1])}
+    if opts["overlap-beta"] is not None:
+        ens = CanonicalEnsemble(beta=opts["overlap-beta"], hbar=hbar)
+        body["overlap"] = comments["overlap"] = schrodinger.ground_state_overlap(
+            potential, ens, solution)
 
-    lines = ["# phasekit oracle", f"# config: {_compact_json(echo)}",
-             f"# box: {_fmt(solution.box[0])}:{_fmt(solution.box[1])}"]
-    if "overlap" in payload:
-        lines.append(f"# overlap: {_fmt(payload['overlap'])}")
-    if resolved["eigenvectors"] == "on":
-        payload["eigenvectors"] = [[float(x) for x in solution.eigenvectors[:, j]]
-                                   for j in range(solution.eigenvectors.shape[1])]
-        lines.append("# eigenvalues: " + ",".join(_fmt(e) for e in solution.eigenvalues))
-        lines.append("q," + ",".join(f"psi_{j}" for j in range(k)))
-        for i in range(len(solution.grid)):
-            lines.append(_fmt(solution.grid[i]) + "," +
-                         ",".join(_fmt(solution.eigenvectors[i, j]) for j in range(k)))
+    if opts["eigenvectors"] == "on":
+        vectors = solution.eigenvectors
+        body["eigenvectors"] = [[float(x) for x in vectors[:, j]]
+                                for j in range(vectors.shape[1])]
+        comments["eigenvalues"] = eigenvalues
+        header = ["q"] + [f"psi_{j}" for j in range(k)]
+        rows = [[solution.grid[i], *vectors[i, :k]] for i in range(len(solution.grid))]
     else:
-        lines.append("level,E")
-        for j, e in enumerate(solution.eigenvalues):
-            lines.append(f"{j},{_fmt(e)}")
-    return payload, lines
+        header, rows = ("level", "E"), list(enumerate(eigenvalues))
+    return body, [(comments, header, rows)]
 
 
 _RUNNERS = {
@@ -593,57 +534,49 @@ def _emit_error(exc: Exception, kind: str) -> None:
     field = getattr(exc, "field", None)
     if field is not None:
         obj["error"]["field"] = field
-    sys.stderr.write(_to_json(obj) + "\n")
+    sys.stderr.write(_json(obj, indent=0) + "\n")
+
+
+def _subcommand_and_options(argv: list[str]) -> tuple[str, dict, dict]:
+    subcommand, pairs, config_path = _split_argv(argv)
+    config = {}
+    if config_path is not None:
+        config = _load_json_arg(config_path, "config")
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object", field="config")
+    if subcommand is None:
+        subcommand = config.get("subcommand")
+    if subcommand is None:
+        raise ConfigError("no subcommand given; expected one of " + ", ".join(sorted(_RUNNERS)))
+    if subcommand not in _RUNNERS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if "subcommand" in config and config["subcommand"] != subcommand:
+        raise ConfigError(f"config names subcommand {config['subcommand']!r} but "
+                          f"{subcommand!r} was requested", field="subcommand")
+    return (subcommand, *_resolve_options(subcommand, pairs, config))
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        subcommand, pairs, config_path = _split_argv(argv)
-        config = {}
-        if config_path is not None:
-            raw = _load_json_arg(config_path, "config")
-            if not isinstance(raw, dict):
-                raise ConfigError("config file must hold a JSON object", field="config")
-            config = raw
-        if subcommand is None:
-            subcommand = config.get("subcommand")
-        if subcommand is None:
-            raise ConfigError(
-                "no subcommand given; expected one of " + ", ".join(sorted(_RUNNERS))
-            )
-        if subcommand not in _RUNNERS:
-            raise ConfigError(f"unknown subcommand {subcommand!r}")
-        if "subcommand" in config and config["subcommand"] != subcommand:
-            raise ConfigError(
-                f"config names subcommand {config['subcommand']!r} but "
-                f"{subcommand!r} was requested", field="subcommand",
-            )
-        resolved = _resolve_options(subcommand, pairs, config)
-    except ConfigError as exc:
-        _emit_error(exc, "validation")
-        return 2
-
-    try:
-        payload, csv_lines = _RUNNERS[subcommand](resolved)
+        subcommand, written, opts = _subcommand_and_options(argv)
+        body, sections = _RUNNERS[subcommand](opts)
+        text = _emit(subcommand, _config_echo(subcommand, written, opts), body, sections,
+                     opts["format"])
+        if opts["out"] is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write 'out': {exc}", field="out")
     except ConfigError as exc:
         _emit_error(exc, "validation")
         return 2
     except PhasekitError as exc:
         _emit_error(exc, "computation")
         return 1
-
-    if resolved["format"] == "csv":
-        text = "\n".join(csv_lines) + "\n"
-    else:
-        text = _to_json(payload) + "\n"
-
-    out = resolved["out"]
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
     return 0
 
 

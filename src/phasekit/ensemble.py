@@ -7,6 +7,7 @@ masses) are the defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,13 +19,11 @@ class CanonicalEnsemble:
     masses: tuple = (1.0,)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.hbar <= 0 or self.k_B <= 0:
-            raise ValueError("hbar and k_B must be positive")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
+        for name, values in (("beta", [self.beta]), ("hbar", [self.hbar]),
+                             ("k_B", [self.k_B]), ("masses", self.masses)):
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def temperature(self) -> float:

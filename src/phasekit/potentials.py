@@ -15,8 +15,6 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError
-
 TWO_PI = 2.0 * np.pi
 
 #: |V''| below this is classified as a degenerate equilibrium.
@@ -46,11 +44,6 @@ class Potential:
     def landscape(self) -> Landscape:
         """Equilibria, global minimum and crest, found on first use and kept."""
         return _build_landscape(self)
-
-    def in_domain(self, q) -> bool:
-        if self.periodic_coordinate:
-            return bool(np.all((np.asarray(q) >= 0.0) & (np.asarray(q) < self.period)))
-        return bool(np.all(np.isfinite(q)))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -180,10 +173,6 @@ class Rotor(Potential):
     def second_derivative(self, q):
         return np.zeros_like(np.asarray(q, dtype=float))
 
-    def reduce(self, q):
-        """Map q onto the fundamental period [0, 2*pi)."""
-        return np.mod(q, TWO_PI)
-
     def to_json(self):
         return {"family": "rotor", "inertia": self.inertia}
 
@@ -254,20 +243,6 @@ def potential_from_json(obj: dict) -> Potential:
     if kwargs.get(mass, 1.0) <= 0.0:
         raise ValueError(f"field {mass!r} of family {family!r} must be positive")
     return cls(**kwargs)
-
-
-def eval_potential(potential: Potential, q):
-    """Evaluate (V, V', V'') at q, enforcing the family's domain.
-
-    Raises DomainError for coordinates outside the declared domain, e.g.
-    an unreduced angle handed to the rotor.
-    """
-    if not potential.in_domain(q):
-        raise DomainError(
-            f"q={q!r} outside domain of {type(potential).__name__}"
-            + (" (reduce the angle to [0, 2*pi) first)" if potential.periodic_coordinate else "")
-        )
-    return potential.value(q), potential.derivative(q), potential.second_derivative(q)
 
 
 class Stability(enum.Enum):
@@ -399,24 +374,3 @@ def _build_landscape(potential: Potential) -> Landscape:
     crest = None if potential.period is None else float(
         np.max(potential.value(np.linspace(0.0, potential.period, 2049))))
     return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest)
-
-
-def is_confining(potential: Potential, bound: float = 10.0) -> bool:
-    """True when sampled values keep growing outward past ``bound`` on both sides.
-
-    Monotone non-decreasing samples with net growth count, so a dissociating
-    well whose outer wall flattens toward a plateau still qualifies, while
-    oscillatory and downhill tails do not.  Periodic-coordinate families have
-    no far region and are never confining.
-    """
-    if potential.periodic_coordinate:
-        return False
-    samples = bound * (1.0 + 0.25 * np.arange(9))
-    right = potential.value(samples)
-    left = potential.value(-samples)
-    for side in (right, left):
-        if np.any(np.diff(side) < 0.0):
-            return False
-        if not side[-1] > side[0]:
-            return False
-    return True

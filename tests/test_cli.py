@@ -102,6 +102,45 @@ class TestArgumentHandling:
         assert code == 2
         assert json.loads(err)["error"]["field"] == "grid"
 
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(("propagate", "--potential", HARMONIC, "--from", "0", "--to", "1",
+                      "--time", "nan"), "time", id="time-nan"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--grid", "-1:1:5",
+                      "--ensemble", '{"beta": NaN}'), "ensemble", id="ensemble-beta-nan"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--ensemble", BETA_ONE,
+                      "--grid", "0:nan:5"), "grid", id="grid-nan"),
+        pytest.param(("equilibrium", "--potential", HARMONIC, "--window", "-inf:10"),
+                     "window", id="window-inf"),
+        pytest.param(("equilibrium", "--potential", HARMONIC, "--hbar", "0"),
+                     "hbar", id="hbar-zero"),
+        pytest.param(("equilibrium", "--potential", HARMONIC, "--kB", "-1"),
+                     "kB", id="kB-negative"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--hbar", "inf"),
+                     "hbar", id="hbar-inf"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--box", "0:inf"), "box", id="box-inf"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--grid-size", "3"),
+                     "grid-size", id="oracle-grid-size-3"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--overlap-beta", "-1"),
+                     "overlap-beta", id="overlap-beta-negative"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--grid-size", "64", "--levels", "63"),
+                     "levels", id="oracle-levels-past-grid"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--levels", "0..1", "--oracle", "on",
+                      "--grid-size", "3"), "grid-size", id="quantize-grid-size-3"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--oracle", "on", "--grid-size", "64",
+                      "--levels", "0..62"), "levels", id="quantize-levels-past-grid"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--levels", "0..1", "--box", "junk"),
+                     "box", id="unused-box-junk"),
+        pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
+                      '"levels": 2.9}'), "levels", id="levels-not-integral"),
+        pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
+                      '"hbar": true}'), "hbar", id="hbar-boolean"),
+    ])
+    def test_out_of_range_numbers_name_their_field(self, run, argv, field):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", field)
+
     def test_flag_needs_a_value(self, run):
         code, _, err = run("quantize", "--potential")
         assert code == 2
@@ -197,6 +236,15 @@ class TestOutputs:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["levels"][0]["E_bs"] == pytest.approx(0.5, rel=1e-9)
+
+    def test_unwritable_out_is_a_validation_error(self, run, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run("quantize", "--potential", HARMONIC,
+                             "--levels", "0..1", "--out", str(target))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "out")
+        assert not target.exists()
 
     def test_csv_format(self, run):
         code, out, _ = run("thermo", "--potential", HARMONIC,

@@ -1,8 +1,9 @@
 """Every shipped config must resolve against its subcommand schema and run.
 
 Each config's standard output must also match, byte for byte, the recorded
-output in ``tests/golden/<config>.out``: a refactor that moves a printed
-digit shows up here.  Regenerate a golden only for a change that is meant
+output in ``tests/golden/<config>.<format>``, in the format the config names
+and in the other one: a refactor that moves a printed digit, in either
+format, shows up here.  Regenerate a golden only for a change that is meant
 to move the numbers, and say why in the change log.
 """
 
@@ -38,9 +39,17 @@ def test_config_runs_clean(path, capsys):
         assert first == f"# phasekit {declared}"
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_config_output_matches_its_golden(path, capsys):
-    assert main(["--config", str(path)]) == 0
+def _golden_cases():
+    """Each config in its own format (id: the file name) and in the other one."""
+    for path in CONFIGS:
+        own = json.loads(path.read_text()).get("format", "json")
+        for fmt in ("json", "csv"):
+            yield pytest.param(path, fmt, id=path.name if fmt == own else f"{path.name}-as-{fmt}")
+
+
+@pytest.mark.parametrize("path, fmt", _golden_cases())
+def test_config_output_matches_its_golden(path, fmt, capsys):
+    assert main(["--config", str(path), "--format", fmt]) == 0
     out, _ = capsys.readouterr()
-    golden = (GOLDEN_DIR / f"{path.stem}.out").read_text(encoding="utf-8")
+    golden = (GOLDEN_DIR / f"{path.stem}.{fmt}").read_text(encoding="utf-8")
     assert out == golden

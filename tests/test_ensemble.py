@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +35,9 @@ def test_defaults_are_natural_units():
     {"beta": 1.0, "masses": [1.0, -2.0]},
     {"beta": "warm"},
     {"beta": 1.0, "temperature": 300.0},
+    {"beta": math.nan},
+    {"beta": 1.0, "k_B": math.inf},
+    {"beta": 1.0, "masses": [math.nan]},
 ])
 def test_invalid_ensembles_rejected(obj):
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phasekit import (
-    DomainError,
     EquilibriumPoint,
     Harmonic,
     Morse,
@@ -14,9 +13,7 @@ from phasekit import (
     Quartic,
     Rotor,
     Stability,
-    eval_potential,
     find_equilibria,
-    is_confining,
     potential_from_json,
 )
 from phasekit import potentials
@@ -40,19 +37,21 @@ def central_difference(potential, q):
     return vp, vpp
 
 
+def triple(potential, q):
+    """(V, V', V'') at q."""
+    return potential.value(q), potential.derivative(q), potential.second_derivative(q)
+
+
 def test_harmonic_triple_at_q2():
-    v, dv, d2v = eval_potential(Harmonic(m=1.0, omega=1.0), 2.0)
-    assert (v, dv, d2v) == (2.0, 2.0, 1.0)
+    assert triple(Harmonic(m=1.0, omega=1.0), 2.0) == (2.0, 2.0, 1.0)
 
 
 def test_pendulum_triple_at_origin():
-    v, dv, d2v = eval_potential(Pendulum(m=1.0, amplitude=1.0), 0.0)
-    assert (v, dv, d2v) == (-1.0, 0.0, 1.0)
+    assert triple(Pendulum(m=1.0, amplitude=1.0), 0.0) == (-1.0, 0.0, 1.0)
 
 
 def test_quartic_triple_at_one():
-    v, dv, d2v = eval_potential(Quartic(m=1.0, lam=1.0), 1.0)
-    assert (v, dv, d2v) == (0.25, 1.0, 3.0)
+    assert triple(Quartic(m=1.0, lam=1.0), 1.0) == (0.25, 1.0, 3.0)
 
 
 @pytest.mark.parametrize("potential", [
@@ -84,19 +83,7 @@ def test_rotor_is_flat_and_periodic():
     assert rot.period == pytest.approx(2 * math.pi)
     assert rot.periodic_coordinate
     assert np.all(rot.value(np.linspace(0, 6, 7)) == 0.0)
-    assert rot.reduce(7.0) == pytest.approx(7.0 - 2 * math.pi)
-
-
-def test_rotor_rejects_unreduced_angle():
-    with pytest.raises(DomainError):
-        eval_potential(Rotor(), 7.0)
-    v, dv, d2v = eval_potential(Rotor(), 1.0)
-    assert (v, dv, d2v) == (0.0, 0.0, 0.0)
-
-
-def test_eval_rejects_non_finite_position():
-    with pytest.raises(DomainError):
-        eval_potential(Harmonic(), math.inf)
+    assert triple(rot, 1.0) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("potential", [
@@ -271,12 +258,3 @@ def test_harmonic_equilibrium_found_for_any_parameters(m, omega):
     assert pt.q0 == pytest.approx(0.0, abs=1e-9)
     assert pt.curvature == pytest.approx(m * omega**2)
     assert pt.stability is Stability.MINIMUM
-
-
-def test_is_confining():
-    assert is_confining(Harmonic())
-    assert is_confining(Quartic())
-    assert is_confining(Morse(depth=2.0))  # plateau still counts: growth never reverses
-    assert not is_confining(Rotor())
-    assert not is_confining(Pendulum())  # oscillatory tail
-    assert not is_confining(Polynomial(coeffs=(0.0, 0.0, -1.0)))
