@@ -238,26 +238,31 @@ _GRID_SIZE = partial(_parse_int, low=64)  # the smallest grid fd_eigensolve acce
 GLOBAL_OPTIONS = (
     Option("format", default="json", choices=("json", "csv")),
     Option("out", default=None),
-    Option("normalization", default="paper", choices=("paper", "normalized")),
 )
 
+#: each subcommand's options in echo order, the global ones included
 SCHEMAS: dict[str, tuple[Option, ...]] = {
     "wigner": (
         Option("potential", required=True, parse=_parse_potentials),
         Option("ensemble", required=True, parse=_parse_ensemble),
         Option("grid", required=True, parse=_parse_range),
         Option("deltas", required=True, parse=_parse_range),
+        *GLOBAL_OPTIONS,
     ),
     "equilibrium": (
         Option("potential", required=True, parse=_parse_potential),
         Option("hbar", default=1.0, parse=_parse_positive),
         Option("kB", default=1.0, parse=_parse_positive),
         Option("window", default="-10:10", parse=_parse_interval),
+        *GLOBAL_OPTIONS,
     ),
     "thermo": (
         Option("potential", required=True, parse=_parse_potential),
         Option("ensemble", required=True, parse=_parse_ensemble),
         Option("grid", required=True, parse=_parse_range),
+        *GLOBAL_OPTIONS,
+        # after the global options, where earlier artifacts echoed it
+        Option("normalization", default="paper", choices=("paper", "normalized")),
     ),
     "quantize": (
         Option("potential", required=True, parse=_parse_potential),
@@ -268,6 +273,7 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
         Option("djde", default="off", choices=("on", "off")),
         Option("box", default=None, parse=_parse_interval),
         Option("grid-size", default=16384, parse=_GRID_SIZE),
+        *GLOBAL_OPTIONS,
     ),
     "propagate": (
         Option("potential", required=True, parse=_parse_potential),
@@ -277,6 +283,7 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
         Option("time", required=True, parse=_parse_positive),
         Option("slices", default="4096", parse=_parse_slices),
         Option("energy", default="auto", parse=_parse_energy),
+        *GLOBAL_OPTIONS,
     ),
     "oracle": (
         Option("potential", required=True, parse=_parse_potential),
@@ -287,13 +294,14 @@ SCHEMAS: dict[str, tuple[Option, ...]] = {
         Option("grid-size", default=4096, parse=_GRID_SIZE),
         Option("eigenvectors", default="off", choices=("on", "off")),
         Option("overlap-beta", default=None, parse=_parse_positive),
+        *GLOBAL_OPTIONS,
     ),
 }
 
 
 def _resolve_options(subcommand: str, cli_pairs: dict, config: dict) -> tuple[dict, dict]:
     """(options as written, options as parsed) from defaults, config, then flags."""
-    schema = {opt.name: opt for opt in SCHEMAS[subcommand] + GLOBAL_OPTIONS}
+    schema = {opt.name: opt for opt in SCHEMAS[subcommand]}
     written = {name: opt.default for name, opt in schema.items()}
 
     for source_name, source in (("config", config), ("flag", cli_pairs)):
@@ -319,7 +327,7 @@ def _resolve_options(subcommand: str, cli_pairs: dict, config: dict) -> tuple[di
 def _config_echo(subcommand: str, written: dict, parsed: dict) -> dict:
     """The resolved configuration, in a form that reproduces the run."""
     echo = {"subcommand": subcommand}
-    for opt in SCHEMAS[subcommand] + GLOBAL_OPTIONS:
+    for opt in SCHEMAS[subcommand]:
         value = parsed[opt.name]
         if opt.parse in _ECHO_AS_WRITTEN:
             value = written[opt.name]

@@ -307,6 +307,20 @@ class TestThermoCommand:
         assert summary["q0"] == pytest.approx(15.0, abs=1e-9)
         assert summary["T_matched"] == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("subcommand, argv", [
+        ("quantize", ("--levels", "0..1")),
+        ("wigner", ("--ensemble", BETA_ONE, "--grid", "0:1:2", "--deltas", "0:0.1:2")),
+    ])
+    def test_normalization_is_a_thermo_option(self, run, subcommand, argv):
+        code, out, err = run(subcommand, "--potential", HARMONIC, *argv,
+                             "--normalization", "normalized")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["field"] == "normalization"
+        code, out, _ = run("thermo", "--potential", HARMONIC, "--ensemble", BETA_ONE,
+                           "--grid", "0:1:2", "--normalization", "normalized")
+        assert code == 0
+        assert json.loads(out)["config"]["normalization"] == "normalized"
+
 
 class TestEquilibriumCommand:
     def test_pendulum_minima_reports(self, run):
