@@ -1,4 +1,4 @@
-"""Action quantization: on-shell momentum, turning points, and level search.
+"""Action quantization: turning points, the loop action and level search.
 
 Librations (two turning points) quantize the loop action as (n + 1/2) h;
 rotations (cyclic coordinate, energy above the potential's crest) use n h.
@@ -61,19 +61,6 @@ class SpectrumLevel:
 class SpectrumResult:
     motion: MotionClass
     levels: tuple
-
-
-def on_shell_momentum(potential: Potential, E: float, q):
-    """Positive momentum branch sqrt(2m(E - V(q)))."""
-    v = np.asarray(potential.value(q), dtype=float)
-    gap = E - v
-    if np.any(gap < 0):
-        q_bad = np.asarray(q, dtype=float).reshape(-1)[np.argmax(np.atleast_1d(gap) < 0)]
-        raise ForbiddenRegionError(
-            f"E={E:g} < V({float(q_bad):g}); no real momentum in the forbidden region"
-        )
-    p = np.sqrt(2.0 * potential.mass * gap)
-    return float(p) if np.ndim(q) == 0 else p
 
 
 def _cross(potential: Potential, E: float, inside: float, outside: float) -> float:

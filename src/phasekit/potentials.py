@@ -239,9 +239,9 @@ def potential_from_json(obj: dict) -> Potential:
         raise ValueError(f"fields of family {family!r} must be numbers")
     if not all(np.isfinite(v).all() for v in kwargs.values()):
         raise ValueError(f"fields of family {family!r} must be finite")
-    mass = "inertia" if family == "rotor" else "m"
-    if kwargs.get(mass, 1.0) <= 0.0:
-        raise ValueError(f"field {mass!r} of family {family!r} must be positive")
+    for k in fields:  # every scale must be positive; lam or depth <= 0 leaves no well
+        if k in ("m", "inertia", "omega", "lam", "depth", "width") and kwargs.get(k, 1.0) <= 0.0:
+            raise ValueError(f"field {k!r} of family {family!r} must be positive")
     return cls(**kwargs)
 
 

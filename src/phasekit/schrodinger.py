@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
 
 from .ensemble import CanonicalEnsemble
 from .errors import BoxError, ResolutionError
@@ -58,6 +55,9 @@ def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float
 
 def _dirichlet_eigensolve(potential: Potential, hbar: float,
                           box: tuple[float, float], M: int, k: int):
+    # scipy is imported here, not at module level: only an eigensolve pays for it
+    from scipy.linalg import eigh_tridiagonal
+
     lo, hi = box
     h = (hi - lo) / (M + 1)
     grid = lo + h * np.arange(1, M + 1)
@@ -71,6 +71,9 @@ def _dirichlet_eigensolve(potential: Potential, hbar: float,
 
 def _periodic_eigensolve(potential: Potential, hbar: float,
                          box: tuple[float, float], M: int, k: int):
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
+
     lo, hi = box
     h = (hi - lo) / M
     grid = lo + h * np.arange(M)
@@ -163,18 +166,6 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
         eigenvectors=vecs,
         spacing=h,
     )
-
-
-def richardson_eigenvalues(potential: Potential, hbar: float = 1.0,
-                           box: tuple[float, float] | None = None,
-                           M: int = 4096, k: int = 4,
-                           boundary: str = "dirichlet") -> np.ndarray:
-    """Eliminate the leading O(h^2) error by combining M and 2M solves."""
-    coarse = fd_eigensolve(potential, hbar, box, M, k, boundary).eigenvalues
-    fine = fd_eigensolve(potential, hbar, box, 2 * M + 1 if boundary == "dirichlet" else 2 * M,
-                         k, boundary).eigenvalues
-    # dirichlet spacing halves exactly at 2M+1 interior points
-    return (4.0 * fine - coarse) / 3.0
 
 
 def ground_state_overlap(potential: Potential, ens: CanonicalEnsemble,

@@ -21,14 +21,21 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad
 
+from .bohr_sommerfeld import _leggauss
 from .ensemble import CanonicalEnsemble
 from .errors import AccuracyError, NormalizationError
-from .potentials import Potential
+from .potentials import Potential, Stability
 
-#: relative wall weight below which the normalization box is accepted
+#: relative weight below which a box wall, or a minimum left outside the box, is negligible
 WALL_WEIGHT = 1e-12
+
+#: Gauss-Legendre nodes of a normalizer panel's coarse sum; its fine sum has twice as many
+PANEL_ORDER = 16
+#: relative accuracy of Z the normalizer's panel rule certifies
+NORMALIZER_TOLERANCE = 1e-13
+#: the panel rule gives up once it would split the box into more panels than this
+MAX_PANELS = 4096
 
 #: displacements larger than this multiple of sqrt(beta hbar^2 / m) are no
 #: longer "infinitesimal" for the second-order expansions
@@ -51,25 +58,35 @@ def normalization_box(potential: Potential, ens: CanonicalEnsemble) -> tuple[flo
     """Finite interval on which exp(-2 beta V) integrates to the normalizer.
 
     Periodic-coordinate potentials use one period.  On the line the box
-    grows from the global minimum until the wall weight relative to the
-    peak falls below WALL_WEIGHT on both sides; densities that never decay
-    (periodic V on the line, V unbounded below) raise NormalizationError.
+    grows from the global minimum until it holds every landscape minimum
+    whose weight exp(-2 beta (V_i - V_min)) exceeds WALL_WEIGHT and the wall
+    weight relative to the peak falls below WALL_WEIGHT on both sides.
+    Densities that never decay (a periodic V on the line, V unbounded below)
+    raise NormalizationError.
     """
     if potential.periodic_coordinate:
         return (0.0, potential.period)
 
     beta = ens.beta
-    center = potential.landscape.minimum.q0
+    land = potential.landscape
+    center = land.minimum.q0
+    # a well the box left out would be missing from Z, not merely clipped
+    heavy = [pt.q0 for pt in land.equilibria if pt.stability is not Stability.MAXIMUM
+             and math.exp(-2.0 * beta * (float(potential.value(pt.q0)) - land.v_min))
+             > WALL_WEIGHT] + [center]
 
     half = 1.0
-    for _ in range(60):
-        lo, hi = center - half, center + half
-        vmin = float(np.min(potential.value(np.linspace(lo, hi, 4097))))
-        w_lo = math.exp(-2.0 * beta * (float(potential.value(lo)) - vmin))
-        w_hi = math.exp(-2.0 * beta * (float(potential.value(hi)) - vmin))
-        if w_lo <= WALL_WEIGHT and w_hi <= WALL_WEIGHT:
-            return (lo, hi)
-        half *= 2.0
+    # a periodic V repeats its wells forever, so no box holds them all; steep
+    # walls overflow to inf at wide halves, and a wall at inf weighs nothing
+    with np.errstate(over="ignore"):
+        for _ in range(60 if potential.period is None else 0):
+            lo, hi = center - half, center + half
+            vmin = float(np.min(potential.value(np.linspace(lo, hi, 4097))))
+            w_lo = math.exp(-2.0 * beta * (float(potential.value(lo)) - vmin))
+            w_hi = math.exp(-2.0 * beta * (float(potential.value(hi)) - vmin))
+            if max(w_lo, w_hi) <= WALL_WEIGHT and lo < min(heavy) and max(heavy) < hi:
+                return (lo, hi)
+            half *= 2.0
     raise NormalizationError(
         f"exp(-2 beta V) does not decay below {WALL_WEIGHT:g} of its peak on any "
         f"finite box for {type(potential).__name__}; the density is not normalizable"
@@ -83,11 +100,42 @@ def _hermgauss(order: int):
 
 @lru_cache(maxsize=256)
 def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None) -> float:
+    """Z = integral of exp(-2 beta V) over the box, by adaptive composite Gauss-Legendre.
+
+    The box starts as 16 equal panels.  Each pass takes a PANEL_ORDER-node
+    and a 2 PANEL_ORDER-node sum on every live panel, in one call of V.  A
+    panel is accepted with its fine sum once the two sums agree within
+    NORMALIZER_TOLERANCE times the mean of that sum and the panel's width
+    share of Z, Z being the running estimate, so the accepted error adds up
+    to at most NORMALIZER_TOLERANCE * Z; the other panels are halved.  A
+    split past MAX_PANELS raises AccuracyError.
+    """
     lo, hi = normalization_box(potential, ens) if box is None else box
-    beta = ens.beta
-    z, _ = quad(lambda q: math.exp(-2.0 * beta * float(potential.value(q))), lo, hi,
-                epsabs=0.0, epsrel=1e-12, limit=200)
-    if not (z > 0.0 and math.isfinite(z)):
+    (t_coarse, w_coarse), (t_fine, w_fine) = _leggauss(PANEL_ORDER), _leggauss(2 * PANEL_ORDER)
+    nodes = np.concatenate([t_coarse, t_fine]) + 1.0
+    left, width = np.linspace(lo, hi, 17)[:-1], np.full(16, (hi - lo) / 16)
+    accepted: list[float] = []
+    while True:
+        q = left[:, None] + 0.5 * width[:, None] * nodes
+        with np.errstate(over="ignore"):  # an overflow is caught as a non-finite Z
+            f = np.exp(-2.0 * ens.beta * potential.value(q))
+        coarse = 0.5 * width * (f[:, :PANEL_ORDER] @ w_coarse)
+        fine = 0.5 * width * (f[:, PANEL_ORDER:] @ w_fine)
+        z = math.fsum(accepted) + float(np.sum(fine))
+        if not math.isfinite(z):
+            raise NormalizationError(f"normalizer integral came out {z!r}")
+        error = np.abs(fine - coarse)
+        done = error <= 0.5 * NORMALIZER_TOLERANCE * (fine + z * width / (hi - lo))
+        accepted += fine[done].tolist()
+        if done.all():
+            break
+        left, width = left[~done], 0.5 * width[~done]
+        if len(accepted) + 2 * len(left) > MAX_PANELS:
+            raise AccuracyError(f"normalizer not converged on {MAX_PANELS} panels",
+                                estimate=float(np.sum(error[~done])) / z)
+        left, width = np.concatenate([left, left + width]), np.concatenate([width, width])
+    z = math.fsum(accepted)
+    if not z > 0.0:
         raise NormalizationError(f"normalizer integral came out {z!r}")
     return z
 

@@ -24,7 +24,6 @@ from phasekit.bohr_sommerfeld import (
     MotionKind,
     action,
     classify_motion,
-    on_shell_momentum,
     quantize,
     turning_points,
 )
@@ -48,24 +47,6 @@ def morse_action(depth, width, m, E):
     """Closed-form Morse loop action below dissociation."""
     return (2.0 * math.pi / width) * math.sqrt(2.0 * m * depth) * (
         1.0 - math.sqrt(1.0 - E / depth))
-
-
-class TestOnShellMomentum:
-    def test_harmonic_bottom_of_the_well(self):
-        assert on_shell_momentum(Harmonic(), 0.5, 0.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_vanishes_at_the_turning_point(self):
-        assert on_shell_momentum(Harmonic(), 0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_forbidden_region_raises(self):
-        with pytest.raises(ForbiddenRegionError):
-            on_shell_momentum(Harmonic(), 0.5, 1.5)
-
-    def test_array_evaluation(self):
-        qs = np.linspace(-0.9, 0.9, 7)
-        p = on_shell_momentum(Harmonic(), 0.5, qs)
-        assert p.shape == qs.shape
-        assert np.allclose(p, np.sqrt(2.0 * (0.5 - 0.5 * qs**2)))
 
 
 class TestTurningPoints:
@@ -406,3 +387,14 @@ class TestNewtonLevelSolve:
         shifted = Polynomial(coeffs=(c,) + coeffs[1:])
         got = [lv.energy for lv in quantize(shifted, range(4)).levels]
         assert got == pytest.approx([e + c for e in base], rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=5, deadline=None)
+    @given(lam=st.floats(min_value=0.2, max_value=5.0),
+           hbar=st.floats(min_value=0.05, max_value=3.0),
+           m=st.floats(min_value=0.2, max_value=5.0))
+    def test_quartic_levels_scale_as_lam_third_times_hbar_squared_over_m(self, lam, hbar, m):
+        # q = a x with a^6 = hbar^2 / (m lam) maps the well onto lam = m = hbar = 1
+        base = [lv.energy for lv in quantize(Quartic(), range(4)).levels]
+        unit = lam ** (1.0 / 3.0) * (hbar**2 / m) ** (2.0 / 3.0)
+        got = [lv.energy for lv in quantize(Quartic(m=m, lam=lam), range(4), hbar=hbar).levels]
+        assert got == pytest.approx([unit * e for e in base], rel=1e-9)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import phasekit
 from phasekit import Quartic
 from phasekit import bohr_sommerfeld as bs
 from phasekit.cli import _fmt, main
@@ -88,6 +94,22 @@ class TestArgumentHandling:
         assert code == 2
         error = json.loads(err)["error"]
         assert (error["kind"], error["field"]) == ("validation", "potential")
+
+    @pytest.mark.parametrize("subcommand, potential, argv", [
+        ("quantize", {"family": "quartic", "lam": -1}, ("--levels", "0..1")),
+        ("thermo", {"family": "quartic", "lam": -1}, ("--ensemble", BETA_ONE, "--grid", "0:1:2")),
+        ("quantize", {"family": "harmonic", "omega": 0}, ("--levels", "0..1")),
+        ("oracle", {"family": "morse", "depth": -3}, ("--levels", "2")),
+        ("wigner", {"family": "morse", "width": 0}, ("--ensemble", BETA_ONE, "--grid", "0:1:2",
+                                                     "--deltas", "0:0.1:2")),
+    ], ids=["quantize-lam", "thermo-lam", "quantize-omega", "oracle-depth", "wigner-width"])
+    def test_family_scales_must_be_positive(self, run, subcommand, potential, argv):
+        code, out, err = run(subcommand, "--potential", json.dumps(potential), *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "potential")
+        name = next(k for k in potential if k != "family")
+        assert f"field {name!r}" in error["message"]
 
     def test_periodic_boundary_on_a_line_needs_a_box(self, run):
         code, _, err = run("oracle", "--potential", HARMONIC, "--levels", "2",
@@ -445,3 +467,43 @@ class TestOracleCommand:
         lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert lines[0] == "q,psi_0,psi_1"
         assert len(lines) == 257
+
+
+#: one run of every subcommand but oracle, then oracle; prints whether scipy was loaded after each
+SCIPY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from phasekit.cli import main
+
+    h = '{"family": "harmonic"}'
+    runs = [
+        ("import", None),
+        ("quantize", ["quantize", "--potential", h, "--levels", "0..1"]),
+        ("wigner", ["wigner", "--potential", h, "--ensemble", '{"beta": 1}',
+                    "--grid", "0:1:2", "--deltas", "0:0.1:2"]),
+        ("thermo", ["thermo", "--potential", h, "--ensemble", '{"beta": 1}',
+                    "--grid", "0:1:2", "--normalization", "normalized"]),
+        ("propagate", ["propagate", "--potential", h, "--from", "1", "--to", "0",
+                       "--time", "1", "--slices", "64"]),
+        ("equilibrium", ["equilibrium", "--potential", h]),
+        ("oracle", ["oracle", "--potential", h, "--levels", "1", "--grid-size", "64"]),
+    ]
+    loaded = {}
+    for name, argv in runs:
+        if argv is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, name
+        loaded[name] = "scipy" in sys.modules
+    print(json.dumps(loaded))
+""")
+
+
+def test_only_an_eigensolve_imports_scipy():
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded.pop("oracle") is True
+    assert loaded == dict.fromkeys(loaded, False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from phasekit import (
     AccuracyError,
@@ -16,7 +17,9 @@ from phasekit import (
     NormalizationError,
 )
 from phasekit.wigner import (
+    NORMALIZER_TOLERANCE,
     PhaseSpaceAmplitudeSpec,
+    _normalizer,
     amplitude_factorization_check,
     characteristic_closed_form,
     characteristic_quadrature,
@@ -209,6 +212,58 @@ class TestNormalizationBox:
     def test_unbounded_below_potential_rejected(self):
         with pytest.raises(NormalizationError):
             characteristic_closed_form(ENS, Polynomial(coeffs=(0.0, 0.0, -1.0)), 0.0, 0.0)
+
+    def test_deep_pendulum_is_not_normalizable_either(self):
+        # one well at q = -2 pi passed the wall test; every well weighs the same
+        with pytest.raises(NormalizationError):
+            normalization_box(Pendulum(amplitude=5.0), CanonicalEnsemble(beta=2.0))
+
+    def test_box_holds_the_second_well_of_a_tilted_double_well(self):
+        tilted = Polynomial(coeffs=(0.0, 0.05, -1.2, 0.0, 0.3))
+        ens = CanonicalEnsemble(beta=20.0)
+        lo, hi = normalization_box(tilted, ens)
+        minima = [pt.q0 for pt in tilted.landscape.equilibria if pt.curvature > 0]
+        assert len(minima) == 2 and lo < min(minima) and max(minima) < hi
+        whole, _ = quad(lambda q: math.exp(-40.0 * float(tilted.value(q))), -10.0, 10.0,
+                        points=minima, epsabs=0.0, epsrel=1e-13, limit=400)
+        assert _normalizer(tilted, ens, None) == pytest.approx(whole, rel=1e-12)
+
+
+#: shallow tilted wells keep Z finite at beta = 1000; up to beta = 20 both wells carry weight
+NORMALIZER_CASES = [Harmonic(), Quartic(m=1.3, lam=0.7), Morse(m=1.1, depth=16.0, width=0.8),
+                    Polynomial(coeffs=(0.0, 0.01, -0.2, 0.0, 0.1)),
+                    Polynomial(m=1.2, coeffs=(0.0, -0.02, -0.3, 0.0, 0.2))]
+
+
+class TestNormalizer:
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 20.0, 1000.0])
+    @pytest.mark.parametrize("potential", NORMALIZER_CASES, ids=lambda p: type(p).__name__)
+    def test_matches_scipy_quad(self, potential, beta):
+        self._check(potential, CanonicalEnsemble(beta=beta))
+
+    @pytest.mark.parametrize("beta", [100.0, 1000.0])
+    def test_narrow_well_matches_scipy_quad(self, beta):
+        # the peak is 1e-3 of the box wide: a fixed panel set misses it
+        self._check(Harmonic(omega=50.0), CanonicalEnsemble(beta=beta))
+
+    @staticmethod
+    def _check(potential, ens):
+        try:
+            lo, hi = normalization_box(potential, ens)
+        except NormalizationError:
+            assert isinstance(potential, Morse) and ens.beta < 1.0  # the plateau never decays
+            return
+        minima = [pt.q0 for pt in potential.landscape.equilibria if lo < pt.q0 < hi]
+        want, _ = quad(lambda q: math.exp(-2.0 * ens.beta * float(potential.value(q))), lo, hi,
+                       points=minima or None, epsabs=0.0, epsrel=1e-13, limit=1000)
+        assert _normalizer(potential, ens, None) == pytest.approx(want, rel=1e-14)
+
+    def test_unconverged_panels_raise_accuracy_error(self):
+        # a thousand narrow wells in one explicit box need more panels than the cap
+        with pytest.raises(AccuracyError) as info:
+            characteristic_closed_form(ENS, Pendulum(amplitude=50.0), 0.0, 0.0,
+                                       box=(0.0, 2000.0 * math.pi))
+        assert info.value.estimate > NORMALIZER_TOLERANCE
 
 
 def test_infinitesimal_scale():
