@@ -239,8 +239,8 @@ def potential_from_json(obj: dict) -> Potential:
         raise ValueError(f"fields of family {family!r} must be numbers")
     if not all(np.isfinite(v).all() for v in kwargs.values()):
         raise ValueError(f"fields of family {family!r} must be finite")
-    for k in fields:  # every scale must be positive; lam or depth <= 0 leaves no well
-        if k in ("m", "inertia", "omega", "lam", "depth", "width") and kwargs.get(k, 1.0) <= 0.0:
+    for k, v in kwargs.items():  # every scale must be positive; lam or depth <= 0 leaves no well
+        if k in ("m", "inertia", "omega", "lam", "depth", "width") and v <= 0.0:
             raise ValueError(f"field {k!r} of family {family!r} must be positive")
     return cls(**kwargs)
 

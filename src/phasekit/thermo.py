@@ -18,6 +18,7 @@ import numpy as np
 from .ensemble import CanonicalEnsemble
 from .errors import DomainError, NoRealTemperatureError
 from .potentials import EquilibriumPoint, Potential, Stability
+from .wigner import _normalizer
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ def thermo_profile(potential: Potential, ens: CanonicalEnsemble, grid,
     v = np.asarray(potential.value(qs), dtype=float)
     psi_sq = np.exp(-2.0 * ens.beta * v)
     if normalization == "normalized":
-        from .wigner import _normalizer
-
         psi_sq = psi_sq / _normalizer(potential, ens, None)
     zero = np.nonzero(psi_sq == 0.0)[0]
     if zero.size:

@@ -58,33 +58,31 @@ def normalization_box(potential: Potential, ens: CanonicalEnsemble) -> tuple[flo
     """Finite interval on which exp(-2 beta V) integrates to the normalizer.
 
     Periodic-coordinate potentials use one period.  On the line the box
-    grows from the global minimum until it holds every landscape minimum
-    whose weight exp(-2 beta (V_i - V_min)) exceeds WALL_WEIGHT and the wall
-    weight relative to the peak falls below WALL_WEIGHT on both sides.
+    grows from the landscape's global minimum until the weight
+    exp(-2 beta (V - V_min)) is at most WALL_WEIGHT at both walls and the
+    box holds every landscape minimum whose weight exceeds WALL_WEIGHT.
     Densities that never decay (a periodic V on the line, V unbounded below)
     raise NormalizationError.
     """
     if potential.periodic_coordinate:
         return (0.0, potential.period)
 
-    beta = ens.beta
     land = potential.landscape
     center = land.minimum.q0
+    # the rise of V above its minimum at which exp(-2 beta V) falls to WALL_WEIGHT of its peak
+    rise = -math.log(WALL_WEIGHT) / (2.0 * ens.beta)
     # a well the box left out would be missing from Z, not merely clipped
     heavy = [pt.q0 for pt in land.equilibria if pt.stability is not Stability.MAXIMUM
-             and math.exp(-2.0 * beta * (float(potential.value(pt.q0)) - land.v_min))
-             > WALL_WEIGHT] + [center]
+             and float(potential.value(pt.q0)) - land.v_min < rise] + [center]
 
     half = 1.0
-    # a periodic V repeats its wells forever, so no box holds them all; steep
-    # walls overflow to inf at wide halves, and a wall at inf weighs nothing
+    # a periodic V repeats its wells forever, so no box holds them all; a
+    # steep wall that overflows to inf at a wide half weighs nothing
     with np.errstate(over="ignore"):
         for _ in range(60 if potential.period is None else 0):
             lo, hi = center - half, center + half
-            vmin = float(np.min(potential.value(np.linspace(lo, hi, 4097))))
-            w_lo = math.exp(-2.0 * beta * (float(potential.value(lo)) - vmin))
-            w_hi = math.exp(-2.0 * beta * (float(potential.value(hi)) - vmin))
-            if max(w_lo, w_hi) <= WALL_WEIGHT and lo < min(heavy) and max(heavy) < hi:
+            if (min(float(potential.value(lo)), float(potential.value(hi))) - land.v_min >= rise
+                    and lo < min(heavy) and max(heavy) < hi):
                 return (lo, hi)
             half *= 2.0
     raise NormalizationError(
@@ -132,7 +130,7 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
         left, width = left[~done], 0.5 * width[~done]
         if len(accepted) + 2 * len(left) > MAX_PANELS:
             raise AccuracyError(f"normalizer not converged on {MAX_PANELS} panels",
-                                estimate=float(np.sum(error[~done])) / z)
+                                estimate=float(np.sum(error[~done]) / z))
         left, width = np.concatenate([left, left + width]), np.concatenate([width, width])
     z = math.fsum(accepted)
     if not z > 0.0:
