@@ -36,6 +36,8 @@ PANEL_ORDER = 16
 NORMALIZER_TOLERANCE = 1e-13
 #: the panel rule gives up once it would split the box into more panels than this
 MAX_PANELS = 4096
+#: the largest relative difference of a panel's sums that may be rounding in exp(-2 beta V)
+ROUNDING_FLOOR = 1e-10
 
 #: displacements larger than this multiple of sqrt(beta hbar^2 / m) are no
 #: longer "infinitesimal" for the second-order expansions
@@ -106,12 +108,17 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
     NORMALIZER_TOLERANCE times the mean of that sum and the panel's width
     share of Z, Z being the running estimate, so the accepted error adds up
     to at most NORMALIZER_TOLERANCE * Z; the other panels are halved.  A
-    split past MAX_PANELS raises AccuracyError.
+    halved panel whose relative difference is at most ROUNDING_FLOOR and
+    at least half its parent's has reached the rounding floor of the
+    integrand (a resolved panel gains far more than a factor 2 from a
+    halving) and is accepted too.  A split past MAX_PANELS raises
+    AccuracyError.
     """
     lo, hi = normalization_box(potential, ens) if box is None else box
     (t_coarse, w_coarse), (t_fine, w_fine) = _leggauss(PANEL_ORDER), _leggauss(2 * PANEL_ORDER)
     nodes = np.concatenate([t_coarse, t_fine]) + 1.0
     left, width = np.linspace(lo, hi, 17)[:-1], np.full(16, (hi - lo) / 16)
+    parent = np.full(16, np.inf)  # relative difference of each panel's parent
     accepted: list[float] = []
     while True:
         q = left[:, None] + 0.5 * width[:, None] * nodes
@@ -123,11 +130,14 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
         if not math.isfinite(z):
             raise NormalizationError(f"normalizer integral came out {z!r}")
         error = np.abs(fine - coarse)
-        done = error <= 0.5 * NORMALIZER_TOLERANCE * (fine + z * width / (hi - lo))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = error / fine
+        done = ((error <= 0.5 * NORMALIZER_TOLERANCE * (fine + z * width / (hi - lo)))
+                | ((rel <= ROUNDING_FLOOR) & (rel >= 0.5 * parent)))
         accepted += fine[done].tolist()
         if done.all():
             break
-        left, width = left[~done], 0.5 * width[~done]
+        left, width, parent = left[~done], 0.5 * width[~done], np.tile(rel[~done], 2)
         if len(accepted) + 2 * len(left) > MAX_PANELS:
             raise AccuracyError(f"normalizer not converged on {MAX_PANELS} panels",
                                 estimate=float(np.sum(error[~done]) / z))

@@ -243,7 +243,7 @@ class TestNormalizer:
 
     @pytest.mark.parametrize("beta", [100.0, 1000.0])
     def test_narrow_well_matches_scipy_quad(self, beta):
-        # the peak is 1e-3 of the box wide: a fixed panel set misses it
+        # the peak is about 1e-3 of the box wide, too narrow for a fixed 16-panel rule
         self._check(Harmonic(omega=50.0), CanonicalEnsemble(beta=beta))
 
     @staticmethod
@@ -257,6 +257,14 @@ class TestNormalizer:
         want, _ = quad(lambda q: math.exp(-2.0 * ens.beta * float(potential.value(q))), lo, hi,
                        points=minima or None, epsabs=0.0, epsrel=1e-13, limit=1000)
         assert _normalizer(potential, ens, None) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("center", [18.0, 100.0])
+    def test_shifted_well_stops_at_the_rounding_floor(self, center):
+        # V = (q - c)^2 / 2 written as a polynomial cancels terms near c^2 / 2, which
+        # leaves exp(-2 beta V) a rounding noise above the 1e-13 tolerance
+        well = Polynomial(coeffs=(0.5 * center**2, -center, 0.5))
+        z = _normalizer(well, CanonicalEnsemble(beta=20.0), None)
+        assert z == pytest.approx(math.sqrt(math.pi / 20.0), rel=1e-11)
 
     def test_unconverged_panels_raise_accuracy_error(self):
         # a thousand narrow wells in one explicit box need more panels than the cap
