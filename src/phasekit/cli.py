@@ -374,8 +374,10 @@ def _split_argv(argv: list[str]) -> tuple[str | None, dict, str | None]:
 
 def _run_wigner(opts: dict):
     potentials, ens = opts["potential"], opts["ensemble"]
-    columns = ("q", "delta_q", "re_value", "im_value", "closed_form", "residual")
-    header = ("q", "delta_q", "re(value)", "im(value)", "closed_form", "residual")
+    columns = ("q", "delta_q", "re_value", "im_value", "closed_form", "residual",
+               "product_form")
+    header = ("q", "delta_q", "re(value)", "im(value)", "closed_form", "residual",
+              "product_form")
     blocks, sections = [], []
     for pot in potentials:
         rows = []

@@ -310,6 +310,18 @@ class TestWignerCommand:
                            "--format", "csv")
         assert sum(ln.startswith("# potential:") for ln in out.splitlines()) == 2
 
+    def test_csv_has_a_column_for_every_json_key(self, run):
+        argv = ("wigner", "--potential", QUARTIC, "--ensemble", BETA_ONE,
+                "--grid", "-1:1:3", "--deltas", "0:0.1:2")
+        _, out, _ = run(*argv)
+        json_rows = json.loads(out)["blocks"][0]["rows"]
+        _, out, _ = run(*argv, "--format", "csv")
+        header, *csv_rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        names = {"re_value": "re(value)", "im_value": "im(value)"}
+        assert header.split(",") == [names.get(k, k) for k in json_rows[0]]
+        assert [[float(c) for c in ln.split(",")] for ln in csv_rows] == [
+            list(row.values()) for row in json_rows]
+
     def test_unnormalizable_potential_is_a_computation_error(self, run):
         code, _, err = run("wigner", "--potential",
                            '{"family": "pendulum", "m": 1.0, "amplitude": 1.0}',
