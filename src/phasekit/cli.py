@@ -378,18 +378,17 @@ def _run_wigner(opts: dict):
                "product_form")
     header = ("q", "delta_q", "re(value)", "im(value)", "closed_form", "residual",
               "product_form")
+    grid, deltas = opts["grid"][:, None], opts["deltas"][None, :]
     blocks, sections = [], []
     for pot in potentials:
-        rows = []
-        for q in map(float, opts["grid"]):
-            for dq in map(float, opts["deltas"]):
-                quad = wigner.characteristic_quadrature(ens, pot, q, dq)
-                closed = wigner.characteristic_closed_form(ens, pot, q, dq)
-                residual = wigner.pde_residual(ens, pot, q, dq)
-                product = wigner.product_form_characteristic(ens, pot, q, dq)
-                rows.append({"q": q, "delta_q": dq, "re_value": quad.value.real,
-                             "im_value": quad.value.imag, "closed_form": closed.value.real,
-                             "residual": residual, "product_form": product.value.real})
+        quad = wigner.characteristic_quadrature(ens, pot, grid, deltas)
+        values = np.broadcast_arrays(
+            grid, deltas, quad.real, quad.imag,
+            wigner.characteristic_closed_form(ens, pot, grid, deltas),
+            wigner.pde_residual(ens, pot, grid, deltas),
+            wigner.product_form_characteristic(ens, pot, grid, deltas))
+        rows = [dict(zip(columns, point))
+                for point in zip(*(v.ravel().tolist() for v in values))]
         blocks.append({"potential": pot.to_json(), "rows": rows})
         sections.append(({"potential": pot.to_json() if len(potentials) > 1 else None},
                          header, _table(rows, columns)))

@@ -191,7 +191,9 @@ class Morse(Potential):
 
     def value(self, q):
         y = np.exp(-self.width * np.asarray(q, dtype=float))
-        return self.depth * (1.0 - y) ** 2
+        # np.square, not ** 2: a float64 scalar takes pow() there, which can
+        # round differently from the product an array takes
+        return self.depth * np.square(1.0 - y)
 
     def derivative(self, q):
         y = np.exp(-self.width * np.asarray(q, dtype=float))

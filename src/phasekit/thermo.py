@@ -18,7 +18,7 @@ import numpy as np
 from .ensemble import CanonicalEnsemble
 from .errors import DomainError, NoRealTemperatureError
 from .potentials import EquilibriumPoint, Potential, Stability
-from .wigner import _normalizer
+from .wigner import equilibrium_density
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,16 @@ def thermo_profile(potential: Potential, ens: CanonicalEnsemble, grid,
     """Entropy S = k_B ln(psi^2) and free energy F_G = -T S on a grid.
 
     With the unnormalized amplitude convention psi^2 = e^{-2 beta V}, the
-    free energy equals V(q) pointwise; the normalized convention divides
-    by the box integral, shifting S and F_G by a q-independent constant.
+    free energy equals V(q) pointwise; the normalized convention is the
+    equilibrium density exp(-2 beta (V - V_min)) / Z, which shifts S and F_G
+    by a q-independent constant.
     """
     if normalization not in ("paper", "normalized"):
         raise ValueError(f"unknown normalization {normalization!r}")
     qs = np.asarray(grid, dtype=float)
     v = np.asarray(potential.value(qs), dtype=float)
-    psi_sq = np.exp(-2.0 * ens.beta * v)
-    if normalization == "normalized":
-        psi_sq = psi_sq / _normalizer(potential, ens, None)
+    psi_sq = (np.exp(-2.0 * ens.beta * v) if normalization == "paper"
+              else equilibrium_density(potential, ens, qs))
     zero = np.nonzero(psi_sq == 0.0)[0]
     if zero.size:
         raise DomainError(

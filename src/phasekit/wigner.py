@@ -8,16 +8,19 @@ form
 
 This module evaluates that closed form, cross-checks it against direct
 momentum quadrature, verifies the stationary transport identity it
-satisfies, compares against the curvature product form, and checks the
-factorization of F built from phase-space amplitudes.
+satisfies, and compares against the curvature product form.  Each route
+takes q and delta_q that broadcast like numpy arrays, so a whole q x
+delta_q grid is one call; scalar arguments give a scalar.
+
+Every density is divided by the normalizer Z of exp(-2 beta (V - V_min)),
+V_min being the landscape minimum, so Z stays finite wherever the
+normalized density is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -39,16 +42,14 @@ MAX_PANELS = 4096
 #: the largest relative difference of a panel's sums that may be rounding in exp(-2 beta V)
 ROUNDING_FLOOR = 1e-10
 
+#: Gauss-Hermite nodes of the coarse momentum sum; the fine sum has twice as many
+QUADRATURE_ORDER = 48
+#: relative difference of the two momentum sums above which the quadrature raises
+QUADRATURE_TOLERANCE = 1e-10
+
 #: displacements larger than this multiple of sqrt(beta hbar^2 / m) are no
 #: longer "infinitesimal" for the second-order expansions
 INFINITESIMAL_FACTOR = 0.2
-
-
-@dataclass(frozen=True)
-class CharacteristicSample:
-    q: float
-    delta_q: float
-    value: complex
 
 
 def infinitesimal_scale(ens: CanonicalEnsemble, mass: float) -> float:
@@ -100,7 +101,7 @@ def _hermgauss(order: int):
 
 @lru_cache(maxsize=256)
 def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None) -> float:
-    """Z = integral of exp(-2 beta V) over the box, by adaptive composite Gauss-Legendre.
+    """Z = integral of exp(-2 beta (V - V_min)) over the box, by adaptive composite Gauss-Legendre.
 
     The box starts as 16 equal panels.  Each pass takes a PANEL_ORDER-node
     and a 2 PANEL_ORDER-node sum on every live panel, in one call of V.  A
@@ -115,6 +116,7 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
     AccuracyError.
     """
     lo, hi = normalization_box(potential, ens) if box is None else box
+    v_min = potential.landscape.v_min
     (t_coarse, w_coarse), (t_fine, w_fine) = _leggauss(PANEL_ORDER), _leggauss(2 * PANEL_ORDER)
     nodes = np.concatenate([t_coarse, t_fine]) + 1.0
     left, width = np.linspace(lo, hi, 17)[:-1], np.full(16, (hi - lo) / 16)
@@ -123,7 +125,7 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
     while True:
         q = left[:, None] + 0.5 * width[:, None] * nodes
         with np.errstate(over="ignore"):  # an overflow is caught as a non-finite Z
-            f = np.exp(-2.0 * ens.beta * potential.value(q))
+            f = np.exp(-2.0 * ens.beta * (potential.value(q) - v_min))
         coarse = 0.5 * width * (f[:, :PANEL_ORDER] @ w_coarse)
         fine = 0.5 * width * (f[:, PANEL_ORDER:] @ w_fine)
         z = math.fsum(accepted) + float(np.sum(fine))
@@ -148,64 +150,52 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
     return z
 
 
-def equilibrium_density(potential: Potential, ens: CanonicalEnsemble, q,
-                        box: tuple[float, float] | None = None):
-    """Normalized configuration density exp(-2 beta V(q)) / Z."""
-    z = _normalizer(potential, ens, box)
-    return np.exp(-2.0 * ens.beta * np.asarray(potential.value(q), dtype=float)) / z
+def equilibrium_density(potential: Potential, ens: CanonicalEnsemble, q):
+    """Normalized configuration density exp(-2 beta (V(q) - V_min)) / Z."""
+    v = np.asarray(potential.value(q), dtype=float) - potential.landscape.v_min
+    return np.exp(-2.0 * ens.beta * v) / _normalizer(potential, ens, None)
 
 
-def characteristic_closed_form(ens: CanonicalEnsemble, potential: Potential,
-                               q: float, delta_q: float,
-                               box: tuple[float, float] | None = None) -> CharacteristicSample:
+def characteristic_closed_form(ens: CanonicalEnsemble, potential: Potential, q, delta_q):
     """Closed-form value, normalized so the delta_q = 0 slice integrates to 1."""
-    z = _normalizer(potential, ens, box)
-    m = potential.mass
-    beta, hbar = ens.beta, ens.hbar
-    value = (math.exp(-2.0 * beta * float(potential.value(q)))
-             * math.exp(-m * delta_q**2 / (4.0 * beta * hbar**2)) / z)
-    return CharacteristicSample(q=float(q), delta_q=float(delta_q), value=complex(value))
+    dq = np.asarray(delta_q, dtype=float)
+    return (equilibrium_density(potential, ens, q)
+            * np.exp(-potential.mass * dq**2 / (4.0 * ens.beta * ens.hbar**2)))
 
 
-def characteristic_quadrature(ens: CanonicalEnsemble, potential: Potential,
-                              q: float, delta_q: float,
-                              box: tuple[float, float] | None = None,
-                              order: int = 48,
-                              tolerance: float = 1e-10) -> CharacteristicSample:
+def characteristic_quadrature(ens: CanonicalEnsemble, potential: Potential, q, delta_q):
     """Direct momentum quadrature of exp(i p delta_q / hbar) F(q, p).
 
     The p-profile of F is the Gaussian exp(-beta p^2 / m), so Gauss-Hermite
     nodes under the substitution p = t sqrt(m/beta) integrate it exactly up
-    to the oscillatory factor.  Doubling the order estimates the truncation
-    error; an estimate above `tolerance` (relative) raises AccuracyError.
+    to the oscillatory factor.  The momentum sums depend on delta_q alone and
+    are taken once per delta_q, each along its own node axis, so a grid call
+    gives the bits of point calls.  Doubling QUADRATURE_ORDER estimates the
+    truncation error; the worst estimate above QUADRATURE_TOLERANCE
+    (relative) raises AccuracyError.
     """
-    m = potential.mass
-    beta, hbar = ens.beta, ens.hbar
+    m, beta = potential.mass, ens.beta
     scale = math.sqrt(m / beta)
+    wavenumber = scale * np.asarray(delta_q, dtype=float)[..., None] / ens.hbar
 
-    def p_integral(n: int) -> complex:
+    def p_integral(n: int):
         t, w = _hermgauss(n)
-        phase = t * (scale * delta_q / hbar)
-        return scale * complex(np.sum(w * np.cos(phase)), np.sum(w * np.sin(phase)))
+        phase = t * wavenumber
+        return scale * (np.sum(w * np.cos(phase), axis=-1)
+                        + 1j * np.sum(w * np.sin(phase), axis=-1))
 
-    coarse = p_integral(order)
-    fine = p_integral(2 * order)
-    estimate = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if estimate > tolerance:
+    coarse = p_integral(QUADRATURE_ORDER)
+    fine = p_integral(2 * QUADRATURE_ORDER)
+    estimate = float(np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)))
+    if estimate > QUADRATURE_TOLERANCE:
         raise AccuracyError(
-            f"momentum quadrature did not converge at order {2 * order}",
+            f"momentum quadrature did not converge at order {2 * QUADRATURE_ORDER}",
             estimate=estimate,
         )
-
-    z = _normalizer(potential, ens, box)
-    c = 1.0 / (math.sqrt(math.pi * m / beta) * z)
-    value = c * math.exp(-2.0 * beta * float(potential.value(q))) * fine
-    return CharacteristicSample(q=float(q), delta_q=float(delta_q), value=value)
+    return equilibrium_density(potential, ens, q) * fine / math.sqrt(math.pi * m / beta)
 
 
-def pde_residual(ens: CanonicalEnsemble, potential: Potential,
-                 q: float, delta_q: float,
-                 box: tuple[float, float] | None = None) -> float:
+def pde_residual(ens: CanonicalEnsemble, potential: Potential, q, delta_q):
     """Residual of the stationary transport identity at (q, delta_q).
 
     Evaluates -(hbar^2/m) d^2 rho / dq d(delta_q) + V'(q) delta_q rho with
@@ -214,92 +204,23 @@ def pde_residual(ens: CanonicalEnsemble, potential: Potential,
     """
     m = potential.mass
     beta, hbar = ens.beta, ens.hbar
-    rho = characteristic_closed_form(ens, potential, q, delta_q, box=box).value.real
-    dv = float(potential.derivative(q))
+    dq = np.asarray(delta_q, dtype=float)
+    rho = characteristic_closed_form(ens, potential, q, dq)
+    dv = np.asarray(potential.derivative(q), dtype=float)
     # d rho/d(delta_q) = -(m delta_q / (2 beta hbar^2)) rho;
     # another d/dq brings down -2 beta V'
-    mixed = (-2.0 * beta * dv) * (-m * delta_q / (2.0 * beta * hbar**2)) * rho
-    return -(hbar**2 / m) * mixed + dv * delta_q * rho
+    mixed = (-2.0 * beta * dv) * (-m * dq / (2.0 * beta * hbar**2)) * rho
+    return -(hbar**2 / m) * mixed + dv * dq * rho
 
 
-def product_form_characteristic(ens: CanonicalEnsemble, potential: Potential,
-                                q: float, delta_q: float,
-                                box: tuple[float, float] | None = None) -> CharacteristicSample:
-    """Curvature product form exp(-2 beta [V + (1/8) delta_q^2 V'']) / Z.
+def product_form_characteristic(ens: CanonicalEnsemble, potential: Potential, q, delta_q):
+    """Curvature product form exp(-2 beta [V - V_min + (1/8) delta_q^2 V'']) / Z.
 
     Shares the closed form's normalizer, so the two routes coincide at
     delta_q = 0; they agree at second order in delta_q exactly when
     beta^2 hbar^2 V'' = m.
     """
-    z = _normalizer(potential, ens, box)
-    beta = ens.beta
-    v = float(potential.value(q))
-    v2 = float(potential.second_derivative(q))
-    value = math.exp(-2.0 * beta * (v + 0.125 * delta_q**2 * v2)) / z
-    return CharacteristicSample(q=float(q), delta_q=float(delta_q), value=complex(value))
-
-
-@dataclass(frozen=True)
-class PhaseSpaceAmplitudeSpec:
-    """Separable phase-space amplitude phi(q, p) = g(q) h(p).
-
-    Both profiles must decay inside the truncation window |p| <= p_max;
-    `n_p` trapezoid points resolve the momentum integrals.
-    """
-
-    g: Callable
-    h: Callable
-    p_max: float = 12.0
-    n_p: int = 1025
-
-
-def gaussian_amplitude(sigma_p: float = 1.0) -> PhaseSpaceAmplitudeSpec:
-    return PhaseSpaceAmplitudeSpec(
-        g=lambda q: np.exp(-np.asarray(q, dtype=float) ** 2 / 2.0),
-        h=lambda p: np.exp(-np.asarray(p, dtype=float) ** 2 / (2.0 * sigma_p**2)),
-    )
-
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    lhs: complex
-    rhs: complex
-    ratio: complex
-
-
-def amplitude_factorization_check(amp: PhaseSpaceAmplitudeSpec, ens: CanonicalEnsemble,
-                                  q: float, delta_q: float) -> FactorizationCheck:
-    """Compare the two routes from phi to the characteristic function.
-
-    lhs builds F(q, p) = int conj(phi)(q, 2p - p') phi(q, p') dp' and then
-    Fourier transforms over p; rhs multiplies the two half-argument
-    transforms int exp(i p delta_q / 2 hbar) phi dp.  The convolution
-    theorem makes their ratio a delta_q-independent constant.
-    """
-    hbar = ens.hbar
-    p = np.linspace(-amp.p_max, amp.p_max, amp.n_p)
-    dp = p[1] - p[0]
-    h = np.asarray(amp.h(p), dtype=complex)
-    g = complex(amp.g(q))
-
-    tail = max(abs(h[0]), abs(h[-1]))
-    peak = float(np.max(np.abs(h)))
-    if peak == 0.0 or tail > 1e-12 * peak:
-        raise AccuracyError(
-            "momentum profile does not decay inside the truncation window",
-            estimate=tail / peak if peak else math.inf,
-        )
-
-    # f(q, p; p') integrated over p' for every p on the grid
-    h_mirror = np.asarray(amp.h(2.0 * p[:, None] - p[None, :]), dtype=complex)
-    f_of_p = np.trapezoid(np.conj(h_mirror) * h[None, :], dx=dp, axis=1)
-    lhs = abs(g) ** 2 * complex(np.trapezoid(np.exp(1j * p * delta_q / hbar) * f_of_p, dx=dp))
-
-    half_kernel = np.exp(1j * p * delta_q / (2.0 * hbar))
-    psi = g * complex(np.trapezoid(half_kernel * h, dx=dp))
-    psi_dag = np.conj(g) * complex(np.trapezoid(half_kernel * np.conj(h), dx=dp))
-    rhs = psi_dag * psi
-
-    if rhs == 0:
-        raise AccuracyError("half-argument transform vanished; ratio undefined")
-    return FactorizationCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+    v = np.asarray(potential.value(q), dtype=float) - potential.landscape.v_min
+    v2 = np.asarray(potential.second_derivative(q), dtype=float)
+    dq = np.asarray(delta_q, dtype=float)
+    return np.exp(-2.0 * ens.beta * (v + 0.125 * dq**2 * v2)) / _normalizer(potential, ens, None)

@@ -62,8 +62,8 @@ def test_criterion_01():
                 for dq in dqs:
                     quad = characteristic_quadrature(ens, pot, float(q), float(dq))
                     closed = characteristic_closed_form(ens, pot, float(q), float(dq))
-                    scale = abs(closed.value)
-                    assert abs(quad.value - closed.value) <= 1e-8 * scale, (
+                    scale = abs(closed)
+                    assert abs(quad - closed) <= 1e-8 * scale, (
                         f"{pot.to_json()['family']} at q={q:g}, delta_q={dq:g}")
 
 
@@ -76,7 +76,7 @@ def test_criterion_02():
         for pot in (Harmonic(m=1.0, omega=1.0), Quartic(m=1.0, lam=1.0)):
             for q in qs:
                 for dq in dqs:
-                    rho = abs(characteristic_closed_form(ens, pot, float(q), float(dq)).value)
+                    rho = abs(characteristic_closed_form(ens, pot, float(q), float(dq)))
                     res = pde_residual(ens, pot, float(q), float(dq))
                     assert abs(res) <= 1e-12 * rho
 
@@ -92,15 +92,15 @@ def test_criterion_03():
             ens = CanonicalEnsemble(beta=beta)
             for q in (-0.5, 0.0, 0.8):
                 for dq in (-1e-2, -1e-3, 1e-3, 1e-2):
-                    closed = characteristic_closed_form(ens, pot, q, dq).value.real
-                    product = product_form_characteristic(ens, pot, q, dq).value.real
+                    closed = characteristic_closed_form(ens, pot, q, dq)
+                    product = product_form_characteristic(ens, pot, q, dq)
                     assert abs(product - closed) <= 1e-8 * abs(closed)
 
         unmatched = CanonicalEnsemble(beta=2.0)
         pot = Harmonic(m=1.0, omega=1.0)
         def mismatch(dq):
-            closed = characteristic_closed_form(unmatched, pot, 0.3, dq).value.real
-            product = product_form_characteristic(unmatched, pot, 0.3, dq).value.real
+            closed = characteristic_closed_form(unmatched, pot, 0.3, dq)
+            product = product_form_characteristic(unmatched, pot, 0.3, dq)
             return abs(product - closed)
         ratio = mismatch(0.01) / mismatch(0.005)
         assert abs(ratio - 4.0) <= 0.2

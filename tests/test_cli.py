@@ -322,6 +322,20 @@ class TestWignerCommand:
         assert [[float(c) for c in ln.split(",")] for ln in csv_rows] == [
             list(row.values()) for row in json_rows]
 
+    def test_deep_tilted_well_gives_finite_values(self, run):
+        # V_min is about -1.27, so Z of exp(-2 beta V) unshifted overflows at beta = 1000
+        well = '{"family": "polynomial", "coeffs": [0, 0.05, -1.2, 0, 0.3]}'
+        code, out, err = run("wigner", "--potential", well, "--ensemble", '{"beta": 1000}',
+                             "--grid", "-1.5:-1.35:4", "--deltas", "-0.01:0.01:3")
+        assert code == 0, err
+        rows = json.loads(out)["blocks"][0]["rows"]
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+        code, out, err = run("thermo", "--potential", well, "--ensemble", '{"beta": 1000}',
+                             "--grid", "-1.5:-1.35:7", "--normalization", "normalized")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+
     def test_unnormalizable_potential_is_a_computation_error(self, run):
         code, _, err = run("wigner", "--potential",
                            '{"family": "pendulum", "m": 1.0, "amplitude": 1.0}',

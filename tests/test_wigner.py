@@ -16,15 +16,13 @@ from phasekit import (
     Rotor,
     NormalizationError,
 )
+from phasekit import wigner
 from phasekit.wigner import (
     NORMALIZER_TOLERANCE,
-    PhaseSpaceAmplitudeSpec,
     _normalizer,
-    amplitude_factorization_check,
     characteristic_closed_form,
     characteristic_quadrature,
     equilibrium_density,
-    gaussian_amplitude,
     infinitesimal_scale,
     normalization_box,
     pde_residual,
@@ -38,26 +36,26 @@ HARMONIC = Harmonic(m=1.0, omega=1.0)
 class TestClosedForm:
     def test_harmonic_peak_is_inverse_root_pi(self):
         sample = characteristic_closed_form(ENS, HARMONIC, 0.0, 0.0)
-        assert sample.value.real == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
-        assert sample.value.imag == 0.0
+        assert sample == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
+        assert sample.imag == 0.0
 
     def test_harmonic_small_displacement(self):
         sample = characteristic_closed_form(ENS, HARMONIC, 0.0, 0.1)
         expected = math.exp(-0.0025) / math.sqrt(math.pi)
-        assert sample.value.real == pytest.approx(expected, rel=1e-12)
+        assert sample == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("potential", [HARMONIC, Quartic(), Morse(m=1.0, depth=12.0, width=1.0)])
     def test_zero_displacement_is_equilibrium_density(self, potential):
         ens = CanonicalEnsemble(beta=1.5)
         for q in (-0.8, 0.0, 1.3):
             sample = characteristic_closed_form(ens, potential, q, 0.0)
-            assert sample.value.real == pytest.approx(
+            assert sample == pytest.approx(
                 float(equilibrium_density(potential, ens, q)), rel=1e-12)
 
     def test_unit_normalization_over_box(self):
         box = normalization_box(HARMONIC, ENS)
         qs = np.linspace(*box, 20001)
-        vals = [characteristic_closed_form(ENS, HARMONIC, q, 0.0).value.real for q in qs]
+        vals = [characteristic_closed_form(ENS, HARMONIC, q, 0.0) for q in qs]
         assert np.trapezoid(vals, qs) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -65,33 +63,33 @@ class TestQuadratureOracle:
     def test_matches_closed_form_at_probe_point(self):
         quad = characteristic_quadrature(ENS, HARMONIC, 0.5, 0.05)
         closed = characteristic_closed_form(ENS, HARMONIC, 0.5, 0.05)
-        assert quad.value.real == pytest.approx(closed.value.real, rel=1e-8)
-        assert abs(quad.value.imag) <= 1e-10
+        assert quad.real == pytest.approx(closed, rel=1e-8)
+        assert abs(quad.imag) <= 1e-10
 
     def test_zero_displacement_recovers_equilibrium_density(self):
         quad = characteristic_quadrature(ENS, HARMONIC, 0.7, 0.0)
-        assert quad.value.real == pytest.approx(
+        assert quad.real == pytest.approx(
             float(equilibrium_density(HARMONIC, ENS, 0.7)), rel=1e-10)
 
     def test_displacement_flip_conjugates(self):
         plus = characteristic_quadrature(ENS, HARMONIC, 0.4, 0.08)
         minus = characteristic_quadrature(ENS, HARMONIC, 0.4, -0.08)
-        assert minus.value == pytest.approx(plus.value.conjugate(), rel=1e-12, abs=1e-15)
+        assert minus == pytest.approx(plus.conjugate(), rel=1e-12, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(q=st.floats(min_value=-2.0, max_value=2.0),
            dq=st.floats(min_value=-0.2, max_value=0.2))
     def test_hermitian_and_peak_properties(self, q, dq):
-        val = characteristic_quadrature(ENS, HARMONIC, q, dq).value
-        conj = characteristic_quadrature(ENS, HARMONIC, q, -dq).value
-        peak = characteristic_closed_form(ENS, HARMONIC, q, 0.0).value.real
+        val = characteristic_quadrature(ENS, HARMONIC, q, dq)
+        conj = characteristic_quadrature(ENS, HARMONIC, q, -dq)
+        peak = characteristic_closed_form(ENS, HARMONIC, q, 0.0)
         assert conj == pytest.approx(val.conjugate(), rel=1e-10, abs=1e-14)
         assert abs(val) <= peak * (1 + 1e-12)
 
-    def test_unconverged_quadrature_reports_estimate(self):
+    def test_unconverged_quadrature_reports_estimate(self, monkeypatch):
+        monkeypatch.setattr(wigner, "QUADRATURE_ORDER", 2)
         with pytest.raises(AccuracyError) as info:
-            characteristic_quadrature(CanonicalEnsemble(beta=0.1), HARMONIC, 0.0, 3.0,
-                                      order=2)
+            characteristic_quadrature(CanonicalEnsemble(beta=0.1), HARMONIC, 0.0, 3.0)
         assert info.value.estimate is not None
         assert info.value.estimate > 1e-10
 
@@ -102,7 +100,7 @@ class TestTransportIdentity:
         (Quartic(), 1.0),
     ])
     def test_closed_form_solves_identity(self, potential, q):
-        rho = characteristic_closed_form(ENS, potential, q, 0.01).value.real
+        rho = characteristic_closed_form(ENS, potential, q, 0.01)
         assert abs(pde_residual(ENS, potential, q, 0.01)) <= 1e-12 * rho
 
     def test_zero_displacement_residual_vanishes(self):
@@ -116,7 +114,7 @@ class TestTransportIdentity:
         q, dq, h = 0.4, 0.05, 1e-5
 
         def rho(qq, dd):
-            return characteristic_closed_form(ens, potential, qq, dd).value.real
+            return characteristic_closed_form(ens, potential, qq, dd)
 
         mixed = (rho(q + h, dq + h) - rho(q + h, dq - h)
                  - rho(q - h, dq + h) + rho(q - h, dq - h)) / (4 * h * h)
@@ -130,69 +128,67 @@ class TestProductForm:
         # beta = 1 satisfies the curvature matching for unit harmonic
         for q in (-1.0, 0.0, 0.7):
             for dq in (0.0, 0.005, 0.01):
-                a = product_form_characteristic(ENS, HARMONIC, q, dq).value.real
-                b = characteristic_closed_form(ENS, HARMONIC, q, dq).value.real
+                a = product_form_characteristic(ENS, HARMONIC, q, dq)
+                b = characteristic_closed_form(ENS, HARMONIC, q, dq)
                 assert a == pytest.approx(b, rel=1e-8)
 
     def test_matched_shifted_quadratic(self):
         # V = (q - 1)^2 has curvature 2, matched by beta = sqrt(1/2)
         pot = Polynomial(m=1.0, coeffs=(1.0, -2.0, 1.0))
         ens = CanonicalEnsemble(beta=math.sqrt(0.5))
-        a = product_form_characteristic(ens, pot, 0.3, 0.01).value.real
-        b = characteristic_closed_form(ens, pot, 0.3, 0.01).value.real
+        a = product_form_characteristic(ens, pot, 0.3, 0.01)
+        b = characteristic_closed_form(ens, pot, 0.3, 0.01)
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_zero_displacement_always_agrees(self):
         ens = CanonicalEnsemble(beta=2.0)
-        a = product_form_characteristic(ens, Quartic(), 0.8, 0.0).value.real
-        b = characteristic_closed_form(ens, Quartic(), 0.8, 0.0).value.real
+        a = product_form_characteristic(ens, Quartic(), 0.8, 0.0)
+        b = characteristic_closed_form(ens, Quartic(), 0.8, 0.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_unmatched_beta_mismatch_is_second_order(self):
         ens = CanonicalEnsemble(beta=2.0)
 
         def mismatch(dq):
-            a = product_form_characteristic(ens, HARMONIC, 0.5, dq).value.real
-            b = characteristic_closed_form(ens, HARMONIC, 0.5, dq).value.real
+            a = product_form_characteristic(ens, HARMONIC, 0.5, dq)
+            b = characteristic_closed_form(ens, HARMONIC, 0.5, dq)
             return abs(a - b) / b
 
         ratio = mismatch(2e-3) / mismatch(1e-3)
         assert ratio == pytest.approx(4.0, abs=0.2)
 
 
-class TestAmplitudeFactorization:
-    def test_gaussian_ratio_constant_in_displacement(self):
-        amp = gaussian_amplitude(sigma_p=1.0)
-        ratios = [amplitude_factorization_check(amp, ENS, 0.3, dq).ratio
-                  for dq in (0.0, 0.05, 0.1, 0.2)]
-        base = ratios[0]
-        for r in ratios[1:]:
-            assert abs(r - base) <= 1e-8 * abs(base)
+#: the four characteristic-function routes of the wigner subcommand
+ROUTES = [characteristic_closed_form, characteristic_quadrature, pde_residual,
+          product_form_characteristic]
+#: a tilted double well whose V_min is about -1.27; Z of exp(-2 beta V) overflows at beta = 1000
+DEEP_TILTED = Polynomial(coeffs=(0.0, 0.05, -1.2, 0.0, 0.3))
 
-    def test_two_gaussian_mixture_ratio_still_constant(self):
-        amp = PhaseSpaceAmplitudeSpec(
-            g=lambda q: np.exp(-np.asarray(q, dtype=float)**2 / 2),
-            h=lambda p: (np.exp(-(np.asarray(p, dtype=float) - 2.0)**2 / 2)
-                         + np.exp(-(np.asarray(p, dtype=float) + 2.0)**2 / 2)),
-        )
-        ratios = [amplitude_factorization_check(amp, ENS, 0.0, dq).ratio
-                  for dq in (0.0, 0.05, 0.1, 0.2)]
-        base = ratios[0]
-        for r in ratios[1:]:
-            assert abs(r - base) <= 1e-8 * abs(base)
 
-    def test_convolution_halves_the_product(self):
-        check = amplitude_factorization_check(gaussian_amplitude(), ENS, 0.1, 0.07)
-        assert check.ratio.real == pytest.approx(0.5, rel=1e-10)
-        assert check.lhs == pytest.approx(0.5 * check.rhs, rel=1e-10)
+class TestGridEvaluation:
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("potential", [Morse(m=1.0, depth=12.0, width=1.0), DEEP_TILTED,
+                                           Quartic(m=1.3, lam=0.7)],
+                             ids=lambda p: type(p).__name__)
+    def test_grid_call_matches_point_calls_bit_for_bit(self, route, potential):
+        ens = CanonicalEnsemble(beta=1.5, hbar=0.9)
+        qs, dqs = np.linspace(-1.8, 1.8, 23), np.linspace(-0.3, 0.3, 13)
+        grid = route(ens, potential, qs[:, None], dqs[None, :])
+        points = np.array([[route(ens, potential, float(q), float(dq)) for dq in dqs]
+                           for q in qs])
+        assert grid.shape == (23, 13)
+        assert np.array_equal(grid, points)
 
-    def test_undecayed_profile_is_rejected(self):
-        wide = PhaseSpaceAmplitudeSpec(
-            g=lambda q: np.exp(-np.asarray(q, dtype=float)**2 / 2),
-            h=lambda p: np.exp(-np.asarray(p, dtype=float)**2 / 800.0),
-        )
-        with pytest.raises(AccuracyError):
-            amplitude_factorization_check(wide, ENS, 0.0, 0.1)
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda f: f.__name__)
+    def test_scalar_arguments_give_a_scalar(self, route):
+        assert np.isscalar(route(ENS, HARMONIC, 0.3, 0.1))
+
+    def test_deep_well_slice_integrates_to_one(self):
+        ens = CanonicalEnsemble(beta=1000.0)
+        qs = np.linspace(*normalization_box(DEEP_TILTED, ens), 200001)
+        values = characteristic_closed_form(ens, DEEP_TILTED, qs, 0.0)
+        assert np.isfinite(values).all()
+        assert np.trapezoid(values, qs) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestNormalizationBox:
@@ -224,8 +220,9 @@ class TestNormalizationBox:
         lo, hi = normalization_box(tilted, ens)
         minima = [pt.q0 for pt in tilted.landscape.equilibria if pt.curvature > 0]
         assert len(minima) == 2 and lo < min(minima) and max(minima) < hi
-        whole, _ = quad(lambda q: math.exp(-40.0 * float(tilted.value(q))), -10.0, 10.0,
-                        points=minima, epsabs=0.0, epsrel=1e-13, limit=400)
+        v_min = tilted.landscape.v_min
+        whole, _ = quad(lambda q: math.exp(-40.0 * (float(tilted.value(q)) - v_min)),
+                        -10.0, 10.0, points=minima, epsabs=0.0, epsrel=1e-13, limit=400)
         assert _normalizer(tilted, ens, None) == pytest.approx(whole, rel=1e-12)
 
 
@@ -254,8 +251,9 @@ class TestNormalizer:
             assert isinstance(potential, Morse) and ens.beta < 1.0  # the plateau never decays
             return
         minima = [pt.q0 for pt in potential.landscape.equilibria if lo < pt.q0 < hi]
-        want, _ = quad(lambda q: math.exp(-2.0 * ens.beta * float(potential.value(q))), lo, hi,
-                       points=minima or None, epsabs=0.0, epsrel=1e-13, limit=1000)
+        v_min = potential.landscape.v_min
+        want, _ = quad(lambda q: math.exp(-2.0 * ens.beta * (float(potential.value(q)) - v_min)),
+                       lo, hi, points=minima or None, epsabs=0.0, epsrel=1e-13, limit=1000)
         assert _normalizer(potential, ens, None) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("center", [18.0, 100.0])
@@ -269,8 +267,7 @@ class TestNormalizer:
     def test_unconverged_panels_raise_accuracy_error(self):
         # a thousand narrow wells in one explicit box need more panels than the cap
         with pytest.raises(AccuracyError) as info:
-            characteristic_closed_form(ENS, Pendulum(amplitude=50.0), 0.0, 0.0,
-                                       box=(0.0, 2000.0 * math.pi))
+            _normalizer(Pendulum(amplitude=50.0), ENS, (0.0, 2000.0 * math.pi))
         assert info.value.estimate > NORMALIZER_TOLERANCE
 
 
