@@ -1,8 +1,8 @@
 """Canonical ensemble parameters.
 
 The distribution weight is exp(-2 beta H), so the temperature associated
-with beta is T = 1 / (2 beta k_B).  Natural units (hbar = k_B = 1, unit
-masses) are the defaults.
+with beta is T = 1 / (2 beta k_B).  Natural units (hbar = k_B = 1) are the
+defaults; the mass belongs to the potential.
 """
 
 from __future__ import annotations
@@ -16,13 +16,11 @@ class CanonicalEnsemble:
     beta: float
     hbar: float = 1.0
     k_B: float = 1.0
-    masses: tuple = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        for name, values in (("beta", [self.beta]), ("hbar", [self.hbar]),
-                             ("k_B", [self.k_B]), ("masses", self.masses)):
-            if not all(math.isfinite(v) and v > 0 for v in values):
+        for name in ("beta", "hbar", "k_B"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
 
     @property
@@ -34,20 +32,17 @@ class CanonicalEnsemble:
             "beta": self.beta,
             "hbar": self.hbar,
             "k_B": self.k_B,
-            "masses": list(self.masses),
         }
 
 
 def ensemble_from_json(obj: dict) -> CanonicalEnsemble:
     if not isinstance(obj, dict) or "beta" not in obj:
         raise ValueError("ensemble JSON must be an object with a 'beta' field")
-    extra = set(obj) - {"beta", "hbar", "k_B", "masses"}
+    extra = set(obj) - {"beta", "hbar", "k_B"}
     if extra:
         raise ValueError(f"unknown ensemble field(s): {sorted(extra)}")
     try:
         kwargs = {k: float(obj[k]) for k in ("beta", "hbar", "k_B") if k in obj}
-        if "masses" in obj:
-            kwargs["masses"] = tuple(float(m) for m in obj["masses"])
     except (TypeError, ValueError):
         raise ValueError("ensemble fields must be numbers")
     return CanonicalEnsemble(**kwargs)

@@ -80,6 +80,15 @@ class TestArgumentHandling:
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "validation"
 
+    def test_ensemble_has_no_masses_field(self, run):
+        # the mass comes from the potential; an ensemble mass would be ignored
+        code, out, err = run("thermo", "--potential", HARMONIC,
+                             "--ensemble", '{"beta": 1, "masses": [7, 8, 9]}', "--grid", "-1:1:5")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["field"]) == ("validation", "ensemble")
+        assert "masses" in error["message"]
+
     def test_non_finite_potential_field(self, run):
         code, _, err = run("quantize", "--potential",
                            '{"family": "harmonic", "m": 1.0, "omega": NaN}',

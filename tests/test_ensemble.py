@@ -20,13 +20,13 @@ def test_beta_for_temperature_inverts(T):
 
 
 def test_json_round_trip():
-    ens = CanonicalEnsemble(beta=1.5, hbar=2.0, k_B=0.5, masses=(1.0, 2.0))
+    ens = CanonicalEnsemble(beta=1.5, hbar=2.0, k_B=0.5)
     assert ensemble_from_json(ens.to_json()) == ens
 
 
 def test_defaults_are_natural_units():
     ens = ensemble_from_json({"beta": 2.0})
-    assert (ens.hbar, ens.k_B, ens.masses) == (1.0, 1.0, (1.0,))
+    assert (ens.hbar, ens.k_B) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("obj", [
