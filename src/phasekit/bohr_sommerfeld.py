@@ -36,14 +36,14 @@ class MotionKind(enum.Enum):
 @dataclass(frozen=True)
 class MotionClass:
     kind: MotionKind
-    period_length: float | None = None
 
 
 @dataclass(frozen=True)
 class ActionProfile:
     energy: float
     action: float
-    dJ_dE: float | None = None
+    #: the classical period T(E); None at the bottom of a well
+    dJ_dE: float | None
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,12 @@ def classify_motion(potential: Potential, E: float) -> MotionClass:
             )
         if E >= crest:
             # a flat periodic potential has no crest to cross: all E rotate
-            return MotionClass(kind=MotionKind.ROTATION, period_length=potential.period)
+            return MotionClass(kind=MotionKind.ROTATION)
     pair = turning_points(potential, E)
     if pair is not None:
         return MotionClass(kind=MotionKind.LIBRATION)
     if potential.period is not None:
-        return MotionClass(kind=MotionKind.ROTATION, period_length=potential.period)
+        return MotionClass(kind=MotionKind.ROTATION)
     raise ForbiddenRegionError(
         f"E={E:g} gives unbounded non-periodic motion; no closed orbit to quantize"
     )
@@ -181,7 +181,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
         c, r = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[1] - pair[0])
         if r == 0.0:
             return 0.0, 0.0, None
-    span = math.pi if libration else motion.period_length or potential.period
+    span = math.pi if libration else potential.period
 
     def weights_and_momenta(n: int):
         t, w = _leggauss(n)
@@ -202,17 +202,16 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
 
 def action(potential: Potential, E: float,
            motion: MotionClass | None = None,
-           order: int = 128,
-           with_period: bool = False) -> ActionProfile:
+           order: int = 128) -> ActionProfile:
     """Loop action J(E) = closed integral of p dq over one period.
 
     Librations substitute q = c + r cos(theta), which absorbs the
     square-root endpoint singularity; rotations integrate p over one
     coordinate period directly.  Doubling the quadrature order bounds the
     truncation error; disagreement beyond 1e-8 relative raises
-    AccuracyError.  `with_period` adds dJ/dE, the classical period
-    T(E) = closed integral of m / p dq, from the same quadrature at the
-    doubled order (None at the bottom of a well).
+    AccuracyError.  dJ/dE, the classical period T(E) = closed integral of
+    m / p dq, comes from the same quadrature at the doubled order (None at
+    the bottom of a well).
     """
     if motion is None:
         motion = classify_motion(potential, E)
@@ -222,7 +221,7 @@ def action(potential: Potential, E: float,
         raise AccuracyError(
             f"action quadrature not converged at order {2 * order}", estimate=estimate
         )
-    return ActionProfile(energy=E, action=j, dJ_dE=period if with_period else None)
+    return ActionProfile(energy=E, action=j, dJ_dE=period)
 
 
 def _target_action(n: int, motion: MotionClass, hbar: float) -> float:
@@ -316,7 +315,7 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
                     step_old, step = step, abs(e - last)
             last = e
             try:
-                profile = action(potential, e, motion=motion, order=order, with_period=True)
+                profile = action(potential, e, motion=motion, order=order)
             except ForbiddenRegionError:
                 hi, j_hi = e, math.inf
             except AccuracyError:

@@ -444,8 +444,7 @@ def _run_quantize(opts: dict):
         if potential.period is None:
             raise ConfigError("rotation quantization needs a periodic potential",
                               field="class")
-        motion = bs.MotionClass(kind=bs.MotionKind.ROTATION,
-                                period_length=potential.period)
+        motion = bs.MotionClass(kind=bs.MotionKind.ROTATION)
 
     oracle = None
     if opts["oracle"] == "on":

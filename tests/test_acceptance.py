@@ -235,7 +235,7 @@ def test_criterion_11():
 def test_criterion_12():
     """criterion 12: dJ/dE equals the classical period and the trajectory-accumulated loop integral equals J(E)"""
     with budget(5.0):
-        prof = action(Harmonic(m=1.0, omega=1.0), 1.0, with_period=True)
+        prof = action(Harmonic(m=1.0, omega=1.0), 1.0)
         period = 2.0 * math.pi
         assert abs(prof.dJ_dE - period) <= 1e-3 * period
         a, _ = turning_points(Harmonic(m=1.0, omega=1.0), 1.0)

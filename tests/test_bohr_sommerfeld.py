@@ -29,7 +29,7 @@ from phasekit.bohr_sommerfeld import (
 )
 from phasekit.schrodinger import fd_eigensolve
 
-ROTATION_2PI = MotionClass(kind=MotionKind.ROTATION, period_length=2.0 * math.pi)
+ROTATION_2PI = MotionClass(kind=MotionKind.ROTATION)
 
 
 def pendulum_libration_action(E):
@@ -134,7 +134,8 @@ class TestClassifyMotion:
     def test_rotor_is_always_rotation(self):
         cls = classify_motion(Rotor(), 0.5)
         assert cls.kind is MotionKind.ROTATION
-        assert cls.period_length == pytest.approx(2.0 * math.pi)
+        # a rotation spans the rotor's period: J = 2 pi p with p = sqrt(2 m E) = 1
+        assert action(Rotor(), 0.5, motion=cls).action == pytest.approx(2.0 * math.pi)
 
     def test_pendulum_below_crest_librates(self):
         assert classify_motion(Pendulum(), 0.5).kind is MotionKind.LIBRATION
@@ -178,22 +179,22 @@ class TestAction:
         assert got == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_harmonic_period_from_dJ_dE(self):
-        prof = action(Harmonic(), 1.0, with_period=True)
+        prof = action(Harmonic(), 1.0)
         assert prof.dJ_dE == pytest.approx(2.0 * math.pi, rel=1e-6)
 
     def test_pendulum_period_from_dJ_dE(self):
-        prof = action(Pendulum(), 0.5, with_period=True)
+        prof = action(Pendulum(), 0.5)
         assert prof.dJ_dE == pytest.approx(4.0 * ellipk(0.75), rel=1e-6)
 
     @pytest.mark.parametrize("omega, E", [(1.0, 0.5), (0.7, 3.0), (2.5, 40.0)])
     def test_harmonic_quadrature_period(self, omega, E):
-        prof = action(Harmonic(m=1.3, omega=omega), E, with_period=True)
+        prof = action(Harmonic(m=1.3, omega=omega), E)
         assert prof.dJ_dE == pytest.approx(2.0 * math.pi / omega, rel=1e-9)
 
     @pytest.mark.parametrize("amplitude, E", [(1.0, -0.5), (1.0, 0.5), (3.0, 2.4)])
     def test_pendulum_quadrature_period(self, amplitude, E):
         m = 0.8
-        prof = action(Pendulum(m=m, amplitude=amplitude), E, with_period=True)
+        prof = action(Pendulum(m=m, amplitude=amplitude), E)
         exact = 4.0 * math.sqrt(m / amplitude) * ellipk((E + amplitude) / (2.0 * amplitude))
         assert prof.dJ_dE == pytest.approx(exact, rel=1e-9)
 
@@ -201,7 +202,7 @@ class TestAction:
     def test_morse_quadrature_period(self, E):
         depth, width, m = 12.0, 1.0, 1.0
         omega = width * math.sqrt(2.0 * depth / m)
-        prof = action(Morse(m=m, depth=depth, width=width), E, with_period=True)
+        prof = action(Morse(m=m, depth=depth, width=width), E)
         exact = 2.0 * math.pi / (omega * math.sqrt(1.0 - E / depth))
         assert prof.dJ_dE == pytest.approx(exact, rel=1e-9)
 

@@ -423,7 +423,7 @@ class TestQuantizeCommand:
         monkeypatch.undo()
         # J keeps its meaning: the action at 2 * order at E_n, with its period
         for row in json.loads(out)["levels"]:
-            profile = bs.action(Quartic(), row["E_bs"], with_period=True)
+            profile = bs.action(Quartic(), row["E_bs"])
             assert (row["J"], row["dJ_dE"]) == (profile.action, profile.dJ_dE)
 
     def test_dissociated_level_is_a_computation_error(self, run):

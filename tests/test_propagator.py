@@ -74,7 +74,7 @@ class TestActions:
         assert classical_action(traj, FREE) == pytest.approx(0.25, rel=1e-12)
 
     def test_loop_action_over_one_period_equals_the_action_integral(self):
-        prof = action(Quartic(), 1.0, with_period=True)
+        prof = action(Quartic(), 1.0)
         a, _ = turning_points(Quartic(), 1.0)
         traj = initial_value_trajectory(Quartic(), a, 0.0, prof.dJ_dE, 20000)
         assert traj.positions[-1] == pytest.approx(a, abs=1e-9)
