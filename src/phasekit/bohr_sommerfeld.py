@@ -257,7 +257,8 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
     before last, bisects.  Level n starts from the level before it, the first
     from e_lo + 1e-3 max(|e_lo|, 1).  BracketError: T <= 0 or J outside
     [J(lo), J(hi)] at an iterate (not monotone), or a bracket that shrinks to
-    nothing short of the target (beyond dissociation, a separatrix jump in J).
+    nothing short of the target (beyond dissociation, a separatrix jump in J);
+    below an uncertified hi, once J(lo) + 4 T(lo) (hi - lo) falls short of it.
     Levels carry the certified J and T of their final iterate.
     """
     ns = sorted(set(int(n) for n in n_range))
@@ -283,7 +284,7 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
 
     def solve(n: int, target: float, start: tuple | None) -> tuple[float, float, float]:
         # the certified (E, J, T) with |J(E) - target| <= tol_j
-        lo, j_lo = (e_lo, j_floor) if start is None else start[:2]
+        lo, j_lo, t_lo = (e_lo, j_floor, math.inf) if start is None else start
         hi = j_hi = math.inf
         point, last, step, step_old = start, lo, math.inf, math.inf
         e = e_lo + 1e-3 * max(abs(e_lo), 1.0) if start is None else None
@@ -301,7 +302,10 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
                     e = guess if guess > lo else e_lo + 2.0 * (last - e_lo)
                 elif lo < guess < hi and abs(guess - last) <= 0.5 * step_old:
                     e = guess
-                elif hi - lo > 1e-15 * max(abs(lo), abs(hi), 1.0):
+                elif hi - lo > 1e-15 * max(abs(lo), abs(hi), 1.0) and (
+                        j_hi < math.inf or j_lo + 4.0 * t_lo * (hi - lo) >= target - tol_j):
+                    # below an uncertified hi J gains at most 2 T(lo) (hi - lo) while T
+                    # grows no faster than 1/sqrt(E_escape - E) (Morse); stop past twice that
                     e = 0.5 * (lo + hi)
                 else:
                     raise BracketError(
@@ -330,7 +334,7 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
                 if abs(j - target) <= tol_j:
                     return e, j, t
                 if j < target:
-                    lo, j_lo = e, j
+                    lo, j_lo, t_lo = e, j, t
                 else:
                     hi, j_hi = e, j
                 point = (e, j, t)

@@ -476,7 +476,8 @@ def _run_propagate(opts: dict):
                               N=max(max(slice_counts), 4096))
     table = []
     for n in slice_counts:
-        traj = prop.classical_trajectory(potential, q_a, q_b, t, n)
+        # seeded on the limit's branch, a slice count's shooting starts converged
+        traj = prop.classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
         ph = prop.sliced_phase(traj, potential, limit.energy, hbar=hbar)
         table.append({"N": n, "sliced_phase": ph.total_phase,
                       "error": abs(ph.total_phase - limit.total_phase)})

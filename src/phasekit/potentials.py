@@ -4,6 +4,11 @@ Every family carries its own mass parameter and evaluates V, V' and V''
 in closed form, so downstream quadratures and residual checks never pay
 finite-difference noise.  Periodic families (the rigid rotor) declare a
 coordinate period; all other families live on the real line.
+
+Methods apply numpy ufuncs to q as given: a Python float gives a scalar
+and an array gives an array, with the same bits.  Powers go through
+np.square and np.power, never Python's **, which rounds a float
+differently from the array loop.
 """
 
 from __future__ import annotations
@@ -61,13 +66,13 @@ class Harmonic(Potential):
         return self.m
 
     def value(self, q):
-        return 0.5 * self.m * self.omega**2 * np.asarray(q, dtype=float) ** 2
+        return 0.5 * self.m * self.omega**2 * np.square(q)
 
     def derivative(self, q):
-        return self.m * self.omega**2 * np.asarray(q, dtype=float)
+        return self.m * self.omega**2 * q
 
     def second_derivative(self, q):
-        return self.m * self.omega**2 * np.ones_like(np.asarray(q, dtype=float))
+        return self.m * self.omega**2 * np.ones_like(q, dtype=float)
 
     def to_json(self):
         return {"family": "harmonic", "m": self.m, "omega": self.omega}
@@ -85,13 +90,13 @@ class Quartic(Potential):
         return self.m
 
     def value(self, q):
-        return 0.25 * self.lam * np.asarray(q, dtype=float) ** 4
+        return 0.25 * self.lam * np.power(q, 4.0)
 
     def derivative(self, q):
-        return self.lam * np.asarray(q, dtype=float) ** 3
+        return self.lam * np.power(q, 3.0)
 
     def second_derivative(self, q):
-        return 3.0 * self.lam * np.asarray(q, dtype=float) ** 2
+        return 3.0 * self.lam * np.square(q)
 
     def to_json(self):
         return {"family": "quartic", "m": self.m, "lam": self.lam}
@@ -113,13 +118,13 @@ class Polynomial(Potential):
         return npoly.polyder(self.coeffs), npoly.polyder(self.coeffs, 2)
 
     def value(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), self.coeffs)
+        return npoly.polyval(q, self.coeffs)
 
     def derivative(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), self._slopes[0])
+        return npoly.polyval(q, self._slopes[0])
 
     def second_derivative(self, q):
-        return npoly.polyval(np.asarray(q, dtype=float), self._slopes[1])
+        return npoly.polyval(q, self._slopes[1])
 
     def to_json(self):
         return {"family": "polynomial", "m": self.m, "coeffs": list(self.coeffs)}
@@ -139,13 +144,13 @@ class Pendulum(Potential):
         return self.m
 
     def value(self, q):
-        return -self.amplitude * np.cos(np.asarray(q, dtype=float))
+        return -self.amplitude * np.cos(q)
 
     def derivative(self, q):
-        return self.amplitude * np.sin(np.asarray(q, dtype=float))
+        return self.amplitude * np.sin(q)
 
     def second_derivative(self, q):
-        return self.amplitude * np.cos(np.asarray(q, dtype=float))
+        return self.amplitude * np.cos(q)
 
     def to_json(self):
         return {"family": "pendulum", "m": self.m, "amplitude": self.amplitude}
@@ -165,13 +170,13 @@ class Rotor(Potential):
         return self.inertia
 
     def value(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
+        return np.zeros_like(q, dtype=float)[()]
 
     def derivative(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
+        return np.zeros_like(q, dtype=float)[()]
 
     def second_derivative(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
+        return np.zeros_like(q, dtype=float)[()]
 
     def to_json(self):
         return {"family": "rotor", "inertia": self.inertia}
@@ -190,17 +195,15 @@ class Morse(Potential):
         return self.m
 
     def value(self, q):
-        y = np.exp(-self.width * np.asarray(q, dtype=float))
-        # np.square, not ** 2: a float64 scalar takes pow() there, which can
-        # round differently from the product an array takes
+        y = np.exp(-self.width * q)
         return self.depth * np.square(1.0 - y)
 
     def derivative(self, q):
-        y = np.exp(-self.width * np.asarray(q, dtype=float))
+        y = np.exp(-self.width * q)
         return 2.0 * self.depth * self.width * y * (1.0 - y)
 
     def second_derivative(self, q):
-        y = np.exp(-self.width * np.asarray(q, dtype=float))
+        y = np.exp(-self.width * q)
         return 2.0 * self.depth * self.width**2 * y * (2.0 * y - 1.0)
 
     def to_json(self):

@@ -52,6 +52,8 @@ class KernelPhase:
     total_phase: float
     prefactor_log: float
     slices: int
+    #: start velocity of the path the phase was taken on
+    v0: float
 
 
 def _constant_value(potential: Potential) -> float | None:
@@ -102,12 +104,14 @@ def initial_value_trajectory(potential: Potential, q0: float, v0: float,
 
 
 def classical_trajectory(potential: Potential, q_a: float, q_b: float,
-                         t: float, N: int) -> Trajectory:
+                         t: float, N: int, v_start: float | None = None) -> Trajectory:
     """Path from q_a to q_b in time t solving the Euler-Lagrange dynamics.
 
     Force-free and harmonic families use their analytic two-point
     solutions; other potentials shoot on the initial velocity with secant
-    updates until |q(t_b) - q_b| <= SHOOTING_TOL.  Harmonic focal times
+    updates, from v_start (default the straight line's (q_b - q_a) / t),
+    until a pass ends with |q(t_b) - q_b| <= SHOOTING_TOL.  The start
+    picks the branch the secant converges to.  Harmonic focal times
     (omega t a multiple of pi) raise ConjugatePointError: the two-point
     problem is there either unsolvable or degenerate.
     """
@@ -132,24 +136,23 @@ def classical_trajectory(potential: Potential, q_a: float, q_b: float,
         vs = w * (-q_a * np.sin(w * times) + b * np.cos(w * times))
         return Trajectory(times=times, positions=qs, velocities=vs, mass=potential.mass)
 
-    v_lo = (q_b - q_a) / t
-    v_hi = v_lo + max(1e-3, 1e-3 * abs(v_lo))
-    r_lo = _rk4(potential, q_a, v_lo, t, N)[0][-1] - q_b
+    v = (q_b - q_a) / t if v_start is None else float(v_start)
+    v_prev = r_prev = None
     for _ in range(SHOOTING_CAP):
-        qs, vs = _rk4(potential, q_a, v_hi, t, N)
-        r_hi = qs[-1] - q_b
-        if abs(r_hi) <= SHOOTING_TOL:
+        qs, vs = _rk4(potential, q_a, v, t, N)
+        r = qs[-1] - q_b
+        if abs(r) <= SHOOTING_TOL:
             return Trajectory(times=times, positions=qs, velocities=vs,
                               mass=potential.mass)
-        if r_hi == r_lo:
-            v_hi += max(1e-6, 1e-6 * abs(v_hi))
-            continue
-        v_next = v_hi - r_hi * (v_hi - v_lo) / (r_hi - r_lo)
-        v_lo, r_lo = v_hi, r_hi
-        v_hi = v_next
+        if r_prev is None:  # the first pass: step aside to start the secant
+            v_prev, r_prev, v = v, r, v + max(1e-3, 1e-3 * abs(v))
+        elif r == r_prev:
+            v += max(1e-6, 1e-6 * abs(v))
+        else:
+            v_prev, r_prev, v = v, r, v - r * (v - v_prev) / (r - r_prev)
     raise TrajectoryError(
         f"shooting failed to hit q_b={q_b:g} within {SHOOTING_CAP} iterations "
-        f"(last residual {r_hi:.3e})"
+        f"(last residual {r:.3e})"
     )
 
 
@@ -190,6 +193,7 @@ def sliced_phase(traj: Trajectory, potential: Potential, E: float,
         total_phase=(s_sliced - energy_phase) / hbar,
         prefactor_log=n * math.log(traj.mass),
         slices=n,
+        v0=float(traj.velocities[0]),
     )
 
 
@@ -222,4 +226,5 @@ def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
         total_phase=(s_cl - energy_phase) / hbar,
         prefactor_log=N * math.log(potential.mass),
         slices=N,
+        v0=float(traj.velocities[0]),
     )

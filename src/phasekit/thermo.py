@@ -130,13 +130,14 @@ def thermo_profile(potential: Potential, ens: CanonicalEnsemble, grid,
         raise ValueError(f"unknown normalization {normalization!r}")
     qs = np.asarray(grid, dtype=float)
     v = np.asarray(potential.value(qs), dtype=float)
-    psi_sq = (np.exp(-2.0 * ens.beta * v) if normalization == "paper"
-              else equilibrium_density(potential, ens, qs))
-    zero = np.nonzero(psi_sq == 0.0)[0]
-    if zero.size:
-        raise DomainError(
-            f"psi^2 underflowed to 0 at q={qs[zero[0]]:g}; entropy undefined there"
-        )
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        psi_sq = (np.exp(-2.0 * ens.beta * v) if normalization == "paper"
+                  else equilibrium_density(potential, ens, qs))
+    for bad, what in ((psi_sq == 0.0, "underflowed to 0"),
+                      (np.isinf(psi_sq), "overflowed")):
+        if bad.any():
+            raise DomainError(
+                f"psi^2 {what} at q={qs[np.argmax(bad)]:g}; entropy undefined there")
     T = ens.temperature
     entropy = ens.k_B * np.log(psi_sq)
     return ThermoProfile(

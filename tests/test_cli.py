@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -344,6 +346,19 @@ class TestWignerCommand:
         assert code == 0, err
         rows = json.loads(out)["rows"]
         assert all(math.isfinite(v) for row in rows for v in row.values())
+
+    def test_overflowing_paper_density_is_a_computation_error(self, run):
+        # exp(-2 beta V) overflows where V < 0 at beta = 1000: the paper
+        # convention has no finite S or F_G there, and the run must say so
+        well = '{"family": "polynomial", "coeffs": [0, 0.05, -1.2, 0, 0.3]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("thermo", "--potential", well, "--ensemble", '{"beta": 1000}',
+                                 "--grid=-1.5:-1.35:3")
+        assert code == 1
+        assert "inf" not in re.findall(r"[A-Za-z_]+", out + err)
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError" and "overflowed" in error["message"]
 
     def test_unnormalizable_potential_is_a_computation_error(self, run):
         code, _, err = run("wigner", "--potential",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from phasekit import (
     EquilibriumPoint,
@@ -96,6 +96,39 @@ def test_rotor_is_flat_and_periodic():
 ])
 def test_json_round_trip(potential):
     assert potential_from_json(potential.to_json()) == potential
+
+
+EVERY_FAMILY = [
+    Harmonic(m=1.3, omega=0.7),
+    Quartic(m=0.8, lam=1.7),
+    Polynomial(m=1.1, coeffs=(0.1, 0.05, -1.2, 0.3, 0.3)),
+    Pendulum(m=0.9, amplitude=2.5),
+    Rotor(inertia=1.2),
+    Morse(m=1.4, depth=4.0, width=1.3),
+]
+FAMILY_IDS = ["harmonic", "quartic", "polynomial", "pendulum", "rotor", "morse"]
+METHODS = ["value", "derivative", "second_derivative"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("potential", EVERY_FAMILY, ids=FAMILY_IDS)
+@settings(max_examples=50)
+@given(q=st.floats(min_value=-6.0, max_value=6.0))
+def test_float_and_array_calls_agree_bit_for_bit(potential, method, q):
+    # the RK4 force loop calls V' on floats, the quadratures on arrays
+    f = getattr(potential, method)
+    scalar = f(q)
+    assert not isinstance(scalar, np.ndarray)
+    assert float(scalar).hex() == float(f(np.array([q]))[0]).hex()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("potential", EVERY_FAMILY, ids=FAMILY_IDS)
+def test_float_calls_round_as_the_array_loop_on_many_draws(potential, method):
+    # Python's q**3 differs from the array loop in about 2% of such draws
+    f = getattr(potential, method)
+    qs = np.random.default_rng(7).uniform(-6.0, 6.0, 5000)
+    assert [float(f(float(q))).hex() for q in qs] == [float(x).hex() for x in f(qs)]
 
 
 def test_json_rejects_unknown_family_and_fields():

@@ -1,10 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from phasekit import ConjugatePointError, Harmonic, Polynomial, Quartic, Rotor
-from phasekit.bohr_sommerfeld import action, turning_points
+from phasekit import ConjugatePointError, Harmonic, Morse, Pendulum, Polynomial, Quartic, Rotor
+from phasekit import propagator
+from phasekit.bohr_sommerfeld import action, quantize, turning_points
+from phasekit.cli import main
 from phasekit.propagator import (
     classical_action,
     classical_trajectory,
@@ -146,3 +149,65 @@ class TestKernelPhase:
         traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
         assert kp.S_cl == pytest.approx(classical_action(traj, Quartic()), rel=1e-12)
         assert kp.energy == pytest.approx(float(traj.sampled_energy(Quartic())[0]), rel=1e-12)
+
+
+# anharmonic two-point problems short of their first focal time, as `propagate` gets them
+SHOOTINGS = [
+    (Quartic(), 1.0, -1.0, 0.6),
+    (Morse(depth=10.0), 0.5, -0.25, 0.35 * math.pi / math.sqrt(20.0)),
+    (Pendulum(amplitude=2.0), 1.0, -1.0, 0.7),
+]
+
+
+class TestSeededShooting:
+    @pytest.mark.parametrize("potential, q_a, q_b, t", SHOOTINGS,
+                             ids=["quartic", "morse", "pendulum"])
+    def test_slice_counts_start_from_the_limit_velocity(self, potential, q_a, q_b, t,
+                                                         monkeypatch, capsys):
+        passes, phases = [], []
+        rk4, sliced, kernel = propagator._rk4, propagator.sliced_phase, propagator.kernel_phase
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
+        kernel(potential, q_a, q_b, t, N=4096)
+        limit_passes = len(passes)
+        monkeypatch.setattr(propagator, "kernel_phase",
+                            lambda *a, **k: phases.append(kernel(*a, **k)) or phases[-1])
+        monkeypatch.setattr(propagator, "sliced_phase",
+                            lambda *a, **k: phases.append(sliced(*a, **k)) or phases[-1])
+        passes.clear()
+        code = main(["propagate", "--potential", json.dumps(potential.to_json()),
+                     "--from", str(q_a), "--to", str(q_b), "--time", repr(t),
+                     "--slices", "2000,4000"])
+        assert code == 0, capsys.readouterr().err
+        # the limit shoots from the straight line; each slice count then needs one pass
+        assert len(passes) <= limit_passes + 2
+        limit, *rows = phases
+        assert [row.slices for row in rows] == [2000, 4000]
+        for row in rows:
+            assert abs(row.v0 - limit.v0) <= 1e-8
+
+    def test_first_pass_within_tolerance_is_accepted(self, monkeypatch):
+        converged = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000)
+        passes = []
+        rk4 = propagator._rk4
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
+        again = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000,
+                                     v_start=converged.velocities[0])
+        assert len(passes) == 1
+        assert np.array_equal(again.positions, converged.positions)
+
+    @pytest.mark.parametrize("potential, n, hbar", [
+        (Quartic(), 1, 1.0), (Quartic(), 3, 1.0), (Quartic(), 6, 1.0),
+        (Morse(depth=10.0), 0, 1.0), (Morse(depth=10.0), 2, 1.0), (Morse(depth=10.0), 3, 1.0),
+        (Pendulum(amplitude=5.0), 0, 0.5), (Pendulum(amplitude=5.0), 2, 0.5),
+    ], ids=["quartic-1", "quartic-3", "quartic-6", "morse-0", "morse-2", "morse-3",
+            "pendulum-0", "pendulum-2"])
+    def test_closed_path_action_meets_the_quantized_loop_action(self, potential, n, hbar):
+        # the Bohr-Sommerfeld <-> path-integral bridge: over one period the
+        # classical action plus E T is the loop action, S_cl + E T = J(E).
+        # S_cl is RK4 plus the trapezoid, J and T Gauss quadrature: no shared code
+        level = quantize(potential, [n], hbar=hbar).levels[0]
+        E, T, J = level.energy, level.period, level.action
+        q_a = 0.0  # every well here has its minimum at the origin
+        p = math.sqrt(2.0 * potential.mass * (E - float(potential.value(q_a))))
+        traj = classical_trajectory(potential, q_a, q_a, T, 16000, v_start=p / potential.mass)
+        assert classical_action(traj, potential) + E * T == pytest.approx(J, rel=1e-10)
