@@ -231,8 +231,39 @@ def _target_action(n: int, motion: MotionClass, hbar: float) -> float:
     return n * h
 
 
-def _oracle_level(oracle: EigenSolution, n: int, motion: MotionClass) -> float | None:
-    if motion.kind is MotionKind.ROTATION and oracle.boundary == "periodic":
+def _oracle_level(oracle: EigenSolution, n: int, motion: MotionClass,
+                  potential: Potential, E: float) -> float | None:
+    """The oracle energy paired with level n at energy E, or None.
+
+    A libration level counts the computed states, in energy order, by their
+    probability in its well, out to the crests beyond its turning points: a
+    state of this well counts one, a state of another well none, and each
+    state of a tunnelling pair split over two mirror wells a half.  Level n
+    pairs with the state at which the count first exceeds n + 1/4.
+    """
+    if motion.kind is MotionKind.LIBRATION:
+        a, b = turning_points(potential, E)
+        q, order = oracle.grid, slice(None)
+        if oracle.boundary == "periodic":  # the grid's image in a cell centred on the well
+            length = oracle.box[1] - oracle.box[0]
+            start = 0.5 * (a + b - length)
+            q = start + np.mod(q - start, length)
+            order = np.argsort(q)
+            q = q[order]
+        v = potential.value(q)
+        lo, hi = np.searchsorted(q, a), np.searchsorted(q, b, side="right")
+        # V rises from each turning point to the crest beyond it
+        falls = np.flatnonzero(np.diff(v[max(hi - 1, 0):]) < 0)
+        right = max(hi - 1, 0) + falls[0] if len(falls) else len(q) - 1
+        rises = np.flatnonzero(np.diff(v[:lo + 1]) > 0)
+        left = rises[-1] + 1 if len(rises) else 0
+        psi = oracle.eigenvectors[order][left:right + 1]
+        count = np.cumsum(np.sum(psi ** 2, axis=0) * oracle.spacing)
+        passed = np.flatnonzero(count > n + 0.25)
+        if not len(passed):
+            return None
+        idx = passed[0]
+    elif oracle.boundary == "periodic":
         # periodic spectra pair +-n degenerate levels after the ground state
         idx = 0 if n == 0 else 2 * n - 1
     else:
@@ -355,7 +386,8 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
         else:
             e_n, j_n, t_n = start = solve(n, target, start)
 
-        oracle_e = _oracle_level(oracle, n, motion) if oracle is not None else None
+        oracle_e = (_oracle_level(oracle, n, motion, potential, e_n)
+                    if oracle is not None else None)
         rel = None
         if oracle_e is not None:
             rel = (e_n - oracle_e) / max(abs(oracle_e), 1e-300)

@@ -80,19 +80,16 @@ def _periodic_eigensolve(potential: Potential, hbar: float,
     m = potential.mass
     kin = hbar**2 / (m * h**2)
     v = np.asarray(potential.value(grid), dtype=float)
-    mat = diags(
-        [np.full(M - 1, -0.5 * kin), kin + v, np.full(M - 1, -0.5 * kin)],
-        offsets=[-1, 0, 1],
-        format="lil",
-    )
-    mat[0, M - 1] = -0.5 * kin
-    mat[M - 1, 0] = -0.5 * kin
+    off = np.full(M - 1, -0.5 * kin)
+    # the ring's two corner couplings are the diagonals at offsets -(M - 1) and M - 1
+    mat = diags([off[:1], off, kin + v, off, off[:1]], offsets=[1 - M, -1, 0, 1, M - 1],
+                format="csc")
     # shift-invert below the spectrum; a fixed-seed random start vector keeps
     # the solve deterministic and, unlike a constant one, has no parity, so
     # odd states of a symmetric box are not missed
     sigma = float(np.min(v)) - 1.0
     v0 = np.random.default_rng(0).standard_normal(M)
-    vals, vecs = eigsh(mat.tocsc(), k=k, sigma=sigma, which="LM", v0=v0)
+    vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0)
     order = np.argsort(vals)
     return grid, h, vals[order], vecs[:, order]
 

@@ -279,6 +279,29 @@ class TestQuantize:
         for lv in res.levels:
             assert abs(lv.relative_error) <= 1e-5
 
+    @pytest.mark.parametrize("box", [(0.0, 2.0 * math.pi), (-math.pi, math.pi)])
+    def test_oracle_pairing_of_librations_on_a_periodic_cell(self, box):
+        # the turning points lie around the landscape's minimum, q = -2 pi, outside
+        # both boxes, and the well sits at the first box's edge; either way level
+        # n pairs with state n
+        pot = Pendulum(amplitude=5.0)
+        sol = fd_eigensolve(pot, hbar=0.5, box=box, boundary="periodic", M=2048, k=5)
+        res = quantize(pot, range(4), hbar=0.5, oracle=sol)
+        assert [lv.oracle_energy for lv in res.levels] == list(sol.eigenvalues[:4])
+        for lv in res.levels:
+            assert abs(lv.relative_error) <= 4e-3
+
+    def test_oracle_pairing_of_librations_on_two_periodic_cells(self):
+        # two cells put each level's states in a band of two, one per Bloch
+        # phase, each half in either cell; level n pairs with a state of band n
+        pot = Pendulum(amplitude=5.0)
+        sol = fd_eigensolve(pot, hbar=0.5, box=(0.0, 4.0 * math.pi), boundary="periodic",
+                            M=2048, k=8)
+        res = quantize(pot, range(4), hbar=0.5, oracle=sol)
+        for lv in res.levels:
+            assert lv.oracle_energy in sol.eigenvalues[2 * lv.n:2 * lv.n + 2]
+            assert abs(lv.relative_error) <= 4e-3
+
     def test_oracle_running_out_of_levels(self):
         sol = fd_eigensolve(Harmonic(), M=1024, k=2)
         res = quantize(Harmonic(), [0, 5], oracle=sol)

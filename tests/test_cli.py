@@ -417,6 +417,41 @@ class TestQuantizeCommand:
             if row["n"] > 0:
                 assert abs(row["relative_error"]) < 1e-4
 
+    @pytest.mark.parametrize("levels, paired", [
+        ("0..2", [-2.1407878, -1.5829540, None]),
+        ("0..3", [-2.1407878, -1.5829540, -1.0594283, None]),
+    ])
+    def test_oracle_pairs_levels_by_well(self, run, levels, paired):
+        # the deep well's levels: the shallow well's ground state (-1.3165) lies
+        # between its levels 1 and 2 and must not be paired with level 2
+        code, out, err = run("quantize", "--potential",
+                             '{"family":"polynomial","coeffs":[0,0.3,-2,0,0.5]}',
+                             "--hbar", "0.2", "--levels", levels, "--oracle", "on")
+        assert code == 0, err
+        rows = json.loads(out)["levels"]
+        for row, e in zip(rows, paired, strict=True):
+            if e is None:
+                assert row["E_oracle"] is None and row["relative_error"] is None
+            else:
+                assert row["E_oracle"] == pytest.approx(e, abs=1e-6)
+                assert abs(row["relative_error"]) < 2e-3
+
+    def test_oracle_pairs_a_tunnelling_doublet_with_its_lower_state(self, run):
+        # each level of the symmetric double well splits into an even and an odd
+        # state, each half in either well; level n pairs with doublet n's lower
+        # state, and the four computed states hold doublets 0 and 1 only
+        code, out, err = run("quantize", "--potential",
+                             '{"family":"polynomial","coeffs":[0,0,-2,0,0.5]}',
+                             "--hbar", "0.2", "--levels", "0..3", "--oracle", "on")
+        assert code == 0, err
+        rows = json.loads(out)["levels"]
+        assert rows[0]["E_oracle"] == pytest.approx(-1.7223762, abs=1e-6)
+        assert rows[1]["E_oracle"] == pytest.approx(-1.1899472, abs=1e-6)
+        for row in rows[:2]:
+            assert abs(row["relative_error"]) < 2e-3
+        for row in rows[2:]:
+            assert row["E_oracle"] is None and row["relative_error"] is None
+
     def test_djde_column(self, run):
         code, out, _ = run("quantize", "--potential", HARMONIC, "--levels", "0..1",
                            "--djde", "on")

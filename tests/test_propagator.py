@@ -211,3 +211,105 @@ class TestSeededShooting:
         p = math.sqrt(2.0 * potential.mass * (E - float(potential.value(q_a))))
         traj = classical_trajectory(potential, q_a, q_a, T, 16000, v_start=p / potential.mass)
         assert classical_action(traj, potential) + E * T == pytest.approx(J, rel=1e-10)
+
+
+def _two_point_draw(rng, family, slices=(1024, 1280)):
+    """A random anharmonic two-point problem, up to t = 4, on a slice count in range."""
+    m = rng.uniform(0.5, 2.0)
+    if family == "quartic":
+        potential, ends = Quartic(m=m, lam=rng.uniform(0.5, 2.0)), rng.uniform(-1.5, 1.5, 2)
+    elif family == "morse":
+        potential = Morse(m=m, depth=rng.uniform(3.0, 15.0), width=rng.uniform(0.5, 1.5))
+        ends = rng.uniform(-0.5, 1.5, 2)
+    elif family == "pendulum":
+        potential, ends = Pendulum(m=m, amplitude=rng.uniform(1.0, 5.0)), rng.uniform(-2, 2, 2)
+    else:
+        potential = Polynomial(m=m, coeffs=(0.0, rng.uniform(-0.5, 0.5), -2.0, 0.0, 0.5))
+        ends = rng.uniform(-2.0, 2.0, 2)
+    return (potential, float(ends[0]), float(ends[1]), float(rng.uniform(0.1, 4.0)),
+            int(rng.integers(slices[0], slices[1] + 1)))
+
+
+def _shot(potential, q_a, q_b, t, N, **kwargs):
+    """(start velocity, None) of the path, or (None, the error's class)."""
+    try:
+        return float(classical_trajectory(potential, q_a, q_b, t, N, **kwargs).velocities[0]), None
+    except Exception as exc:  # the class is compared, whatever it is
+        return None, type(exc)
+
+
+class TestQuarterGridStage:
+    @pytest.mark.parametrize("slices", [(1024, 1280), (4, 1023)], ids=["staged", "small"])
+    def test_default_start_agrees_with_the_straight_line_start(self, slices):
+        # an explicit v_start skips the quarter-grid stage, so it reproduces
+        # the straight-line shooting; the stage may only change the work done
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for i in range(16):
+            potential, q_a, q_b, t, N = _two_point_draw(
+                rng, ("quartic", "morse", "pendulum", "double-well")[i % 4], slices)
+            staged, staged_error = _shot(potential, q_a, q_b, t, N)
+            line, line_error = _shot(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
+            assert staged_error is line_error
+            if line_error is None:
+                assert abs(staged - line) <= 1e-8 * abs(line)
+            outcomes.append(line_error)
+        # the sweep holds requests that solve and requests that fail
+        assert outcomes.count(None) not in (0, len(outcomes))
+
+    def test_small_grids_skip_the_stage(self):
+        # on 64 slices the quarter grid lands within its cap (6 passes), but at
+        # a velocity from which the full grid converges to another path than
+        # from the straight line; below _STAGE_MIN_SLICES the stage never runs
+        potential = Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5))
+        q_a, q_b, t, N = 0.5, 1.5, 4.0, 64
+        line = classical_trajectory(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
+        with np.errstate(all="ignore"):
+            _, stage_velocities = propagator._shoot(potential, q_a, q_b, t, N // 4,
+                                                    (q_b - q_a) / t, propagator._STAGE_CAP)
+        from_stage = classical_trajectory(potential, q_a, q_b, t, N, v_start=stage_velocities[0])
+        assert abs(from_stage.velocities[0] - line.velocities[0]) > 1.0
+        default = classical_trajectory(potential, q_a, q_b, t, N)
+        assert np.array_equal(default.positions, line.positions)
+        assert np.array_equal(default.velocities, line.velocities)
+
+    def test_stage_past_its_cap_is_dropped(self, monkeypatch):
+        potential = Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5))
+        q_a, q_b, t, N = -1.0, 1.0, 3.0, 1024
+        # left to run on, the quarter grid lands on another branch than the full grid
+        line = classical_trajectory(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
+        _, stage_velocities = propagator._shoot(potential, q_a, q_b, t, N // 4,
+                                                (q_b - q_a) / t, propagator.SHOOTING_CAP)
+        assert abs(stage_velocities[0] - line.velocities[0]) > 1.0
+        passes = []
+        rk4 = propagator._rk4
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
+        staged = classical_trajectory(potential, q_a, q_b, t, N)
+        assert passes.count(N // 4) == 8
+        assert np.array_equal(staged.positions, line.positions)
+        assert np.array_equal(staged.velocities, line.velocities)
+
+    @pytest.mark.parametrize("potential, q_a, q_b, t, slices", [
+        (*shooting, slices) for shooting, slices in zip(SHOOTINGS, ("2000,4000", "1400,2800",
+                                                                    "3000,6000"))
+    ], ids=["quartic", "morse", "pendulum"])
+    def test_propagate_takes_fewer_rk4_steps(self, potential, q_a, q_b, t, slices,
+                                             monkeypatch, capsys):
+        argv = ["propagate", "--potential", json.dumps(potential.to_json()), "--from", str(q_a),
+                "--to", str(q_b), "--time", repr(t), "--slices", slices]
+        steps = []
+        rk4 = propagator._rk4
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: steps.append(a[4]) or rk4(*a))
+        assert main(argv) == 0, capsys.readouterr().err
+        staged = sum(steps)
+
+        shoot = propagator.classical_trajectory
+
+        def from_the_line(potential, q_a, q_b, t, N, v_start=None):
+            return shoot(potential, q_a, q_b, t, N,
+                         v_start=(q_b - q_a) / t if v_start is None else v_start)
+
+        monkeypatch.setattr(propagator, "classical_trajectory", from_the_line)
+        steps.clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert staged <= 0.6 * sum(steps)

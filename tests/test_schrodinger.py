@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from phasekit import BoxError, CanonicalEnsemble, Harmonic, Morse, ResolutionError, Rotor
+import scipy.sparse.linalg
+
+from phasekit import (
+    BoxError,
+    CanonicalEnsemble,
+    Harmonic,
+    Morse,
+    Pendulum,
+    ResolutionError,
+    Rotor,
+)
 from phasekit.schrodinger import (
     default_box,
     fd_eigensolve,
@@ -93,6 +103,23 @@ class TestPeriodicSolve:
         sol = fd_eigensolve(Rotor(), boundary="periodic", M=4096, k=5)
         assert abs(sol.eigenvalues[1] - sol.eigenvalues[2]) <= 1e-8
         assert abs(sol.eigenvalues[3] - sol.eigenvalues[4]) <= 1e-8
+
+    def test_operator_is_the_dense_ring(self, monkeypatch):
+        # the sparse matrix handed to eigsh, against the ring built entry by entry
+        seen = []
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda mat, **kw: seen.append(mat) or eigsh(mat, **kw))
+        pot, M, hbar = Pendulum(m=1.3, amplitude=2.0), 64, 0.7
+        sol = fd_eigensolve(pot, hbar=hbar, box=(-math.pi, math.pi), boundary="periodic",
+                            M=M, k=3)
+        (mat,) = seen
+        assert mat.format == "csc"
+        kin = hbar**2 / (pot.mass * sol.spacing**2)
+        ring = np.diag(kin + pot.value(sol.grid))
+        for i in range(M):
+            ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = -0.5 * kin
+        assert np.array_equal(mat.toarray(), ring)
 
     def test_deterministic_repeat(self):
         a = fd_eigensolve(Rotor(), boundary="periodic", M=1024, k=3)
