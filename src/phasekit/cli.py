@@ -5,8 +5,8 @@ config file (--config), then explicit flags, rejecting unknown keys at each
 layer, and parses each option once into a typed value.  Output is
 deterministic: stable key order, floats printed with 17 significant digits,
 and the fully-resolved configuration echoed in every artifact so a run can be
-reproduced from its own output.  A runner returns its JSON body and its CSV
-sections; one emitter renders either format from them.
+reproduced from its own output.  A runner builds each table once and returns
+its JSON body and its CSV sections around it; one emitter renders either format.
 
 Exit codes: 0 success, 1 computation error, 2 validation error.  Errors are
 emitted as a JSON object on stderr.
@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -34,21 +35,38 @@ from .potentials import Stability, find_equilibria, potential_from_json
 # ---------------------------------------------------------------- formatting
 
 def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # canonicalize -0.0
-    return "%.17g" % x
+    return "%.17g" % (float(x) + 0.0)  # adding 0.0 turns -0.0 into 0.0
 
 
 def _cell(value) -> str:
-    """A scalar as one CSV cell, or as the value of a ``# key: value`` line."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+    """A scalar as one CSV cell, or as the value of a ``# key: value`` line: its JSON
+    text, except that None is empty and a string is not quoted."""
+    return "" if value is None else str(value) if isinstance(value, str) else _json(value)
+
+
+@dataclass(frozen=True)
+class Table:
+    """Rows of scalar cells: in JSON a list of objects with ``keys`` (of one-line
+    lists when ``keys`` is None), in CSV the ``header`` (default: the keys) and rows."""
+    keys: tuple | None
+    rows: list
+    header: tuple | None = None
+
+
+def _rows(rows: list, cell: Callable, keys, sep: str, open_: str, close: str) -> list[str]:
+    """Each row as ``open_``, its cells (each after its key) joined by ``sep``, ``close``:
+    one % on a template where an all-float column has a %.17g slot (-0.0 canonicalized
+    by adding 0.0) and any other column is rendered cell by cell."""
+    slots, columns = [], []
+    for column in zip(*rows):
+        if set(map(type, column)) == {float}:
+            slots.append("%.17g")
+            columns.append([x + 0.0 for x in column])
+        else:
+            slots.append("%s")
+            columns.append(list(map(cell, column)))
+    template = open_ + sep.join(k.replace("%", "%%") + s for k, s in zip(keys, slots)) + close
+    return [template % row for row in zip(*columns)]
 
 
 def _json(value, indent: int | None = None) -> str:
@@ -57,7 +75,15 @@ def _json(value, indent: int | None = None) -> str:
     Lists of scalars stay on one line in either form.
     """
     deeper = None if indent is None else indent + 1
-    if isinstance(value, dict):
+    if isinstance(value, Table):  # only in an indented body
+        brackets = "[]"
+        if value.keys is None:
+            items = _rows(value.rows, _json, repeat(""), ", ", "[", "]")
+        else:
+            lead = "\n" + "  " * deeper + "  "
+            items = _rows(value.rows, _json, [json.dumps(k) + ": " for k in value.keys],
+                          "," + lead, "{" + lead, lead[:-2] + "}")
+    elif isinstance(value, dict):
         brackets = "{}"
         items = [f"{json.dumps(str(k))}: {_json(v, deeper)}" for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
@@ -89,21 +115,17 @@ def _comment(value) -> str:
 def _emit(subcommand: str, echo: dict, body: dict, sections: list, fmt: str) -> str:
     """The artifact: ``{"config": echo, **body}`` as JSON, or the CSV sections.
 
-    A section is (comments, header, rows); comments with a None value are left
-    out of the CSV.
+    A section is (comments, table); comments with a None value are left out of
+    the CSV.  The body holds the same tables.
     """
     if fmt == "json":
         return _json({"config": echo, **body}, indent=0) + "\n"
     lines = [f"# phasekit {subcommand}", f"# config: {_json(echo)}"]
-    for comments, header, rows in sections:
+    for comments, table in sections:
         lines += [f"# {k}: {_comment(v)}" for k, v in comments.items() if v is not None]
-        lines.append(",".join(header))
-        lines += [",".join(map(_cell, row)) for row in rows]
+        lines.append(",".join(table.header or table.keys))
+        lines += _rows(table.rows, _cell, repeat(""), ",", "", "")
     return "\n".join(lines) + "\n"
-
-
-def _table(rows: list[dict], columns) -> list[list]:
-    return [[row[c] for c in columns] for row in rows]
 
 
 # ------------------------------------------------------------------- parsing
@@ -387,26 +409,23 @@ def _run_wigner(opts: dict):
             wigner.characteristic_closed_form(ens, pot, grid, deltas),
             wigner.pde_residual(ens, pot, grid, deltas),
             wigner.product_form_characteristic(ens, pot, grid, deltas))
-        rows = [dict(zip(columns, point))
-                for point in zip(*(v.ravel().tolist() for v in values))]
-        blocks.append({"potential": pot.to_json(), "rows": rows})
-        sections.append(({"potential": pot.to_json() if len(potentials) > 1 else None},
-                         header, _table(rows, columns)))
+        table = Table(columns, np.column_stack([v.ravel() for v in values]).tolist(), header)
+        blocks.append({"potential": pot.to_json(), "rows": table})
+        sections.append(({"potential": pot.to_json() if len(potentials) > 1 else None}, table))
     return {"blocks": blocks}, sections
 
 
 def _run_equilibrium(opts: dict):
     potential = opts["potential"]
-    reports = []
+    rows = []
     # --window is the user's own query, so it is scanned as given, not via the landscape
     for pt in find_equilibria(potential, opts["window"]):
         if pt.stability is not Stability.MINIMUM:
             continue
         rep = thermo.matching_temperature(potential, pt, hbar=opts["hbar"], k_B=opts["kB"])
-        reports.append({"q0": rep.q0, "curvature": rep.curvature,
-                        "beta_matched": rep.matched_beta, "T_matched": rep.matched_temperature})
-    columns = ("q0", "curvature", "beta_matched", "T_matched")
-    return {"reports": reports}, [({}, columns, _table(reports, columns))]
+        rows.append((rep.q0, rep.curvature, rep.matched_beta, rep.matched_temperature))
+    table = Table(("q0", "curvature", "beta_matched", "T_matched"), rows)
+    return {"reports": table}, [({}, table)]
 
 
 def _run_thermo(opts: dict):
@@ -424,15 +443,10 @@ def _run_thermo(opts: dict):
                    "T_matched": rep.matched_temperature, "E": energy,
                    "residual_max": float(np.max(np.abs(residuals)))}
 
-    rows = [
-        {"q": float(profile.q[i]), "V": float(profile.potential[i]),
-         "psi_sq": float(profile.psi_sq[i]), "S": float(profile.entropy[i]),
-         "F_G": float(profile.free_energy[i])}
-        for i in range(len(profile.q))
-    ]
-    columns = ("q", "V", "psi_sq", "S", "F_G")
-    return ({"summary": summary, "rows": rows},
-            [({"summary": summary}, columns, _table(rows, columns))])
+    table = Table(("q", "V", "psi_sq", "S", "F_G"), np.column_stack(
+        [profile.q, profile.potential, profile.psi_sq, profile.entropy, profile.free_energy]
+    ).tolist())
+    return {"summary": summary, "rows": table}, [({"summary": summary}, table)]
 
 
 def _run_quantize(opts: dict):
@@ -456,17 +470,12 @@ def _run_quantize(opts: dict):
                                            boundary="periodic" if periodic else "dirichlet")
 
     result = bs.quantize(potential, levels, hbar=hbar, motion=motion, oracle=oracle)
-    rows = [{"n": lv.n, "E_bs": lv.energy, "E_oracle": lv.oracle_energy,
-             "relative_error": lv.relative_error} for lv in result.levels]
-    columns = ["n", "E_bs", "E_oracle", "relative_error"]
-    if opts["djde"] == "on":
-        for row, lv in zip(rows, result.levels):
-            row["J"] = lv.action
-            row["dJ_dE"] = lv.period
-        columns += ["J", "dJ_dE"]
+    djde = opts["djde"] == "on"  # adds the J and dJ_dE columns
+    table = Table(("n", "E_bs", "E_oracle", "relative_error") + ("J", "dJ_dE") * djde,
+                  [(lv.n, lv.energy, lv.oracle_energy, lv.relative_error)
+                   + (lv.action, lv.period) * djde for lv in result.levels])
     motion_kind = result.motion.kind.value
-    return ({"motion": motion_kind, "levels": rows},
-            [({"motion": motion_kind}, columns, _table(rows, columns))])
+    return {"motion": motion_kind, "levels": table}, [({"motion": motion_kind}, table)]
 
 
 def _run_propagate(opts: dict):
@@ -474,17 +483,16 @@ def _run_propagate(opts: dict):
     q_a, q_b, t = opts["from"], opts["to"], opts["time"]
     limit = prop.kernel_phase(potential, q_a, q_b, t, E=opts["energy"], hbar=hbar,
                               N=max(max(slice_counts), 4096))
-    table = []
+    rows = []
     for n in slice_counts:
         # seeded on the limit's branch, a slice count's shooting starts converged
         traj = prop.classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
         ph = prop.sliced_phase(traj, potential, limit.energy, hbar=hbar)
-        table.append({"N": n, "sliced_phase": ph.total_phase,
-                      "error": abs(ph.total_phase - limit.total_phase)})
+        rows.append((n, ph.total_phase, abs(ph.total_phase - limit.total_phase)))
     summary = {"S_cl": limit.S_cl, "E": limit.energy, "total_phase": limit.total_phase,
                "prefactor_log": limit.prefactor_log}
-    columns = ("N", "sliced_phase", "error")
-    return {**summary, "convergence": table}, [(summary, columns, _table(table, columns))]
+    table = Table(("N", "sliced_phase", "error"), rows)
+    return {**summary, "convergence": table}, [(summary, table)]
 
 
 def _check_level_count(k: int, M: int) -> None:
@@ -516,14 +524,13 @@ def _run_oracle(opts: dict):
 
     if opts["eigenvectors"] == "on":
         vectors = solution.eigenvectors
-        body["eigenvectors"] = [[float(x) for x in vectors[:, j]]
-                                for j in range(vectors.shape[1])]
+        body["eigenvectors"] = Table(None, vectors.T.tolist())
         comments["eigenvalues"] = eigenvalues
-        header = ["q"] + [f"psi_{j}" for j in range(k)]
-        rows = [[solution.grid[i], *vectors[i, :k]] for i in range(len(solution.grid))]
+        table = Table(("q", *(f"psi_{j}" for j in range(k))),
+                      np.column_stack([solution.grid, vectors[:, :k]]).tolist())
     else:
-        header, rows = ("level", "E"), list(enumerate(eigenvalues))
-    return body, [(comments, header, rows)]
+        table = Table(("level", "E"), list(enumerate(eigenvalues)))
+    return body, [(comments, table)]
 
 
 _RUNNERS = {

@@ -22,6 +22,10 @@ from .potentials import Harmonic, Polynomial, Potential, Rotor
 #: boundary-value residual |q(t_b) - q_b| accepted by the shooting solver
 SHOOTING_TOL = 1e-10
 SHOOTING_CAP = 100
+#: a shooting gives up after this many passes in a row without a new best residual; of
+#: 1,200 random requests (quartic, Morse, pendulum, double well; t 0.1 to 4; N 1024 to
+#: 8000), none that converged went 60 passes without one
+SHOOTING_STALL = 64
 #: the quarter-grid stage runs on shootings of at least this many slices,
 #: for at most this many passes.  On coarser grids the quarter grid's own
 #: error can steer the secant to another path.  In seeded sweeps of random
@@ -165,14 +169,18 @@ def classical_trajectory(potential: Potential, q_a: float, q_b: float,
 
 def _shoot(potential: Potential, q_a: float, q_b: float, t: float, N: int,
            v: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 path (qs, vs) of the first secant pass on the start velocity, from v,
-    that ends within SHOOTING_TOL of q_b; TrajectoryError after cap passes."""
+    """RK4 path (qs, vs) of the first secant pass on v that ends within SHOOTING_TOL of
+    q_b; TrajectoryError after cap passes, or SHOOTING_STALL without a new best residual."""
     v_prev = r_prev = None
-    for _ in range(cap):
+    best, stall = math.inf, 0
+    for passes in range(1, cap + 1):
         qs, vs = _rk4(potential, q_a, v, t, N)
         r = qs[-1] - q_b
         if abs(r) <= SHOOTING_TOL:
             return qs, vs
+        best, stall = (abs(r), 0) if abs(r) < best else (best, stall + 1)
+        if stall == SHOOTING_STALL:
+            break
         if r_prev is None:  # the first pass: step aside to start the secant
             v_prev, r_prev, v = v, r, v + max(1e-3, 1e-3 * abs(v))
         elif r == r_prev:
@@ -180,7 +188,7 @@ def _shoot(potential: Potential, q_a: float, q_b: float, t: float, N: int,
         else:
             v_prev, r_prev, v = v, r, v - r * (v - v_prev) / (r - r_prev)
     raise TrajectoryError(
-        f"shooting failed to hit q_b={q_b:g} within {cap} iterations "
+        f"shooting failed to hit q_b={q_b:g} within {passes} iterations "
         f"(last residual {r:.3e})"
     )
 

@@ -4,7 +4,8 @@ Each config's standard output must also match, byte for byte, the recorded
 output in ``tests/golden/<config>.<format>``, in the format the config names
 and in the other one: a refactor that moves a printed digit, in either
 format, shows up here.  Regenerate a golden only for a change that is meant
-to move the numbers, and say why in the change log.
+to move the numbers, and say why in the change log.  ``tests/golden/commands``
+pins, the same way, commands whose tables no shipped config prints.
 """
 
 import json
@@ -53,3 +54,29 @@ def test_config_output_matches_its_golden(path, fmt, capsys):
     out, _ = capsys.readouterr()
     golden = (GOLDEN_DIR / f"{path.stem}.{fmt}").read_text(encoding="utf-8")
     assert out == golden
+
+
+TILTED = '{"family": "polynomial", "coeffs": [0, 0.3, -2, 0, 0.5]}'
+HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
+
+#: golden stem -> (argv, formats pinned)
+COMMANDS = {
+    # two minima, then a window that holds none: an empty table
+    "equilibrium-tilted": (["equilibrium", "--potential", TILTED], ("json", "csv")),
+    "equilibrium-empty": (["equilibrium", "--potential", TILTED, "--window", "3:5"],
+                          ("json", "csv")),
+    "oracle-eigenvectors": (["oracle", "--potential", HARMONIC, "--levels", "2",
+                             "--grid-size", "256", "--box", "-6:6", "--eigenvectors", "on"],
+                            ("json", "csv")),
+    # level 2 has no oracle state in its well: null cells in a float column
+    "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",
+                              "--levels", "0..2", "--oracle", "on"], ("json",)),
+}
+
+
+@pytest.mark.parametrize("stem, fmt", [(stem, fmt) for stem, (_, fmts) in COMMANDS.items()
+                                       for fmt in fmts])
+def test_command_output_matches_its_golden(stem, fmt, capsys):
+    assert main([*COMMANDS[stem][0], "--format", fmt]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (GOLDEN_DIR / "commands" / f"{stem}.{fmt}").read_text(encoding="utf-8")

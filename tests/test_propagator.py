@@ -313,3 +313,25 @@ class TestQuarterGridStage:
         steps.clear()
         assert main(argv) == 0, capsys.readouterr().err
         assert staged <= 0.6 * sum(steps)
+
+
+class TestUnreachableEndpoint:
+    def test_shooting_stops_once_its_best_residual_stalls(self, monkeypatch):
+        # Morse paths from 0.5 in t = 2 end no lower than about -0.244, so -0.25
+        # is out of reach; on 256 slices the secant's best residual (5.69e-3)
+        # comes at pass 16 and no later pass beats it
+        residuals = []
+        rk4 = propagator._rk4
+
+        def traced(*args):
+            qs, vs = rk4(*args)
+            residuals.append(abs(qs[-1] + 0.25))
+            return qs, vs
+
+        monkeypatch.setattr(propagator, "_rk4", traced)
+        with pytest.raises(propagator.TrajectoryError, match=r"^shooting failed to hit "
+                           r"q_b=-0.25 within 80 iterations \(last residual \d\.\d{3}e-0\d\)$"):
+            classical_trajectory(Morse(depth=10.0, width=1.0), 0.5, -0.25, 2.0, 256)
+        best = residuals.index(min(residuals)) + 1
+        assert best == 16 and len(residuals) == best + propagator.SHOOTING_STALL
+        assert len(residuals) < propagator.SHOOTING_CAP

@@ -1,0 +1,140 @@
+"""The table renderer gives the text of the per-cell renderer it replaced.
+
+``_ref_fmt``, ``_ref_cell`` and ``_ref_json`` are the per-cell renderer
+that printed every CLI table before tables were rendered a row template at a
+time: one call per cell and one ``json.dumps`` per key.  They are kept here,
+unchanged, as the reference.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phasekit.cli import Table, _emit, _json
+
+
+def _ref_fmt(x: float) -> str:
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # canonicalize -0.0
+    return "%.17g" % x
+
+
+def _ref_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _ref_fmt(value)
+    return str(value)
+
+
+def _ref_json(value, indent=None) -> str:
+    deeper = None if indent is None else indent + 1
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(str(k))}: {_ref_json(v, deeper)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_ref_json(v, deeper) for v in value]
+        if not any(isinstance(v, (dict, list, tuple)) for v in value):
+            indent = None
+    elif isinstance(value, float):
+        return _ref_fmt(value)
+    else:
+        return json.dumps(value)
+    if indent is None or not items:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "  " * indent
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _ref_rows(table: Table) -> list:
+    """The table as the per-point objects (or lists) the JSON body used to hold."""
+    if table.keys is None:
+        return [list(row) for row in table.rows]
+    return [dict(zip(table.keys, row)) for row in table.rows]
+
+
+def _ref_csv(table: Table) -> list[str]:
+    return [",".join(table.header or table.keys)] + [",".join(map(_ref_cell, r))
+                                                     for r in table.rows]
+
+
+#: -0.0, zeros, subnormals, the ends of the range, integral floats (printed
+#: without a point) and floats that round-trip only at 17 digits
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -1.0, 2.0, 1e16, 2.0**53 + 2.0, 0.1, 0.1 + 0.2,
+               1.0 / 3.0, -2.0 / 3.0, math.pi, math.inf, -math.inf, math.nan)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+CELLS = st.one_of(FLOATS, st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+                  st.floats().map(np.float64))
+#: a table sits at indent 1 (top of the body) or 3 (in a list of blocks)
+INDENTS = (0, 1, 2, 3)
+
+
+@st.composite
+def tables(draw, keyed=True):
+    """A table of 0 to 4 rows whose columns are all-float or mixed."""
+    ncols = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from((FLOATS, CELLS)), min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=4))
+    if not keyed:
+        return Table(None, [list(row) for row in rows])
+    # keys hold the characters a row template must escape
+    keys = draw(st.lists(st.text(alphabet='ab%"\\s ,', max_size=4), min_size=ncols,
+                         max_size=ncols, unique=True))
+    header = draw(st.none() | st.just(tuple(k.upper() for k in keys)))
+    return Table(tuple(keys), rows, header)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.sampled_from(INDENTS))
+def test_keyed_table_json_matches_the_per_cell_renderer(table, indent):
+    assert _json(table, indent) == _ref_json(_ref_rows(table), indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(keyed=False), st.sampled_from(INDENTS))
+def test_unkeyed_table_json_matches_the_per_cell_renderer(table, indent):
+    assert _json(table, indent) == _ref_json(_ref_rows(table), indent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_table_csv_matches_the_per_cell_renderer(table):
+    comments = {"summary": {"E": -0.0}, "box": (-6.0, 6.0), "skipped": None}
+    expected = ["# phasekit t", "# config: {}", '# summary: {"E": 0}', "# box: -6:6",
+                *_ref_csv(table)]
+    assert _emit("t", {}, {}, [(comments, table)], "csv") == "\n".join(expected) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), tables(keyed=False), st.sampled_from(("json", "csv")))
+def test_artifacts_match_at_every_table_depth(rows, vectors, fmt):
+    # a table at the top of the body (indent 1), in a list of blocks (indent
+    # 3) and as one-line lists of floats, as the runners place them
+    body = {"blocks": [{"potential": {"m": 1.0}, "rows": rows}], "rows": rows,
+            "eigenvectors": vectors}
+    sections = [({"potential": {"m": 1.0}}, rows), ({}, Table(("x",), []))]
+    if fmt == "json":
+        ref_body = {"blocks": [{"potential": {"m": 1.0}, "rows": _ref_rows(rows)}],
+                    "rows": _ref_rows(rows), "eigenvectors": _ref_rows(vectors)}
+        expected = _ref_json({"config": {"a": -0.0}, **ref_body}, indent=0) + "\n"
+    else:
+        expected = "\n".join(["# phasekit t", '# config: {"a": 0}', '# potential: {"m": 1}',
+                              *_ref_csv(rows), "x"]) + "\n"
+    assert _emit("t", {"a": -0.0}, body, sections, fmt) == expected
+
+
+def test_edge_floats_in_a_float_column():
+    table = Table(("m",), [(x,) for x in EDGE_FLOATS])
+    assert set(map(type, (x for (x,) in table.rows))) == {float}  # the %.17g slot path
+    text = _json(table, 1)
+    assert text == _ref_json(_ref_rows(table), 1)
+    assert '"m": 0\n' in text and '"m": 1\n' in text and '"m": 0.30000000000000004\n' in text
+    assert "-0" not in text.replace("-0.6", "")
