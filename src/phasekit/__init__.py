@@ -5,7 +5,7 @@ matching, action quantization, sliced propagator phases, and an
 independent finite-difference eigenvalue oracle, all for 1D potentials.
 """
 
-from .ensemble import CanonicalEnsemble, beta_for_temperature, ensemble_from_json
+from .ensemble import CanonicalEnsemble, ensemble_from_json
 from .errors import (
     AccuracyError,
     BoxError,
@@ -59,7 +59,6 @@ __all__ = [
     "SeparatrixError",
     "Stability",
     "TrajectoryError",
-    "beta_for_temperature",
     "ensemble_from_json",
     "find_equilibria",
     "potential_from_json",

@@ -21,7 +21,7 @@ from .errors import (
     ForbiddenRegionError,
     SeparatrixError,
 )
-from .potentials import Potential
+from .potentials import Potential, _solve
 from .schrodinger import EigenSolution
 
 #: |E - crest| below this (relative) is treated as a separatrix energy
@@ -31,11 +31,6 @@ SEPARATRIX_TOL = 1e-9
 class MotionKind(enum.Enum):
     LIBRATION = "libration"
     ROTATION = "rotation"
-
-
-@dataclass(frozen=True)
-class MotionClass:
-    kind: MotionKind
 
 
 @dataclass(frozen=True)
@@ -59,34 +54,13 @@ class SpectrumLevel:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    motion: MotionClass
+    motion: MotionKind
     levels: tuple
 
 
 def _cross(potential: Potential, E: float, inside: float, outside: float) -> float:
-    """Solve V(q) = E between an allowed point (V <= E) and a forbidden one (V > E).
-
-    Safeguarded Newton on V - E with the analytic V' (rtsafe): each evaluation
-    moves the bracket end on its side; a step that leaves the bracket, or is
-    longer than half the step before last, bisects instead.
-    """
-    q = 0.5 * (inside + outside)
-    step = step_old = abs(outside - inside)
-    for _ in range(200):
-        f = float(potential.value(q)) - E
-        if f == 0.0:
-            return q
-        inside, outside = (q, outside) if f < 0.0 else (inside, q)
-        slope = float(potential.derivative(q))
-        newton = f / slope if slope != 0.0 else math.inf
-        nxt = q - newton
-        if not min(inside, outside) < nxt < max(inside, outside) or abs(newton) > 0.5 * step_old:
-            nxt = 0.5 * (inside + outside)
-        step_old, step = step, abs(nxt - q)
-        if step <= 1e-15 * max(1.0, abs(nxt)):
-            return nxt
-        q = nxt
-    return q
+    """Solve V(q) = E between an allowed point (V <= E) and a forbidden one (V > E)."""
+    return _solve(potential.value, potential.derivative, E, inside, outside)
 
 
 def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
@@ -137,7 +111,7 @@ def turning_points(potential: Potential, E: float) -> tuple[float, float] | None
     return (a, b)
 
 
-def classify_motion(potential: Potential, E: float) -> MotionClass:
+def classify_motion(potential: Potential, E: float) -> MotionKind:
     """Libration when turning points exist; rotation above a periodic crest."""
     if potential.period is not None:
         crest, v_min = potential.landscape.crest, potential.landscape.v_min
@@ -147,12 +121,12 @@ def classify_motion(potential: Potential, E: float) -> MotionClass:
             )
         if E >= crest:
             # a flat periodic potential has no crest to cross: all E rotate
-            return MotionClass(kind=MotionKind.ROTATION)
+            return MotionKind.ROTATION
     pair = turning_points(potential, E)
     if pair is not None:
-        return MotionClass(kind=MotionKind.LIBRATION)
+        return MotionKind.LIBRATION
     if potential.period is not None:
-        return MotionClass(kind=MotionKind.ROTATION)
+        return MotionKind.ROTATION
     raise ForbiddenRegionError(
         f"E={E:g} gives unbounded non-periodic motion; no closed orbit to quantize"
     )
@@ -163,7 +137,7 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
+def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
                     order: int) -> tuple[float, float, float | None]:
     """J(E) at `order` and `2 order`, and the period T(E) at `2 order`, on one orbit.
 
@@ -173,7 +147,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
     T is None where the orbit is the bottom of the well.
     """
     m = potential.mass
-    libration = motion.kind is MotionKind.LIBRATION
+    libration = motion is MotionKind.LIBRATION
     if libration:
         pair = turning_points(potential, E)
         if pair is None:
@@ -201,7 +175,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionClass,
 
 
 def action(potential: Potential, E: float,
-           motion: MotionClass | None = None,
+           motion: MotionKind | None = None,
            order: int = 128) -> ActionProfile:
     """Loop action J(E) = closed integral of p dq over one period.
 
@@ -224,14 +198,14 @@ def action(potential: Potential, E: float,
     return ActionProfile(energy=E, action=j, dJ_dE=period)
 
 
-def _target_action(n: int, motion: MotionClass, hbar: float) -> float:
+def _target_action(n: int, motion: MotionKind, hbar: float) -> float:
     h = 2.0 * math.pi * hbar
-    if motion.kind is MotionKind.LIBRATION:
+    if motion is MotionKind.LIBRATION:
         return (n + 0.5) * h
     return n * h
 
 
-def _oracle_level(oracle: EigenSolution, n: int, motion: MotionClass,
+def _oracle_level(oracle: EigenSolution, n: int, motion: MotionKind,
                   potential: Potential, E: float) -> float | None:
     """The oracle energy paired with level n at energy E, or None.
 
@@ -241,7 +215,7 @@ def _oracle_level(oracle: EigenSolution, n: int, motion: MotionClass,
     state of a tunnelling pair split over two mirror wells a half.  Level n
     pairs with the state at which the count first exceeds n + 1/4.
     """
-    if motion.kind is MotionKind.LIBRATION:
+    if motion is MotionKind.LIBRATION:
         a, b = turning_points(potential, E)
         q, order = oracle.grid, slice(None)
         if oracle.boundary == "periodic":  # the grid's image in a cell centred on the well
@@ -274,7 +248,7 @@ def _oracle_level(oracle: EigenSolution, n: int, motion: MotionClass,
 
 
 def quantize(potential: Potential, n_range, hbar: float = 1.0,
-             motion: MotionClass | None = None,
+             motion: MotionKind | None = None,
              oracle: EigenSolution | None = None,
              order: int = 128) -> SpectrumResult:
     """Solve J(E) = target(n) for each requested level by safeguarded Newton steps.
@@ -303,14 +277,14 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
         probe = land.crest + 1.0 if potential.periodic_coordinate else land.v_min + 1e-3
         motion = classify_motion(potential, probe)
 
-    e_lo = land.v_min if motion.kind is MotionKind.LIBRATION else land.crest
+    e_lo = land.v_min if motion is MotionKind.LIBRATION else land.crest
     if e_lo is None:
         raise ValueError("rotation quantization needs a periodic potential")
 
     tol_j = 1e-10 * 2.0 * math.pi * hbar
     # loop action at the bottom of the band; taken without the accuracy
     # gate because a crest kink slows the quadrature there
-    j_floor = (0.0 if motion.kind is MotionKind.LIBRATION
+    j_floor = (0.0 if motion is MotionKind.LIBRATION
                else _loop_integrals(potential, e_lo, motion, 256)[1])
 
     def solve(n: int, target: float, start: tuple | None) -> tuple[float, float, float]:

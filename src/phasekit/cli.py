@@ -438,7 +438,7 @@ def _run_thermo(opts: dict):
         rep = thermo.matching_temperature(potential, best, hbar=ens.hbar, k_B=ens.k_B)
         energy = thermo.equilibrium_energy(potential, best, rep.matched_temperature,
                                            k_B=ens.k_B)
-        residuals = thermo.schrodinger_residual(potential, ens, qs, q0=best.q0)
+        residuals = thermo.schrodinger_residual(potential, ens, qs)
         summary = {"q0": rep.q0, "beta_matched": rep.matched_beta,
                    "T_matched": rep.matched_temperature, "E": energy,
                    "residual_max": float(np.max(np.abs(residuals)))}
@@ -451,14 +451,9 @@ def _run_thermo(opts: dict):
 
 def _run_quantize(opts: dict):
     potential, hbar, levels = opts["potential"], opts["hbar"], opts["levels"]
-    motion = None
-    if opts["class"] == "libration":
-        motion = bs.MotionClass(kind=bs.MotionKind.LIBRATION)
-    elif opts["class"] == "rotation":
-        if potential.period is None:
-            raise ConfigError("rotation quantization needs a periodic potential",
-                              field="class")
-        motion = bs.MotionClass(kind=bs.MotionKind.ROTATION)
+    motion = None if opts["class"] == "auto" else bs.MotionKind(opts["class"])
+    if motion is bs.MotionKind.ROTATION and potential.period is None:
+        raise ConfigError("rotation quantization needs a periodic potential", field="class")
 
     oracle = None
     if opts["oracle"] == "on":
@@ -474,7 +469,7 @@ def _run_quantize(opts: dict):
     table = Table(("n", "E_bs", "E_oracle", "relative_error") + ("J", "dJ_dE") * djde,
                   [(lv.n, lv.energy, lv.oracle_energy, lv.relative_error)
                    + (lv.action, lv.period) * djde for lv in result.levels])
-    motion_kind = result.motion.kind.value
+    motion_kind = result.motion.value
     return {"motion": motion_kind, "levels": table}, [({"motion": motion_kind}, table)]
 
 

@@ -46,10 +46,3 @@ def ensemble_from_json(obj: dict) -> CanonicalEnsemble:
     except (TypeError, ValueError):
         raise ValueError("ensemble fields must be numbers")
     return CanonicalEnsemble(**kwargs)
-
-
-def beta_for_temperature(T: float, k_B: float = 1.0) -> float:
-    """Invert T = 1 / (2 beta k_B)."""
-    if T <= 0:
-        raise ValueError("temperature must be positive")
-    return 1.0 / (2.0 * T * k_B)

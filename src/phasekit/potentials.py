@@ -14,6 +14,7 @@ differently from the array loop.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -271,18 +272,34 @@ def _classify(curvature: float) -> Stability:
     return Stability.MINIMUM if curvature > 0 else Stability.MAXIMUM
 
 
-def _bisect_derivative(potential: Potential, lo: float, hi: float, tol: float) -> float:
-    flo = float(potential.derivative(lo))
+def _solve(f, slope, level: float, below: float, above: float) -> float:
+    """Solve f(q) = level between `below` (f < level) and `above` (f > level).
+
+    Safeguarded Newton with the analytic slope (rtsafe, Numerical Recipes
+    9.4): each evaluation moves the bracket end on its side; a step that
+    leaves the bracket, or is longer than half the step before last, bisects
+    instead.  Stops at an exact hit, once the Newton step is at most
+    1e-15 max(1, |q|), or once a bisection step is that short.
+    """
+    q = 0.5 * (below + above)
+    step = step_old = abs(above - below)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = float(potential.derivative(mid))
-        if abs(fmid) <= tol or (hi - lo) < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if (flo < 0) == (fmid < 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        g = float(f(q)) - level
+        if g == 0.0:
+            return q
+        below, above = (q, above) if g < 0.0 else (below, q)
+        d = float(slope(q))
+        newton = g / d if d != 0.0 else math.inf
+        nxt = q - newton
+        if abs(newton) <= 1e-15 * max(1.0, abs(q)):
+            return nxt  # checked before the bracket: this step may round onto an end
+        if not min(below, above) < nxt < max(below, above) or abs(newton) > 0.5 * step_old:
+            nxt = 0.5 * (below + above)
+        step_old, step = step, abs(nxt - q)
+        if step <= 1e-15 * max(1.0, abs(nxt)):
+            return nxt
+        q = nxt
+    return q
 
 
 def find_equilibria(
@@ -291,7 +308,7 @@ def find_equilibria(
     tolerance: float = 1e-12,
     subintervals: int = 2048,
 ) -> list[EquilibriumPoint]:
-    """Locate all roots of V' on a finite interval by bracketing + bisection.
+    """Locate all roots of V' on a finite interval: bracket on a grid, polish by `_solve`.
 
     Returns points sorted by position.  An interval with no sign change of
     V' and no isolated near-zero touch yields an empty list.  Potentials
@@ -313,9 +330,15 @@ def find_equilibria(
         return []  # flat gradient: a continuum, not isolated equilibria
 
     brackets = np.append(dv[:-1] * dv[1:] < 0.0, False)
-    roots = [float(grid[i]) if dv[i] == 0.0
-             else _bisect_derivative(potential, grid[i], grid[i + 1], tolerance)
-             for i in np.nonzero((dv == 0.0) | brackets)[0]]
+    roots = []
+    for i in np.nonzero((dv == 0.0) | brackets)[0]:
+        if dv[i] == 0.0:
+            roots.append(float(grid[i]))
+        else:  # V' < 0 at one end of the bracket and > 0 at the other
+            ends = (float(grid[i]), float(grid[i + 1]))
+            below, above = ends if dv[i] < 0.0 else ends[::-1]
+            roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
+                                below, above))
 
     # isolated touches of zero without a sign change (e.g. V' = q^2)
     for i in np.nonzero(np.abs(dv) <= tolerance)[0]:

@@ -214,10 +214,8 @@ def loop_action(traj: Trajectory) -> float:
 
 
 def sliced_phase(traj: Trajectory, potential: Potential, E: float,
-                 hbar: float = 1.0, N: int | None = None) -> KernelPhase:
+                 hbar: float = 1.0) -> KernelPhase:
     """Left-endpoint Riemann sum of (L - E) dt / hbar over the slice chain."""
-    if N is not None and N != traj.slices:
-        raise ValueError(f"trajectory carries {traj.slices} slices, not {N}")
     n = traj.slices
     dt = traj.duration / n
     lag = _lagrangian(traj, potential)

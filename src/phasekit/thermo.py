@@ -41,22 +41,19 @@ class ThermoProfile:
 
 
 def matching_temperature(potential: Potential, point: EquilibriumPoint,
-                         m: float | None = None, hbar: float = 1.0,
-                         k_B: float = 1.0) -> MatchingReport:
+                         hbar: float = 1.0, k_B: float = 1.0) -> MatchingReport:
     """Width-matching inverse temperature at a stable equilibrium.
 
     Requires positive curvature; maxima and degenerate points admit no
-    real matched temperature.  The potential's own mass is used unless an
-    explicit m overrides it.
+    real matched temperature.
     """
-    mass = potential.mass if m is None else m
     curvature = float(point.curvature)
     if curvature <= 0.0:
         raise NoRealTemperatureError(
             f"curvature {curvature:g} at q0={point.q0:g} is not positive; "
             "no real matched temperature exists"
         )
-    beta = math.sqrt(mass / curvature) / hbar
+    beta = math.sqrt(potential.mass / curvature) / hbar
     return MatchingReport(
         q0=point.q0,
         matched_beta=beta,
@@ -91,15 +88,13 @@ def equilibrium_energy(potentials: Potential | Sequence[Potential],
     return v0 + n_dof * k_B * T
 
 
-def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q,
-                         q0: float | None = None):
+def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q):
     """Stationarity defect of the amplitude e^{-beta V} under the Hamiltonian.
 
     Evaluates (beta hbar^2 / 2m) V'' + V - (beta^2 hbar^2 / 2m) (V')^2
-    minus the equilibrium energy at the matched temperature, taken at q0
-    or, by default, at the potential's global minimum.  Quadratic
-    potentials at matched beta cancel exactly for every q; other shapes
-    leave a q-dependent residual.
+    minus the equilibrium energy at the matched temperature, taken at the
+    potential's global minimum.  Quadratic potentials at matched beta
+    cancel exactly for every q; other shapes leave a q-dependent residual.
     """
     m = potential.mass
     beta, hbar = ens.beta, ens.hbar
@@ -109,7 +104,7 @@ def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q,
     d2v = np.asarray(potential.second_derivative(qa), dtype=float)
     lhs = (beta * hbar**2 / (2.0 * m)) * d2v + v - (beta**2 * hbar**2 / (2.0 * m)) * dv**2
 
-    q0 = potential.landscape.minimum.q0 if q0 is None else q0
+    q0 = potential.landscape.minimum.q0
     v0 = float(potential.value(q0))
     curvature = max(float(potential.second_derivative(q0)), 0.0)
     e_ref = v0 + 0.5 * hbar * math.sqrt(curvature / m)

@@ -47,16 +47,6 @@ QUADRATURE_ORDER = 48
 #: relative difference of the two momentum sums above which the quadrature raises
 QUADRATURE_TOLERANCE = 1e-10
 
-#: displacements larger than this multiple of sqrt(beta hbar^2 / m) are no
-#: longer "infinitesimal" for the second-order expansions
-INFINITESIMAL_FACTOR = 0.2
-
-
-def infinitesimal_scale(ens: CanonicalEnsemble, mass: float) -> float:
-    """Largest displacement still treated as infinitesimal."""
-    return INFINITESIMAL_FACTOR * math.sqrt(ens.beta * ens.hbar**2 / mass)
-
-
 def normalization_box(potential: Potential, ens: CanonicalEnsemble) -> tuple[float, float]:
     """Finite interval on which exp(-2 beta V) integrates to the normalizer.
 

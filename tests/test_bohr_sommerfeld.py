@@ -20,7 +20,6 @@ from phasekit import (
 )
 from phasekit import bohr_sommerfeld, potentials
 from phasekit.bohr_sommerfeld import (
-    MotionClass,
     MotionKind,
     action,
     classify_motion,
@@ -29,7 +28,7 @@ from phasekit.bohr_sommerfeld import (
 )
 from phasekit.schrodinger import fd_eigensolve
 
-ROTATION_2PI = MotionClass(kind=MotionKind.ROTATION)
+ROTATION_2PI = MotionKind.ROTATION
 
 
 def pendulum_libration_action(E):
@@ -110,14 +109,31 @@ def bisect_crossing(potential, E, inside, outside):
 TILTED_WELL = Polynomial(m=1.0, coeffs=(0.0, 0.3, -4.0, 0.0, 1.0))
 
 
+CROSSING_CASES = [
+    (Harmonic(), [1e-3, 0.5, 7.25, 80.0]),
+    (Quartic(m=1.0, lam=2.0), [1e-3, 0.3, 5.0, 60.0]),
+    (Morse(m=1.0, depth=120.0, width=1.0), [0.5, 30.0, 90.0, 110.0]),
+    (Pendulum(), [-0.9, 0.0, 0.5, 0.99]),
+    (TILTED_WELL, [-4.0, -3.5, -1.0, 0.5, 6.0]),
+]
+
+
+class CountedValues:
+    """A potential whose V calls are counted."""
+
+    def __init__(self, potential):
+        self.potential, self.calls = potential, 0
+
+    def value(self, q):
+        self.calls += 1
+        return self.potential.value(q)
+
+    def derivative(self, q):
+        return self.potential.derivative(q)
+
+
 class TestCrossingsAgainstBisection:
-    @pytest.mark.parametrize("potential, energies", [
-        (Harmonic(), [1e-3, 0.5, 7.25, 80.0]),
-        (Quartic(m=1.0, lam=2.0), [1e-3, 0.3, 5.0, 60.0]),
-        (Morse(m=1.0, depth=120.0, width=1.0), [0.5, 30.0, 90.0, 110.0]),
-        (Pendulum(), [-0.9, 0.0, 0.5, 0.99]),
-        (TILTED_WELL, [-4.0, -3.5, -1.0, 0.5, 6.0]),
-    ])
+    @pytest.mark.parametrize("potential, energies", CROSSING_CASES)
     def test_newton_roots_match_the_bisection_reference(self, potential, energies,
                                                         monkeypatch):
         newton = [turning_points(potential, E) for E in energies]
@@ -126,22 +142,41 @@ class TestCrossingsAgainstBisection:
         for got, want in zip(newton, reference):
             assert got == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("potential, energies", CROSSING_CASES)
+    def test_each_crossing_takes_at_most_twelve_evaluations(self, potential, energies,
+                                                            monkeypatch):
+        # a Newton step that rounds onto a bracket end must stop the solve, not
+        # send it bisecting back across the bracket
+        cross, counts = bohr_sommerfeld._cross, []
+
+        def counted(pot, E, inside, outside):
+            probe = CountedValues(pot)
+            root = cross(probe, E, inside, outside)
+            counts.append(probe.calls)
+            return root
+
+        monkeypatch.setattr(bohr_sommerfeld, "_cross", counted)
+        for E in energies:
+            turning_points(potential, E)
+        assert len(counts) == 2 * len(energies)
+        assert max(counts) <= 12, counts
+
 
 class TestClassifyMotion:
     def test_harmonic_is_always_libration(self):
-        assert classify_motion(Harmonic(), 3.7).kind is MotionKind.LIBRATION
+        assert classify_motion(Harmonic(), 3.7) is MotionKind.LIBRATION
 
     def test_rotor_is_always_rotation(self):
         cls = classify_motion(Rotor(), 0.5)
-        assert cls.kind is MotionKind.ROTATION
+        assert cls is MotionKind.ROTATION
         # a rotation spans the rotor's period: J = 2 pi p with p = sqrt(2 m E) = 1
         assert action(Rotor(), 0.5, motion=cls).action == pytest.approx(2.0 * math.pi)
 
     def test_pendulum_below_crest_librates(self):
-        assert classify_motion(Pendulum(), 0.5).kind is MotionKind.LIBRATION
+        assert classify_motion(Pendulum(), 0.5) is MotionKind.LIBRATION
 
     def test_pendulum_above_crest_rotates(self):
-        assert classify_motion(Pendulum(), 1.5).kind is MotionKind.ROTATION
+        assert classify_motion(Pendulum(), 1.5) is MotionKind.ROTATION
 
     @pytest.mark.parametrize("E", [1.0, 1.0 + 5e-10])
     def test_crest_energy_is_a_separatrix(self, E):
@@ -214,13 +249,13 @@ class TestAction:
 class TestQuantize:
     def test_harmonic_half_integer_rule(self):
         res = quantize(Harmonic(), range(11))
-        assert res.motion.kind is MotionKind.LIBRATION
+        assert res.motion is MotionKind.LIBRATION
         for lv in res.levels:
             assert lv.energy == pytest.approx(lv.n + 0.5, rel=1e-9)
 
     def test_rotor_integer_rule(self):
         res = quantize(Rotor(), range(6))
-        assert res.motion.kind is MotionKind.ROTATION
+        assert res.motion is MotionKind.ROTATION
         assert res.levels[0].energy == pytest.approx(0.0, abs=1e-12)
         for lv in res.levels[1:]:
             assert lv.energy == pytest.approx(0.5 * lv.n**2, rel=1e-9)
@@ -366,7 +401,7 @@ def action_calls(monkeypatch):
 
 
 def _target(n, motion, hbar):
-    return (n + (0.5 if motion.kind is MotionKind.LIBRATION else 0.0)) * 2.0 * math.pi * hbar
+    return (n + (0.5 if motion is MotionKind.LIBRATION else 0.0)) * 2.0 * math.pi * hbar
 
 
 class TestNewtonLevelSolve:

@@ -163,6 +163,8 @@ class TestArgumentHandling:
                       "--levels", "0..62"), "levels", id="quantize-levels-past-grid"),
         pytest.param(("quantize", "--potential", HARMONIC, "--levels", "0..1", "--box", "junk"),
                      "box", id="unused-box-junk"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--levels", "0..1",
+                      "--class", "rotation"), "class", id="rotation-on-the-line"),
         pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
                       '"levels": 2.9}'), "levels", id="levels-not-integral"),
         pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
@@ -406,6 +408,14 @@ class TestEquilibriumCommand:
 
 
 class TestQuantizeCommand:
+    @pytest.mark.parametrize("cls, levels", [("libration", "0..1"), ("rotation", "2..3")])
+    def test_class_sets_the_motion(self, run, cls, levels):
+        pendulum = '{"family": "pendulum", "m": 1.0, "amplitude": 1.0}'
+        code, out, _ = run("quantize", "--potential", pendulum, "--class", cls,
+                           "--levels", levels)
+        assert code == 0
+        assert json.loads(out)["motion"] == cls
+
     def test_oracle_column(self, run):
         code, out, _ = run("quantize", "--potential", ROTOR, "--levels", "0..3",
                            "--oracle", "on", "--grid-size", "2048")

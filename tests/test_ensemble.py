@@ -1,9 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from phasekit import CanonicalEnsemble, beta_for_temperature, ensemble_from_json
+from phasekit import CanonicalEnsemble, ensemble_from_json
 
 
 def test_temperature_halves_per_beta_unit():
@@ -11,12 +10,6 @@ def test_temperature_halves_per_beta_unit():
     assert CanonicalEnsemble(beta=1.0).temperature == 0.5
     assert CanonicalEnsemble(beta=0.5).temperature == 1.0
     assert CanonicalEnsemble(beta=1.0, k_B=2.0).temperature == 0.25
-
-
-@given(st.floats(min_value=1e-3, max_value=1e3))
-def test_beta_for_temperature_inverts(T):
-    ens = CanonicalEnsemble(beta=beta_for_temperature(T))
-    assert ens.temperature == pytest.approx(T, rel=1e-12)
 
 
 def test_json_round_trip():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from phasekit import (
     potential_from_json,
 )
 from phasekit import potentials
-from phasekit.potentials import _bisect_derivative, _classify
+from phasekit.potentials import _classify, _solve
 
 SEARCH_WINDOW = (-10.0, 10.0)  # where every landscape scan starts
 
@@ -178,7 +179,10 @@ def loop_equilibria(potential, interval, tolerance=1e-12, subintervals=2048):
         if dv[i] == 0.0:
             roots.append(float(grid[i]))
         elif dv[i] * dv[i + 1] < 0.0:
-            roots.append(_bisect_derivative(potential, grid[i], grid[i + 1], tolerance))
+            ends = (float(grid[i]), float(grid[i + 1]))
+            below, above = ends if dv[i] < 0.0 else ends[::-1]
+            roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
+                                below, above))
     if dv[-1] == 0.0:
         roots.append(float(grid[-1]))
     for i in np.nonzero(np.abs(dv) <= tolerance)[0]:
@@ -209,6 +213,31 @@ def _scan_cases():
 @pytest.mark.parametrize("potential,interval", _scan_cases())
 def test_vectorised_scan_matches_the_loop_bit_for_bit(potential, interval):
     assert find_equilibria(potential, interval) == loop_equilibria(potential, interval)
+
+
+TILTED_WELL = Polynomial(m=1.0, coeffs=(0.0, 0.3, -4.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("potential,interval", [(TILTED_WELL, SEARCH_WINDOW)] + [
+    (pot, interval) for pot, interval in _scan_cases() if isinstance(pot, Polynomial)])
+def test_polished_equilibria_are_roots_to_rounding(potential, interval):
+    # exact |V'(q0)| against the rounding bound 16 eps sum |k c_k q0^(k-1)| of V' at q0
+    grid = np.linspace(*interval, 2049)
+    slope = [k * Fraction(c) for k, c in enumerate(potential.coeffs)][1:]
+    eps = Fraction(np.finfo(float).eps)
+    roots = [pt.q0 for pt in find_equilibria(potential, interval) if pt.q0 not in grid]
+    assert roots or potential.coeffs == (0.0, 0.0, 0.0, 1.0)  # q^3's only root, 0, is on the grid
+    for q0 in roots:
+        terms = [c * Fraction(q0) ** k for k, c in enumerate(slope)]
+        assert abs(sum(terms)) <= 16 * eps * sum(abs(t) for t in terms), q0
+
+
+@pytest.mark.parametrize("interval", [SEARCH_WINDOW, (-1.0, 1.3), (-3.0, 2.0)])
+def test_flat_bottom_is_degenerate_on_and_off_the_grid(interval):
+    # V' = q^3 is about 1e-12 already at q = 1e-4, where V'' = 3e-8 would read as a minimum
+    (pt,) = find_equilibria(Quartic(), interval)
+    assert abs(pt.q0) < 1e-14
+    assert pt.stability is Stability.DEGENERATE
 
 
 class TestLandscape:

@@ -120,11 +120,6 @@ class TestSlicedPhase:
         assert sp.prefactor_log == pytest.approx(512 * math.log(2.0), rel=1e-12)
         assert sp.slices == 512
 
-    def test_slice_count_mismatch_rejected(self):
-        traj = classical_trajectory(FREE, 0.0, 1.0, 2.0, 64)
-        with pytest.raises(ValueError):
-            sliced_phase(traj, FREE, E=0.0, N=128)
-
 
 class TestKernelPhase:
     def test_harmonic_quarter_period(self):

@@ -62,11 +62,6 @@ class TestMatchingTemperature:
         with pytest.raises(NoRealTemperatureError):
             matching_temperature(Quartic(), flat)
 
-    def test_explicit_mass_override(self):
-        pot = Harmonic(m=1.0, omega=1.0)
-        report = matching_temperature(pot, stable_point(pot), m=2.0)
-        assert report.matched_beta == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
     def test_units_scale_out(self):
         pot = Harmonic(m=1.0, omega=1.0)
         report = matching_temperature(pot, stable_point(pot), hbar=2.0, k_B=3.0)
@@ -132,12 +127,6 @@ class TestStationarityResidual:
         res = schrodinger_residual(Harmonic(), CanonicalEnsemble(beta=2.0),
                                    np.array([1.0]))
         assert abs(res[0]) > 0.1
-
-    def test_explicit_reference_point(self):
-        ens = CanonicalEnsemble(beta=1.0)
-        pinned = schrodinger_residual(Harmonic(), ens, 0.0, q0=0.0)
-        scanned = schrodinger_residual(Harmonic(), ens, 0.0)
-        assert pinned == pytest.approx(scanned, abs=1e-12)
 
 
 class TestThermoProfile:

@@ -23,7 +23,6 @@ from phasekit.wigner import (
     characteristic_closed_form,
     characteristic_quadrature,
     equilibrium_density,
-    infinitesimal_scale,
     normalization_box,
     pde_residual,
     product_form_characteristic,
@@ -269,7 +268,3 @@ class TestNormalizer:
         with pytest.raises(AccuracyError) as info:
             _normalizer(Pendulum(amplitude=50.0), ENS, (0.0, 2000.0 * math.pi))
         assert info.value.estimate > NORMALIZER_TOLERANCE
-
-
-def test_infinitesimal_scale():
-    assert infinitesimal_scale(CanonicalEnsemble(beta=4.0), mass=1.0) == pytest.approx(0.4)
