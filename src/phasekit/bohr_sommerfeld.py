@@ -8,6 +8,7 @@ with a cosine substitution so fixed-order Gauss-Legendre converges fast.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -63,11 +64,56 @@ def _cross(potential: Potential, E: float, inside: float, outside: float) -> flo
     return _solve(potential.value, potential.derivative, E, inside, outside)
 
 
+class _Walk:
+    """The stops of `turning_points`' outward walk from the minimum, and V at each.
+
+    The stops do not depend on E: the equilibria ahead in order, then half a
+    period on, or 80 doubling steps from 1e-3 on the line (V is monotone
+    between adjacent equilibria, so walking them in order can never step
+    over a thin barrier).  V is taken at a stop only when a call first walks
+    that far, and kept; `peaks` holds the running maximum of the values, so
+    the first stop above E is a bisection away.  A value is kept only once V
+    has returned it.
+    """
+
+    def __init__(self, potential: Potential, direction: float):
+        q0 = potential.landscape.minimum.q0
+        ahead = [pt.q0 for pt in potential.landscape.equilibria
+                 if direction * (pt.q0 - q0) > 1e-9]
+        if direction < 0:
+            ahead = ahead[::-1]
+        if potential.period is not None:
+            half = q0 + direction * 0.5 * potential.period
+            ahead = [x for x in ahead if direction * (x - half) <= 1e-9] + [half]
+        else:
+            q, step = ahead[-1] if ahead else q0, 1e-3
+            for _ in range(80):
+                q += direction * step
+                ahead.append(q)
+                step *= 2.0
+        self.stops = [q0] + ahead
+        self.peaks = []
+
+    def bracket(self, potential: Potential, E: float) -> tuple[float, float] | None:
+        """(the stop before the first with V > E, that stop), or None past the last."""
+        i = bisect.bisect_right(self.peaks, E)
+        while i == len(self.peaks) < len(self.stops) - 1:
+            v = float(potential.value(self.stops[i + 1]))
+            top = self.peaks[-1] if self.peaks else -math.inf
+            self.peaks.append(v if v > top else top)  # a NaN is never above E
+            i += not v > E
+        if i == len(self.stops) - 1:
+            return None
+        return self.stops[i], self.stops[i + 1]
+
+
 def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
     """Pair (a, b) with V(a) = V(b) = E around the global minimum, or None.
 
     Returns None when the motion is unbounded on either side (rotation or
-    escape).  E below the potential minimum has no classical motion.
+    escape).  E below the potential minimum has no classical motion.  Each
+    side brackets its crossing between the stops of its `_Walk`, kept on
+    the potential.
     """
     land = potential.landscape
     q0, v_min = land.minimum.q0, land.v_min
@@ -76,38 +122,17 @@ def turning_points(potential: Potential, E: float) -> tuple[float, float] | None
     if E == v_min:
         return (q0, q0)
 
-    extrema = [pt.q0 for pt in land.equilibria]
-
-    def outward(direction: float) -> float | None:
-        # V is monotone between adjacent equilibria, so walking them in
-        # order can never step over a thin barrier
-        q = q0
-        ahead = [x for x in extrema if direction * (x - q0) > 1e-9]
-        if direction < 0:
-            ahead = ahead[::-1]
-        if potential.period is not None:
-            half = q0 + direction * 0.5 * potential.period
-            ahead = [x for x in ahead if direction * (x - half) <= 1e-9] + [half]
-        for x in ahead:
-            if float(potential.value(x)) > E:
-                return _cross(potential, E, q, x)
-            q = x
-        if potential.period is not None:
+    walks = potential._turning_walks
+    ends = []
+    for direction in (+1.0, -1.0):
+        if direction not in walks:
+            walks[direction] = _Walk(potential, direction)
+        pair = walks[direction].bracket(potential, E)
+        if pair is None:
             # a periodic orbit that clears every crest in the cell rotates
             return None
-        step = 1e-3
-        for _ in range(80):
-            q_next = q + direction * step
-            if float(potential.value(q_next)) > E:
-                return _cross(potential, E, q, q_next)
-            q = q_next
-            step *= 2.0
-        return None
-
-    b = outward(+1.0)
-    a = outward(-1.0)
-    if a is None or b is None:
-        return None
+        ends.append(_cross(potential, E, *pair))
+    b, a = ends
     return (a, b)
 
 
@@ -137,6 +162,22 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=16)
+def _rules(order: int, span: float):
+    """Nodes theta = span (t + 1) / 2, cos theta, sin theta and weights span w / 2
+    of the `order` and `2 order` Gauss-Legendre rules, laid end to end (read-only:
+    every caller shares them)."""
+    parts = []
+    for n in (order, 2 * order):
+        t, w = _leggauss(n)
+        theta = 0.5 * span * (t + 1.0)
+        parts.append((theta, np.cos(theta), np.sin(theta), 0.5 * span * w))
+    tables = tuple(np.concatenate(column) for column in zip(*parts))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
                     order: int) -> tuple[float, float, float | None]:
     """J(E) at `order` and `2 order`, and the period T(E) at `2 order`, on one orbit.
@@ -144,7 +185,8 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
     Librations substitute q = c + r cos(theta) between the turning points, so
     J's integrand p r sin(theta) is smooth and T's, m r sin(theta) / p, stays
     finite at both ends.  Rotations integrate over one coordinate period.
-    T is None where the orbit is the bottom of the well.
+    Both rules share one V call on their joined nodes (`_rules`).  T is None
+    where the orbit is the bottom of the well.
     """
     m = potential.mass
     libration = motion is MotionKind.LIBRATION
@@ -155,23 +197,16 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
         c, r = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[1] - pair[0])
         if r == 0.0:
             return 0.0, 0.0, None
-    span = math.pi if libration else potential.period
-
-    def weights_and_momenta(n: int):
-        t, w = _leggauss(n)
-        q = 0.5 * span * (t + 1.0)
-        w = 0.5 * span * w
-        if libration:
-            q, w = c + r * np.cos(q), 2.0 * r * np.sin(q) * w
-        gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
-        return w, np.sqrt(2.0 * m * gap)
-
-    w, p = weights_and_momenta(order)
-    w2, p2 = weights_and_momenta(2 * order)
+    q, cos, sin, w = _rules(order, math.pi if libration else potential.period)
+    if libration:
+        q, w = c + r * cos, 2.0 * r * sin * w
+    gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
+    p = np.sqrt(2.0 * m * gap)
+    wp = w * p
     # a rotation at the crest of a flat potential has p = 0: T is infinite
     with np.errstate(divide="ignore"):
-        period = m * float(np.sum(w2 / p2))
-    return float(np.sum(w * p)), float(np.sum(w2 * p2)), period
+        period = m * float((w[order:] / p[order:]).sum())
+    return float(wp[:order].sum()), float(wp[order:].sum()), period
 
 
 def action(potential: Potential, E: float,

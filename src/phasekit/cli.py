@@ -458,7 +458,10 @@ def _run_quantize(opts: dict):
     oracle = None
     if opts["oracle"] == "on":
         periodic = potential.periodic_coordinate
-        k = 2 * levels[-1] + 1 if periodic else levels[-1] + 1
+        # levels pair with states by well (bs._oracle_level): levels[-1] + 1 per well
+        wells = 1 if potential.period is not None else max(1, sum(
+            pt.stability is not Stability.MAXIMUM for pt in potential.landscape.equilibria))
+        k = 2 * levels[-1] + 1 if periodic else wells * (levels[-1] + 1)
         _check_level_count(k, opts["grid-size"])
         oracle = schrodinger.fd_eigensolve(potential, hbar=hbar, box=opts["box"],
                                            M=opts["grid-size"], k=k,

@@ -51,6 +51,11 @@ class Potential:
         """Equilibria, global minimum and crest, found on first use and kept."""
         return _build_landscape(self)
 
+    @cached_property
+    def _turning_walks(self) -> dict:
+        """bohr_sommerfeld's outward walks from the minimum, kept per direction."""
+        return {}
+
     def to_json(self) -> dict:
         raise NotImplementedError
 

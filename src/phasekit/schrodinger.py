@@ -20,6 +20,11 @@ from .potentials import Potential
 
 #: wall amplitudes above this fraction of the peak mean the box clips the state
 WALL_FRACTION = 1e-6
+#: WKB decay of the highest level into each default wall.  Flat-bottomed quartic
+#: levels passed the WALL_FRACTION check from 9.9 nepers and failed at 7.9 or
+#: less (the WKB prefactor 1 / sqrt|p| makes up the rest of ln(1 / WALL_FRACTION));
+#: the V''(q0) rule alone gives harmonic walls 11.5 or more.
+DECAY_NEPERS = 9.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +38,41 @@ class EigenSolution:
     spacing: float
 
 
+def _wall_decay(potential: Potential, hbar: float, k: int, q0: float, half: float) -> float:
+    """WKB decay in nepers of level k - 1 from q0 out to the walls q0 -+ half, the lesser side.
+
+    The level E solves Weyl's count of states in the box, on 512 midpoint
+    cells: N(E) = integral of sqrt(2m (E - V)) dq / (pi hbar) = k - 1/2,
+    by bisection.  The decay is the integral of sqrt(2m (V - E)) / hbar over
+    the cells where V > E.  A box that holds fewer than k states decays 0.
+    """
+    dq = half / 256.0
+    v = np.asarray(potential.value(q0 + dq * (np.arange(-256, 256) + 0.5)), dtype=float)
+    two_m = 2.0 * potential.mass
+
+    def count(e: float) -> float:
+        return float(np.sqrt(two_m * np.maximum(e - v, 0.0)).sum()) * dq / (math.pi * hbar)
+
+    finite = v[np.isfinite(v)]
+    lo, hi = float(finite.min()), float(finite.max())
+    if not count(hi) > k - 0.5:
+        return 0.0
+    for _ in range(30):  # to 1e-9 of V's range; the 512-cell count is far coarser
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if count(mid) > k - 0.5 else (mid, hi)
+    decay = np.sqrt(two_m * np.maximum(v - hi, 0.0)) * (dq / hbar)
+    return float(min(decay[:256].sum(), decay[256:].sum()))
+
+
 def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float]:
-    """Walls where V clears the highest requested level by a wide margin."""
+    """Walls where V clears the highest requested level by a wide margin.
+
+    Doubles a half-width about the minimum q0 until both walls pass two tests:
+    V there reaches v0 + hbar omega (2k + 11), with omega from V''(q0); and
+    the highest level decays into each wall by DECAY_NEPERS (`_wall_decay`).
+    The first sizes curved wells; the second sizes wells whose level scale
+    V''(q0) misses, such as the flat-bottomed quartic.
+    """
     if potential.periodic_coordinate:
         return (0.0, potential.period)
     q0, curvature = potential.landscape.minimum.q0, potential.landscape.minimum.curvature
@@ -47,7 +85,8 @@ def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float
     with np.errstate(over="ignore"):
         for _ in range(60):
             if (float(potential.value(q0 - half)) >= target
-                    and float(potential.value(q0 + half)) >= target):
+                    and float(potential.value(q0 + half)) >= target
+                    and _wall_decay(potential, hbar, k, q0, half) >= DECAY_NEPERS):
                 return (q0 - half, q0 + half)
             half *= 2.0
     raise BoxError("potential never clears the requested levels; box cannot confine them")

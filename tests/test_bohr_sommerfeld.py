@@ -460,3 +460,193 @@ class TestNewtonLevelSolve:
         unit = lam ** (1.0 / 3.0) * (hbar**2 / m) ** (2.0 / 3.0)
         got = [lv.energy for lv in quantize(Quartic(m=m, lam=lam), range(4), hbar=hbar).levels]
         assert got == pytest.approx([unit * e for e in base], rel=1e-9)
+
+
+def reference_turning_points(potential, E):
+    """turning_points as it was before the walks were kept: every stop walked anew."""
+    land = potential.landscape
+    q0, v_min = land.minimum.q0, land.v_min
+    if E < v_min:
+        raise ForbiddenRegionError(f"E={E:g} below the potential minimum {v_min:g}")
+    if E == v_min:
+        return (q0, q0)
+
+    extrema = [pt.q0 for pt in land.equilibria]
+
+    def outward(direction):
+        q = q0
+        ahead = [x for x in extrema if direction * (x - q0) > 1e-9]
+        if direction < 0:
+            ahead = ahead[::-1]
+        if potential.period is not None:
+            half = q0 + direction * 0.5 * potential.period
+            ahead = [x for x in ahead if direction * (x - half) <= 1e-9] + [half]
+        for x in ahead:
+            if float(potential.value(x)) > E:
+                return bohr_sommerfeld._cross(potential, E, q, x)
+            q = x
+        if potential.period is not None:
+            return None
+        step = 1e-3
+        for _ in range(80):
+            q_next = q + direction * step
+            if float(potential.value(q_next)) > E:
+                return bohr_sommerfeld._cross(potential, E, q, q_next)
+            q = q_next
+            step *= 2.0
+        return None
+
+    b = outward(+1.0)
+    a = outward(-1.0)
+    if a is None or b is None:
+        return None
+    return (a, b)
+
+
+def reference_loop_integrals(potential, E, motion, order):
+    """_loop_integrals as it was before the rule tables: both rules built, two V calls."""
+    m = potential.mass
+    libration = motion is MotionKind.LIBRATION
+    if libration:
+        pair = reference_turning_points(potential, E)
+        if pair is None:
+            raise ForbiddenRegionError(f"E={E:g} has no libration turning points")
+        c, r = 0.5 * (pair[0] + pair[1]), 0.5 * (pair[1] - pair[0])
+        if r == 0.0:
+            return 0.0, 0.0, None
+    span = math.pi if libration else potential.period
+
+    def weights_and_momenta(n):
+        t, w = bohr_sommerfeld._leggauss(n)
+        q = 0.5 * span * (t + 1.0)
+        w = 0.5 * span * w
+        if libration:
+            q, w = c + r * np.cos(q), 2.0 * r * np.sin(q) * w
+        gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
+        return w, np.sqrt(2.0 * m * gap)
+
+    w, p = weights_and_momenta(order)
+    w2, p2 = weights_and_momenta(2 * order)
+    with np.errstate(divide="ignore"):
+        period = m * float(np.sum(w2 / p2))
+    return float(np.sum(w * p)), float(np.sum(w2 * p2)), period
+
+
+def _bits(values):
+    return None if values is None else [None if x is None else float(x).hex() for x in values]
+
+
+_scale = st.floats(min_value=0.5, max_value=2.0)
+# each potential with the width of the energy band drawn above its minimum: Morse
+# and the double wells reach past escape or the hump, the pendulum past its crest
+WELLS = st.one_of(
+    st.tuples(st.builds(Harmonic, m=_scale, omega=_scale), st.just(40.0)),
+    st.tuples(st.builds(Quartic, m=_scale, lam=_scale), st.just(40.0)),
+    st.tuples(st.builds(Morse, m=_scale, depth=st.floats(min_value=5.0, max_value=40.0),
+                        width=_scale), st.just(50.0)),
+    st.tuples(st.builds(Pendulum, m=_scale, amplitude=_scale), st.just(5.0)),
+    st.tuples(st.builds(lambda tilt, a: Polynomial(coeffs=(0.0, tilt, -a, 0.0, 0.5)),
+                        st.floats(min_value=-0.5, max_value=0.5), _scale), st.just(6.0)),
+    st.tuples(st.builds(Rotor, inertia=_scale), st.just(10.0)),
+)
+
+
+class TestKeptWorkIsBitIdentical:
+    @settings(max_examples=60, deadline=None)
+    @given(well=WELLS,
+           fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+           order=st.sampled_from(["rising", "falling", "shuffled"]),
+           rng=st.randoms(use_true_random=False))
+    def test_turning_points_and_loop_integrals_match_the_walk_from_scratch(
+            self, well, fractions, order, rng):
+        # one instance for the whole sequence, so later energies read what earlier
+        # ones kept
+        potential, band = well
+        energies = [potential.landscape.v_min + band * f for f in fractions]
+        if order == "shuffled":
+            rng.shuffle(energies)
+        else:
+            energies.sort(reverse=order == "falling")
+        for E in energies:
+            want = reference_turning_points(potential, E)
+            assert _bits(turning_points(potential, E)) == _bits(want)
+            if want is not None:
+                motion = MotionKind.LIBRATION
+            elif potential.period is not None:
+                motion = MotionKind.ROTATION
+            else:
+                continue  # escapes: no loop
+            for n in (128, 256):
+                got = bohr_sommerfeld._loop_integrals(potential, E, motion, n)
+                assert _bits(got) == _bits(reference_loop_integrals(potential, E, motion, n))
+
+
+class TestKeptWork:
+    @pytest.mark.parametrize("potential, first, second", [
+        (Harmonic(), 3.0, 2.0),
+        (Quartic(), 0.5, 0.7),
+        (Morse(m=1.0, depth=12.0, width=1.0), 6.0, 1.0),
+        (Pendulum(), 0.5, -0.5),
+        (Pendulum(), 2.0, 1.5),
+        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), 1.0, -1.5),
+        (Rotor(), 0.5, 2.0),
+    ], ids=["harmonic", "quartic", "morse", "pendulum", "pendulum-rotation", "tilted",
+            "rotor"])
+    def test_a_second_action_makes_one_array_call_beyond_its_solves(
+            self, potential, first, second, monkeypatch):
+        calls, solving = [], []
+        value, solve = type(potential).value, bohr_sommerfeld._solve
+
+        def counted_value(self, q):
+            calls.append((np.ndim(q) > 0, bool(solving)))
+            return value(self, q)
+
+        def counted_solve(*args):
+            solving.append(True)
+            try:
+                return solve(*args)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(type(potential), "value", counted_value)
+        monkeypatch.setattr(bohr_sommerfeld, "_solve", counted_solve)
+        action(potential, first)
+        calls.clear()
+        action(potential, second)
+        assert [call for call in calls if not call[1]] == [(True, False)]
+
+    @pytest.mark.parametrize("potential", [Harmonic(), Morse(m=1.0, depth=12.0, width=1.0)],
+                             ids=["harmonic", "morse"])
+    def test_a_walk_cut_by_an_error_in_v_is_not_read_as_escape(self, potential,
+                                                                 monkeypatch):
+        # V fails at the stop that brackets the crossing, the first scalar V > E
+        E, cls = 10.0, type(potential)
+        value, raised = cls.value, []
+        potential.landscape  # scanned first: its own scalar V calls reach past E
+
+        def failing(self, q):
+            v = value(self, q)
+            if np.ndim(q) == 0 and v > E and not raised:
+                raised.append(q)
+                raise FloatingPointError("V failed part-way out")
+            return v
+
+        monkeypatch.setattr(cls, "value", failing)
+        with pytest.raises(FloatingPointError):
+            turning_points(potential, E)
+        monkeypatch.setattr(cls, "value", value)
+        got = turning_points(potential, E)
+        assert got is not None
+        assert _bits(got) == _bits(reference_turning_points(potential, E))
+
+    @pytest.mark.parametrize("potential", [Harmonic(), Pendulum(), TILTED_WELL],
+                             ids=["harmonic", "pendulum", "tilted"])
+    def test_an_energy_equal_to_v_at_a_stop_walks_past_it(self, potential):
+        # V = E at a stop is not above E: the walk goes on, as it did stop by stop
+        turning_points(potential, potential.landscape.v_min + 1.0)
+        walk = potential._turning_walks[+1.0]
+        for stop in walk.stops[1:len(walk.peaks) + 1]:
+            E = float(potential.value(stop))
+            if E > potential.landscape.v_min:
+                assert _bits(turning_points(potential, E)) == _bits(
+                    reference_turning_points(potential, E))

@@ -428,39 +428,38 @@ class TestQuantizeCommand:
                 assert abs(row["relative_error"]) < 1e-4
 
     @pytest.mark.parametrize("levels, paired", [
-        ("0..2", [-2.1407878, -1.5829540, None]),
-        ("0..3", [-2.1407878, -1.5829540, -1.0594283, None]),
+        ("0..2", [-2.1407880, -1.5829548, -1.0594303]),
+        ("0..3", [-2.1407880, -1.5829548, -1.0594303, -0.5790918]),
     ])
     def test_oracle_pairs_levels_by_well(self, run, levels, paired):
         # the deep well's levels: the shallow well's ground state (-1.3165) lies
-        # between its levels 1 and 2 and must not be paired with level 2
+        # between its levels 1 and 2 and must not be paired with level 2; the
+        # oracle computes as many states per well as levels, so every level pairs
         code, out, err = run("quantize", "--potential",
                              '{"family":"polynomial","coeffs":[0,0.3,-2,0,0.5]}',
                              "--hbar", "0.2", "--levels", levels, "--oracle", "on")
         assert code == 0, err
         rows = json.loads(out)["levels"]
         for row, e in zip(rows, paired, strict=True):
-            if e is None:
-                assert row["E_oracle"] is None and row["relative_error"] is None
-            else:
-                assert row["E_oracle"] == pytest.approx(e, abs=1e-6)
-                assert abs(row["relative_error"]) < 2e-3
+            assert row["E_oracle"] == pytest.approx(e, abs=1e-6)
+        # level 3, 0.58 below the crest between the wells, is off by 4.8e-3
+        for row in rows[:3]:
+            assert abs(row["relative_error"]) < 2e-3
 
     def test_oracle_pairs_a_tunnelling_doublet_with_its_lower_state(self, run):
         # each level of the symmetric double well splits into an even and an odd
         # state, each half in either well; level n pairs with doublet n's lower
-        # state, and the four computed states hold doublets 0 and 1 only
+        # state, and the eight computed states hold doublets 0 to 3
         code, out, err = run("quantize", "--potential",
                              '{"family":"polynomial","coeffs":[0,0,-2,0,0.5]}',
                              "--hbar", "0.2", "--levels", "0..3", "--oracle", "on")
         assert code == 0, err
         rows = json.loads(out)["levels"]
-        assert rows[0]["E_oracle"] == pytest.approx(-1.7223762, abs=1e-6)
-        assert rows[1]["E_oracle"] == pytest.approx(-1.1899472, abs=1e-6)
+        paired = [-1.7223764, -1.1899479, -0.6983142, -0.2707687]
+        for row, e in zip(rows, paired, strict=True):
+            assert row["E_oracle"] == pytest.approx(e, abs=1e-6)
         for row in rows[:2]:
             assert abs(row["relative_error"]) < 2e-3
-        for row in rows[2:]:
-            assert row["E_oracle"] is None and row["relative_error"] is None
 
     def test_djde_column(self, run):
         code, out, _ = run("quantize", "--potential", HARMONIC, "--levels", "0..1",
@@ -539,6 +538,14 @@ class TestOracleCommand:
         assert payload["boundary"] == "dirichlet"
         for n, e in enumerate(payload["eigenvalues"]):
             assert e == pytest.approx(n + 0.5, abs=1e-4)
+
+    def test_quartic_default_box_holds_eight_levels(self, run):
+        code, out, err = run("oracle", "--potential", QUARTIC, "--levels", "8",
+                             "--grid-size", "16384")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["box"] == [-8.0, 8.0]
+        assert payload["eigenvalues"][7] == pytest.approx(12.738322, abs=1e-5)
 
     def test_rotor_resolves_to_periodic(self, run):
         code, out, _ = run("oracle", "--potential", ROTOR, "--levels", "3",

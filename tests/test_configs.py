@@ -68,7 +68,8 @@ COMMANDS = {
     "oracle-eigenvectors": (["oracle", "--potential", HARMONIC, "--levels", "2",
                              "--grid-size", "256", "--box", "-6:6", "--eigenvectors", "on"],
                             ("json", "csv")),
-    # level 2 has no oracle state in its well: null cells in a float column
+    # levels of a double well paired by well; named for the null cells it held while
+    # the oracle computed one state per level (test_render.py covers null cells)
     "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",
                               "--levels", "0..2", "--oracle", "on"], ("json",)),
 }

@@ -11,6 +11,8 @@ from phasekit import (
     Harmonic,
     Morse,
     Pendulum,
+    Polynomial,
+    Quartic,
     ResolutionError,
     Rotor,
 )
@@ -39,6 +41,31 @@ class TestDefaultBox:
     def test_dissociating_well_cannot_confine_high_levels(self):
         with pytest.raises(BoxError):
             default_box(Morse(m=1.0, depth=12.0, width=1.0), hbar=1.0, k=3)
+
+    @pytest.mark.parametrize("pot, hbar, k, box", [
+        *[(Harmonic(), 1.0, k, (-8.0, 8.0)) for k in (1, 2, 3, 4)],
+        (Harmonic(m=2.0, omega=0.5), 0.7, 10, (-8.0, 8.0)),
+        (Morse(depth=40.0, width=0.5), 0.5, 1, (-4.0, 4.0)),
+        (Morse(depth=40.0, width=0.5), 0.5, 3, (-8.0, 8.0)),
+        *[(Polynomial(coeffs=(0, 0.3, -2, 0, 0.5)), 0.2, k,
+           (-5.450319107836988, 2.5496808921630123)) for k in (3, 4)],
+        *[(Polynomial(coeffs=(0, 0.3, -2, 0, 0.5)), 0.2, k,
+           (-9.450319107836988, 6.549680892163012)) for k in (6, 8)],
+        (Polynomial(coeffs=(0, 0, -2, 0, 0.5)), 0.2, 4, (-5.414213562373095, 2.585786437626905)),
+        (Polynomial(coeffs=(0, 0, -2, 0, 0.5)), 0.2, 8, (-9.414213562373096, 6.585786437626905)),
+    ])
+    def test_curved_wells_keep_the_curvature_rule_box(self, pot, hbar, k, box):
+        # the WKB decay test never moves a box that V''(q0) already sizes
+        assert default_box(pot, hbar=hbar, k=k) == box
+
+    @pytest.mark.parametrize("lam, m, hbar", [
+        (1.0, 1.0, 1.0), (2.0, 0.7, 1.3), (0.5, 1.5, 0.7), (0.5, 0.7, 1.3), (2.0, 1.5, 0.7),
+    ])
+    @pytest.mark.parametrize("k", [1, 4, 8, 20])
+    def test_flat_bottomed_quartic_box_holds_its_levels(self, lam, m, hbar, k):
+        # V''(0) = 0 alone gave the box (-1, 1) and a BoxError for every k here
+        sol = fd_eigensolve(Quartic(m=m, lam=lam), hbar=hbar, M=4096, k=k)
+        assert sol.box[1] > 1.0
 
 
 class TestDirichletSolve:
