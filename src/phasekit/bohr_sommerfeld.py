@@ -27,6 +27,8 @@ from .schrodinger import EigenSolution
 
 #: |E - crest| below this (relative) is treated as a separatrix energy
 SEPARATRIX_TOL = 1e-9
+#: Gauss-Legendre order of a certified J(E), checked against twice this order
+ORDER = 128
 
 
 class MotionKind(enum.Enum):
@@ -210,8 +212,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
 
 
 def action(potential: Potential, E: float,
-           motion: MotionKind | None = None,
-           order: int = 128) -> ActionProfile:
+           motion: MotionKind | None = None) -> ActionProfile:
     """Loop action J(E) = closed integral of p dq over one period.
 
     Librations substitute q = c + r cos(theta), which absorbs the
@@ -224,11 +225,11 @@ def action(potential: Potential, E: float,
     """
     if motion is None:
         motion = classify_motion(potential, E)
-    j_coarse, j, period = _loop_integrals(potential, E, motion, order)
+    j_coarse, j, period = _loop_integrals(potential, E, motion, ORDER)
     estimate = abs(j - j_coarse)
     if estimate > 1e-8 * max(abs(j), 1.0):
         raise AccuracyError(
-            f"action quadrature not converged at order {2 * order}", estimate=estimate
+            f"action quadrature not converged at order {2 * ORDER}", estimate=estimate
         )
     return ActionProfile(energy=E, action=j, dJ_dE=period)
 
@@ -284,8 +285,7 @@ def _oracle_level(oracle: EigenSolution, n: int, motion: MotionKind,
 
 def quantize(potential: Potential, n_range, hbar: float = 1.0,
              motion: MotionKind | None = None,
-             oracle: EigenSolution | None = None,
-             order: int = 128) -> SpectrumResult:
+             oracle: EigenSolution | None = None) -> SpectrumResult:
     """Solve J(E) = target(n) for each requested level by safeguarded Newton steps.
 
     dJ/dE is the period T(E), which `action` returns with J.  Steps follow
@@ -359,7 +359,7 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
                     step_old, step = step, abs(e - last)
             last = e
             try:
-                profile = action(potential, e, motion=motion, order=order)
+                profile = action(potential, e, motion=motion)
             except ForbiddenRegionError:
                 hi, j_hi = e, math.inf
             except AccuracyError:

@@ -6,7 +6,7 @@ class PhasekitError(Exception):
 
 
 class DomainError(PhasekitError):
-    """A coordinate lies outside the domain a potential family declares."""
+    """The density psi^2 underflows to 0 or overflows on a grid: its entropy is undefined."""
 
 
 class NormalizationError(PhasekitError):

@@ -13,6 +13,7 @@ differently from the array loop.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -28,14 +29,22 @@ DEGENERATE_CURVATURE = 1e-9
 
 
 class Potential:
-    """Base class: value/derivative/second_derivative plus domain metadata."""
+    """Base class: value/derivative/second_derivative plus domain metadata.
 
-    #: mass (or moment of inertia) entering the kinetic term p^2 / 2m
-    mass: float
+    Each family is a frozen dataclass; its fields are its JSON fields.
+    """
+
+    #: the family's name in JSON
+    family: str
     #: coordinate period of the potential, or None on the real line
     period: float | None = None
     #: True when the coordinate itself is cyclic (domain [0, period))
     periodic_coordinate: bool = False
+
+    @property
+    def mass(self) -> float:
+        """Mass (or moment of inertia) entering the kinetic term p^2 / 2m."""
+        return self.m
 
     def value(self, q):
         raise NotImplementedError
@@ -57,19 +66,21 @@ class Potential:
         return {}
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The family, then each field in declaration order, a tuple as a list."""
+        out = {"family": self.family}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 @dataclass(frozen=True)
 class Harmonic(Potential):
     """V(q) = (1/2) m omega^2 q^2."""
 
+    family = "harmonic"
     m: float = 1.0
     omega: float = 1.0
-
-    @property
-    def mass(self):
-        return self.m
 
     def value(self, q):
         return 0.5 * self.m * self.omega**2 * np.square(q)
@@ -80,20 +91,14 @@ class Harmonic(Potential):
     def second_derivative(self, q):
         return self.m * self.omega**2 * np.ones_like(q, dtype=float)
 
-    def to_json(self):
-        return {"family": "harmonic", "m": self.m, "omega": self.omega}
-
 
 @dataclass(frozen=True)
 class Quartic(Potential):
     """V(q) = lam * q^4 / 4."""
 
+    family = "quartic"
     m: float = 1.0
     lam: float = 1.0
-
-    @property
-    def mass(self):
-        return self.m
 
     def value(self, q):
         return 0.25 * self.lam * np.power(q, 4.0)
@@ -104,20 +109,14 @@ class Quartic(Potential):
     def second_derivative(self, q):
         return 3.0 * self.lam * np.square(q)
 
-    def to_json(self):
-        return {"family": "quartic", "m": self.m, "lam": self.lam}
-
 
 @dataclass(frozen=True)
 class Polynomial(Potential):
     """V(q) = sum_k coeffs[k] q^k, derivatives taken analytically."""
 
+    family = "polynomial"
     m: float = 1.0
     coeffs: tuple = (0.0,)
-
-    @property
-    def mass(self):
-        return self.m
 
     @cached_property
     def _slopes(self):
@@ -132,22 +131,16 @@ class Polynomial(Potential):
     def second_derivative(self, q):
         return npoly.polyval(q, self._slopes[1])
 
-    def to_json(self):
-        return {"family": "polynomial", "m": self.m, "coeffs": list(self.coeffs)}
-
 
 @dataclass(frozen=True)
 class Pendulum(Potential):
     """V(q) = -amplitude cos(q), periodic in shape but defined on the real line."""
 
+    family = "pendulum"
     m: float = 1.0
     amplitude: float = 1.0
 
     period = TWO_PI
-
-    @property
-    def mass(self):
-        return self.m
 
     def value(self, q):
         return -self.amplitude * np.cos(q)
@@ -158,14 +151,12 @@ class Pendulum(Potential):
     def second_derivative(self, q):
         return self.amplitude * np.cos(q)
 
-    def to_json(self):
-        return {"family": "pendulum", "m": self.m, "amplitude": self.amplitude}
-
 
 @dataclass(frozen=True)
 class Rotor(Potential):
     """Free rotation: V = 0 on the cyclic coordinate [0, 2*pi)."""
 
+    family = "rotor"
     inertia: float = 1.0
 
     period = TWO_PI
@@ -184,21 +175,15 @@ class Rotor(Potential):
     def second_derivative(self, q):
         return np.zeros_like(q, dtype=float)[()]
 
-    def to_json(self):
-        return {"family": "rotor", "inertia": self.inertia}
-
 
 @dataclass(frozen=True)
 class Morse(Potential):
     """V(q) = depth * (1 - exp(-width q))^2, minimum at q = 0."""
 
+    family = "morse"
     m: float = 1.0
     depth: float = 1.0
     width: float = 1.0
-
-    @property
-    def mass(self):
-        return self.m
 
     def value(self, q):
         y = np.exp(-self.width * q)
@@ -212,18 +197,9 @@ class Morse(Potential):
         y = np.exp(-self.width * q)
         return 2.0 * self.depth * self.width**2 * y * (2.0 * y - 1.0)
 
-    def to_json(self):
-        return {"family": "morse", "m": self.m, "depth": self.depth, "width": self.width}
 
-
-_FAMILIES = {
-    "harmonic": (Harmonic, ("m", "omega")),
-    "quartic": (Quartic, ("m", "lam")),
-    "polynomial": (Polynomial, ("m", "coeffs")),
-    "pendulum": (Pendulum, ("m", "amplitude")),
-    "rotor": (Rotor, ("inertia",)),
-    "morse": (Morse, ("m", "depth", "width")),
-}
+_FAMILIES = {cls.family: cls for cls in (Harmonic, Quartic, Polynomial, Pendulum,
+                                         Rotor, Morse)}
 
 
 def potential_from_json(obj: dict) -> Potential:
@@ -233,19 +209,20 @@ def potential_from_json(obj: dict) -> Potential:
     family = obj["family"]
     if family not in _FAMILIES:
         raise ValueError(f"unknown potential family {family!r}")
-    cls, fields = _FAMILIES[family]
-    extra = set(obj) - set(fields) - {"family"}
+    cls = _FAMILIES[family]
+    fields = dataclasses.fields(cls)
+    extra = set(obj) - {f.name for f in fields} - {"family"}
     if extra:
         raise ValueError(f"unknown field(s) for family {family!r}: {sorted(extra)}")
     kwargs = {}
     try:
-        for k in fields:
-            if k not in obj:
+        for f in fields:
+            if f.name not in obj:
                 continue
-            if k == "coeffs":
-                kwargs[k] = tuple(float(c) for c in obj[k])
+            if isinstance(f.default, tuple):  # a vector field such as coeffs
+                kwargs[f.name] = tuple(float(c) for c in obj[f.name])
             else:
-                kwargs[k] = float(obj[k])
+                kwargs[f.name] = float(obj[f.name])
     except (TypeError, ValueError):
         raise ValueError(f"fields of family {family!r} must be numbers")
     if not all(np.isfinite(v).all() for v in kwargs.values()):

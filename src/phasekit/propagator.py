@@ -69,6 +69,15 @@ class KernelPhase:
     v0: float
 
 
+def _phase(traj: Trajectory, s_cl: float, E: float, hbar: float) -> KernelPhase:
+    """The kernel phase of action s_cl at energy E over the span and slices of traj."""
+    energy_phase = E * traj.duration
+    return KernelPhase(S_cl=s_cl, energy=E, energy_phase=energy_phase,
+                       total_phase=(s_cl - energy_phase) / hbar,
+                       prefactor_log=traj.slices * math.log(traj.mass),
+                       slices=traj.slices, v0=float(traj.velocities[0]))
+
+
 def _constant_value(potential: Potential) -> float | None:
     """V0 when the force vanishes identically, else None."""
     if isinstance(potential, Rotor):
@@ -216,20 +225,9 @@ def loop_action(traj: Trajectory) -> float:
 def sliced_phase(traj: Trajectory, potential: Potential, E: float,
                  hbar: float = 1.0) -> KernelPhase:
     """Left-endpoint Riemann sum of (L - E) dt / hbar over the slice chain."""
-    n = traj.slices
-    dt = traj.duration / n
+    dt = traj.duration / traj.slices
     lag = _lagrangian(traj, potential)
-    s_sliced = float(np.sum(lag[:-1]) * dt)
-    energy_phase = E * traj.duration
-    return KernelPhase(
-        S_cl=s_sliced,
-        energy=E,
-        energy_phase=energy_phase,
-        total_phase=(s_sliced - energy_phase) / hbar,
-        prefactor_log=n * math.log(traj.mass),
-        slices=n,
-        v0=float(traj.velocities[0]),
-    )
+    return _phase(traj, float(np.sum(lag[:-1]) * dt), E, hbar)
 
 
 def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
@@ -253,13 +251,4 @@ def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
 
     if E == "auto":
         E = float(traj.sampled_energy(potential)[0])
-    energy_phase = E * t
-    return KernelPhase(
-        S_cl=s_cl,
-        energy=E,
-        energy_phase=energy_phase,
-        total_phase=(s_cl - energy_phase) / hbar,
-        prefactor_log=N * math.log(potential.mass),
-        slices=N,
-        v0=float(traj.velocities[0]),
-    )
+    return _phase(traj, s_cl, E, hbar)

@@ -75,11 +75,11 @@ def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float
     """
     if potential.periodic_coordinate:
         return (0.0, potential.period)
-    q0, curvature = potential.landscape.minimum.q0, potential.landscape.minimum.curvature
+    land = potential.landscape
+    q0, curvature = land.minimum.q0, land.minimum.curvature
     m = potential.mass
     omega_local = math.sqrt(max(curvature, 1e-6) / m)
-    v0 = float(potential.value(q0))
-    target = v0 + hbar * omega_local * (2.0 * k + 11.0)
+    target = land.v_min + hbar * omega_local * (2.0 * k + 11.0)
     half = 1.0
     # steep walls overflow to inf at wide halves; inf still clears the target
     with np.errstate(over="ignore"):

@@ -64,8 +64,7 @@ def matching_temperature(potential: Potential, point: EquilibriumPoint,
 
 def equilibrium_energy(potentials: Potential | Sequence[Potential],
                        points: EquilibriumPoint | Sequence[EquilibriumPoint],
-                       T: float, k_B: float = 1.0,
-                       N: int | None = None) -> float:
+                       T: float, k_B: float = 1.0) -> float:
     """Separable equilibrium energy V(q0_1, .., q0_N) + N k_B T.
 
     Each coordinate contributes its potential minimum; the reservoir adds
@@ -78,14 +77,11 @@ def equilibrium_energy(potentials: Potential | Sequence[Potential],
         points = [points]
     if len(potentials) != len(points):
         raise ValueError("need one equilibrium point per potential")
-    n_dof = len(points)
-    if N is not None and N != n_dof:
-        raise ValueError(f"N={N} does not match the {n_dof} supplied coordinates")
     for pt in points:
         if pt.stability is Stability.MAXIMUM:
             raise ValueError(f"q0={pt.q0:g} is a maximum, not a mechanical equilibrium")
     v0 = sum(float(p.value(pt.q0)) for p, pt in zip(potentials, points))
-    return v0 + n_dof * k_B * T
+    return v0 + len(points) * k_B * T
 
 
 def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q):
@@ -104,10 +100,10 @@ def schrodinger_residual(potential: Potential, ens: CanonicalEnsemble, q):
     d2v = np.asarray(potential.second_derivative(qa), dtype=float)
     lhs = (beta * hbar**2 / (2.0 * m)) * d2v + v - (beta**2 * hbar**2 / (2.0 * m)) * dv**2
 
-    q0 = potential.landscape.minimum.q0
-    v0 = float(potential.value(q0))
-    curvature = max(float(potential.second_derivative(q0)), 0.0)
-    e_ref = v0 + 0.5 * hbar * math.sqrt(curvature / m)
+    land = potential.landscape
+    # V'' itself: a minimum at a window end carries curvature 0.0, not V''
+    curvature = max(float(potential.second_derivative(land.minimum.q0)), 0.0)
+    e_ref = land.v_min + 0.5 * hbar * math.sqrt(curvature / m)
     out = lhs - e_ref
     return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
 

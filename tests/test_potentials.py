@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -97,6 +98,21 @@ def test_rotor_is_flat_and_periodic():
 ])
 def test_json_round_trip(potential):
     assert potential_from_json(potential.to_json()) == potential
+
+
+@pytest.mark.parametrize("potential,echo", [
+    (Harmonic(m=2.0, omega=1.5), '{"family": "harmonic", "m": 2.0, "omega": 1.5}'),
+    (Quartic(m=0.5, lam=3.0), '{"family": "quartic", "m": 0.5, "lam": 3.0}'),
+    (Polynomial(m=1.5, coeffs=(0.0, -1.0, 0.0, 0.25)),
+     '{"family": "polynomial", "m": 1.5, "coeffs": [0.0, -1.0, 0.0, 0.25]}'),
+    (Pendulum(m=2.0, amplitude=0.75), '{"family": "pendulum", "m": 2.0, "amplitude": 0.75}'),
+    (Rotor(inertia=3.0), '{"family": "rotor", "inertia": 3.0}'),
+    (Morse(m=1.0, depth=2.0, width=0.5),
+     '{"family": "morse", "m": 1.0, "depth": 2.0, "width": 0.5}'),
+], ids=["harmonic", "quartic", "polynomial", "pendulum", "rotor", "morse"])
+def test_json_echo_is_pinned_byte_for_byte(potential, echo):
+    # every artifact echoes its potential: key order and the coeffs list form are output
+    assert json.dumps(potential.to_json()) == echo
 
 
 EVERY_FAMILY = [

@@ -84,13 +84,11 @@ class TestEquilibriumEnergy:
     def test_separable_sum_adds_one_kBT_per_coordinate(self):
         pots = [Harmonic(m=1.0, omega=1.0), Harmonic(m=0.5, omega=2.0)]
         pts = [stable_point(p) for p in pots]
-        assert equilibrium_energy(pots, pts, 0.5, N=2) == pytest.approx(1.0, rel=1e-12)
+        assert equilibrium_energy(pots, pts, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_dof_count_mismatch_rejected(self):
         pot = Harmonic()
         pt = stable_point(pot)
-        with pytest.raises(ValueError):
-            equilibrium_energy(pot, pt, 0.5, N=3)
         with pytest.raises(ValueError):
             equilibrium_energy([pot, pot], [pt], 0.5)
 
