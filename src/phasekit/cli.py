@@ -135,7 +135,7 @@ def _parse_float(text, field: str) -> float:
         if isinstance(text, bool):  # JSON true is not the number 1
             raise TypeError
         value = float(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected a number for {field!r}, got {text!r}", field=field)
     if not math.isfinite(value):
         raise ConfigError(f"{field!r} must be finite, got {text!r}", field=field)

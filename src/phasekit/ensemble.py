@@ -11,6 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .potentials import json_number
+
 
 @dataclass(frozen=True)
 class CanonicalEnsemble:
@@ -40,7 +42,7 @@ def ensemble_from_json(obj: dict) -> CanonicalEnsemble:
     if extra:
         raise ValueError(f"unknown ensemble field(s): {sorted(extra)}")
     try:
-        kwargs = {k: float(obj[k]) for k in names if k in obj}
-    except (TypeError, ValueError):
+        kwargs = {k: json_number(obj[k]) for k in names if k in obj}
+    except (TypeError, OverflowError):
         raise ValueError("ensemble fields must be numbers")
     return CanonicalEnsemble(**kwargs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,6 +203,13 @@ _FAMILIES = {cls.family: cls for cls in (Harmonic, Quartic, Polynomial, Pendulum
                                          Rotor, Morse)}
 
 
+def json_number(value) -> float:
+    """A JSON field's number as a float; TypeError for a bool, a string or any other non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)  # OverflowError for an integer past the float range
+
+
 def potential_from_json(obj: dict) -> Potential:
     """Build a potential from its JSON object, rejecting unknown fields."""
     if not isinstance(obj, dict) or "family" not in obj:
@@ -220,10 +228,12 @@ def potential_from_json(obj: dict) -> Potential:
             if f.name not in obj:
                 continue
             if isinstance(f.default, tuple):  # a vector field such as coeffs
-                kwargs[f.name] = tuple(float(c) for c in obj[f.name])
+                if not (isinstance(obj[f.name], list) and obj[f.name]):
+                    raise TypeError  # a string or an object would iterate; [] is no V
+                kwargs[f.name] = tuple(json_number(c) for c in obj[f.name])
             else:
-                kwargs[f.name] = float(obj[f.name])
-    except (TypeError, ValueError):
+                kwargs[f.name] = json_number(obj[f.name])
+    except (TypeError, OverflowError):
         raise ValueError(f"fields of family {family!r} must be numbers")
     if not all(np.isfinite(v).all() for v in kwargs.values()):
         raise ValueError(f"fields of family {family!r} must be finite")
@@ -290,12 +300,12 @@ def find_equilibria(
     tolerance: float = 1e-12,
     subintervals: int = 2048,
 ) -> list[EquilibriumPoint]:
-    """Locate all roots of V' on a finite interval: bracket on a grid, polish by `_solve`.
+    """Locate the roots of V' on a finite interval: bracket on a grid, polish by `_solve`.
 
-    Returns points sorted by position.  An interval with no sign change of
-    V' and no isolated near-zero touch yields an empty list.  Potentials
-    whose gradient vanishes identically (the rotor) have no isolated
-    equilibria and also yield an empty list.
+    A root is a grid point where V' is exactly 0 or the polished root of a
+    sign change of V' between neighbours, sorted by position; a root that V'
+    touches off the grid without changing sign is not reported.  A gradient
+    flat to `tolerance` on the whole grid (the rotor) yields an empty list.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -305,36 +315,18 @@ def find_equilibria(
 
     grid = np.linspace(a, b, subintervals + 1)
     dv = np.asarray(potential.derivative(grid), dtype=float)
-    step = (b - a) / subintervals
-    scale = max(1.0, float(np.max(np.abs(dv))))
-
-    if np.all(np.abs(dv) <= tolerance * scale):
+    if np.all(np.abs(dv) <= tolerance * max(1.0, float(np.max(np.abs(dv))))):
         return []  # flat gradient: a continuum, not isolated equilibria
 
-    brackets = np.append(dv[:-1] * dv[1:] < 0.0, False)
-    roots = []
-    for i in np.nonzero((dv == 0.0) | brackets)[0]:
-        if dv[i] == 0.0:
-            roots.append(float(grid[i]))
-        else:  # V' < 0 at one end of the bracket and > 0 at the other
-            ends = (float(grid[i]), float(grid[i + 1]))
-            below, above = ends if dv[i] < 0.0 else ends[::-1]
-            roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
-                                below, above))
-
-    # isolated touches of zero without a sign change (e.g. V' = q^2)
-    for i in np.nonzero(np.abs(dv) <= tolerance)[0]:
-        qi = float(grid[i])
-        if not any(abs(qi - r) <= step for r in roots):
-            roots.append(qi)
-
-    out: list[EquilibriumPoint] = []
-    for q0 in sorted(roots):
-        if out and q0 - out[-1].q0 <= step:
-            continue  # one equilibrium bracketed or touched twice
-        curv = float(potential.second_derivative(q0))
-        out.append(EquilibriumPoint(q0=q0, curvature=curv, stability=_classify(curv)))
-    return out
+    roots = grid[dv == 0.0].tolist()
+    sign = np.sign(dv)  # not a product of neighbours, which overflows past |V'| ~ 1e154
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:  # V' < 0 at one end, > 0 at the other
+        below, above = (grid[i], grid[i + 1]) if dv[i] < 0.0 else (grid[i + 1], grid[i])
+        roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
+                            float(below), float(above)))
+    roots.sort()
+    curvatures = [float(potential.second_derivative(q0)) for q0 in roots]
+    return [EquilibriumPoint(q0, c, _classify(c)) for q0, c in zip(roots, curvatures)]
 
 
 @dataclass(frozen=True)

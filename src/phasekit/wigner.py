@@ -90,7 +90,7 @@ def _hermgauss(order: int):
 
 
 @lru_cache(maxsize=256)
-def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None) -> float:
+def _normalizer(potential: Potential, ens: CanonicalEnsemble) -> float:
     """Z = integral of exp(-2 beta (V - V_min)) over the box, by adaptive composite Gauss-Legendre.
 
     The box starts as 16 equal panels.  Each pass takes a PANEL_ORDER-node
@@ -105,7 +105,7 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
     halving) and is accepted too.  A split past MAX_PANELS raises
     AccuracyError.
     """
-    lo, hi = normalization_box(potential, ens) if box is None else box
+    lo, hi = normalization_box(potential, ens)
     v_min = potential.landscape.v_min
     (t_coarse, w_coarse), (t_fine, w_fine) = _leggauss(PANEL_ORDER), _leggauss(2 * PANEL_ORDER)
     nodes = np.concatenate([t_coarse, t_fine]) + 1.0
@@ -143,7 +143,7 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble, box: tuple | None)
 def equilibrium_density(potential: Potential, ens: CanonicalEnsemble, q):
     """Normalized configuration density exp(-2 beta (V(q) - V_min)) / Z."""
     v = np.asarray(potential.value(q), dtype=float) - potential.landscape.v_min
-    return np.exp(-2.0 * ens.beta * v) / _normalizer(potential, ens, None)
+    return np.exp(-2.0 * ens.beta * v) / _normalizer(potential, ens)
 
 
 def characteristic_closed_form(ens: CanonicalEnsemble, potential: Potential, q, delta_q):
@@ -213,4 +213,4 @@ def product_form_characteristic(ens: CanonicalEnsemble, potential: Potential, q,
     v = np.asarray(potential.value(q), dtype=float) - potential.landscape.v_min
     v2 = np.asarray(potential.second_derivative(q), dtype=float)
     dq = np.asarray(delta_q, dtype=float)
-    return np.exp(-2.0 * ens.beta * (v + 0.125 * dq**2 * v2)) / _normalizer(potential, ens, None)
+    return np.exp(-2.0 * ens.beta * (v + 0.125 * dq**2 * v2)) / _normalizer(potential, ens)

@@ -169,6 +169,38 @@ class TestArgumentHandling:
                       '"levels": 2.9}'), "levels", id="levels-not-integral"),
         pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
                       '"hbar": true}'), "hbar", id="hbar-boolean"),
+        pytest.param(("--config", '{"subcommand": "oracle", "potential": {"family": "harmonic"}, '
+                      '"hbar": 1' + "0" * 400 + "}"), "hbar", id="hbar-past-float-range"),
+        pytest.param(("equilibrium", "--potential", '{"family": "polynomial", "coeffs": "0102"}'),
+                     "potential", id="coeffs-string"),
+        pytest.param(("equilibrium", "--potential", '{"family": "polynomial", "coeffs": {"1": 0}}'),
+                     "potential", id="coeffs-object"),
+        pytest.param(("equilibrium", "--potential", '{"family": "polynomial", "coeffs": []}'),
+                     "potential", id="coeffs-empty"),
+        pytest.param(("equilibrium", "--potential", '{"family": "harmonic", "m": true}'),
+                     "potential", id="m-boolean"),
+        pytest.param(("equilibrium", "--potential", '{"family": "harmonic", "m": "2"}'),
+                     "potential", id="m-string"),
+        pytest.param(("equilibrium", "--potential", '{"family": "harmonic", "m": 1' + "0" * 400
+                      + "}"), "potential", id="m-past-float-range"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--grid", "-1:1:5",
+                      "--ensemble", '{"beta": true}'), "ensemble", id="ensemble-beta-boolean"),
+        pytest.param(("equilibrium", "--potential", HARMONIC, "--window", "2:1"),
+                     "window", id="window-reversed"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--levels", "3"),
+                     "levels", id="levels-not-a-range"),
+        pytest.param(("equilibrium", "--potential", "/nonexistent/pot.json"),
+                     "potential", id="potential-file-missing"),
+        pytest.param(("equilibrium", "--potential", "{bad"), "potential", id="potential-bad-json"),
+        pytest.param(("thermo", "--potential", f"[{HARMONIC}]", "--ensemble", BETA_ONE,
+                      "--grid", "-1:1:5"), "potential", id="thermo-potential-list"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--ensemble", "[1]", "--grid", "-1:1:5"),
+                     "ensemble", id="ensemble-list"),
+        pytest.param(("--config", "[1]"), "config", id="config-list"),
+        pytest.param(("equilibrium", "--potential", '{"m": 1.0}'),
+                     "potential", id="potential-without-family"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--ensemble", '{"hbar": 1.0}',
+                      "--grid", "-1:1:5"), "ensemble", id="ensemble-without-beta"),
     ])
     def test_out_of_range_numbers_name_their_field(self, run, argv, field):
         code, out, err = run(*argv)
@@ -460,6 +492,16 @@ class TestQuantizeCommand:
             assert row["E_oracle"] == pytest.approx(e, abs=1e-6)
         for row in rows[:2]:
             assert abs(row["relative_error"]) < 2e-3
+
+    def test_oracle_pairs_a_steep_morse_well(self, run):
+        # one well: the plateau where |V'| <= 1e-12 past q = 9.5 holds no equilibria,
+        # so the oracle is asked for two states, not one per plateau point
+        code, out, err = run("quantize", "--potential",
+                             '{"family":"morse","depth":100,"width":3.6}',
+                             "--levels", "0..1", "--oracle", "on", "--box=-1:4")
+        assert code == 0, err
+        for row in json.loads(out)["levels"]:
+            assert abs(row["relative_error"]) < 1e-6
 
     def test_djde_column(self, run):
         code, out, _ = run("quantize", "--potential", HARMONIC, "--levels", "0..1",

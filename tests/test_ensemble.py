@@ -31,6 +31,10 @@ def test_defaults_are_natural_units():
     {"beta": math.nan},
     {"beta": 1.0, "k_B": math.inf},
     {"beta": 1.0, "masses": [math.nan]},
+    {"beta": True},
+    {"beta": "2"},
+    {"beta": 1.0, "hbar": [1.0]},
+    {"beta": 10**400},
 ])
 def test_invalid_ensembles_rejected(obj):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,10 +165,23 @@ def test_json_rejects_unknown_family_and_fields():
     ({"family": "harmonic", "m": -1.0}, "positive"),
     ({"family": "quartic", "m": 0.0}, "positive"),
     ({"family": "rotor", "inertia": -2.0}, "positive"),
+    ({"family": "polynomial", "coeffs": "0102"}, "numbers"),  # not read digit by digit
+    ({"family": "polynomial", "coeffs": {"1": 0}}, "numbers"),
+    ({"family": "polynomial", "coeffs": []}, "numbers"),
+    ({"family": "polynomial", "coeffs": [0.0, True]}, "numbers"),
+    ({"family": "polynomial", "coeffs": 1.0}, "numbers"),
+    ({"family": "harmonic", "m": True}, "numbers"),
+    ({"family": "harmonic", "omega": "2"}, "numbers"),
+    ({"family": "morse", "depth": 10**400}, "numbers"),
 ])
 def test_json_rejects_non_finite_fields_and_nonpositive_mass(obj, match):
     with pytest.raises(ValueError, match=match):
         potential_from_json(obj)
+
+
+def test_json_accepts_numpy_scalars():
+    obj = {"family": "polynomial", "m": np.float64(2.0), "coeffs": [np.int64(1), np.float32(0.5)]}
+    assert potential_from_json(obj) == Polynomial(m=2.0, coeffs=(1.0, 0.5))
 
 
 def test_polynomial_derivatives_match_polyder():
@@ -187,39 +201,31 @@ def loop_equilibria(potential, interval, tolerance=1e-12, subintervals=2048):
     a, b = interval
     grid = np.linspace(a, b, subintervals + 1)
     dv = np.asarray(potential.derivative(grid), dtype=float)
-    step = (b - a) / subintervals
     if np.all(np.abs(dv) <= tolerance * max(1.0, float(np.max(np.abs(dv))))):
         return []
     roots = []
     for i in range(subintervals):
         if dv[i] == 0.0:
             roots.append(float(grid[i]))
-        elif dv[i] * dv[i + 1] < 0.0:
+        elif dv[i] < 0.0 < dv[i + 1] or dv[i] > 0.0 > dv[i + 1]:
             ends = (float(grid[i]), float(grid[i + 1]))
             below, above = ends if dv[i] < 0.0 else ends[::-1]
             roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
                                 below, above))
     if dv[-1] == 0.0:
         roots.append(float(grid[-1]))
-    for i in np.nonzero(np.abs(dv) <= tolerance)[0]:
-        qi = float(grid[i])
-        if not any(abs(qi - r) <= step for r in roots):
-            roots.append(qi)
-    roots.sort()
-    deduped = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > step:
-            deduped.append(r)
     return [EquilibriumPoint(q0=q0, curvature=float(potential.second_derivative(q0)),
                              stability=_classify(float(potential.second_derivative(q0))))
-            for q0 in deduped]
+            for q0 in sorted(roots)]
 
 
 def _scan_cases():
     rng = np.random.default_rng(7)
     cases = [(Harmonic(), SEARCH_WINDOW), (Quartic(), SEARCH_WINDOW),
              (Morse(depth=5.0, width=0.7), SEARCH_WINDOW), (Pendulum(), (-0.5, 7.0)),
-             (Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)), (-1.0, 1.0))]
+             (Polynomial(coeffs=(0.0, 0.0, 0.0, 1.0)), (-1.0, 1.0)),
+             (Morse(depth=10.0, width=4.0), SEARCH_WINDOW),
+             (Polynomial(coeffs=(0.0, -1e-6, 0.0, 1.0 / 3.0)), SEARCH_WINDOW)]
     for _ in range(12):
         coeffs = tuple(float(c) for c in np.round(rng.uniform(-3.0, 3.0, rng.integers(3, 7)), 3))
         cases.append((Polynomial(coeffs=coeffs), SEARCH_WINDOW))
@@ -254,6 +260,23 @@ def test_flat_bottom_is_degenerate_on_and_off_the_grid(interval):
     (pt,) = find_equilibria(Quartic(), interval)
     assert abs(pt.q0) < 1e-14
     assert pt.stability is Stability.DEGENERATE
+
+
+@pytest.mark.parametrize("potential,expected", [
+    # |V'| <= 1e-12 on the 205 grid points from q = 8.0 on is a plateau, not equilibria
+    (Morse(depth=10.0, width=4.0), [(0.0, Stability.MINIMUM)]),
+    # |V'| passes 1e154 below q = -8.7, where a product of neighbours overflows
+    (Morse(depth=10.0, width=20.0), [(0.0, Stability.MINIMUM)]),
+    # two roots of V' = q^2 - 1e-6 within one grid step of each other
+    (Polynomial(coeffs=(0.0, -1e-6, 0.0, 1.0 / 3.0)),
+     [(-0.001, Stability.MAXIMUM), (0.001, Stability.MINIMUM)]),
+])
+def test_equilibria_are_exact_zeros_and_sign_changes(potential, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = find_equilibria(potential, SEARCH_WINDOW)
+    assert [(pytest.approx(q0, abs=1e-15), s) for q0, s in expected] == [
+        (pt.q0, pt.stability) for pt in points]
 
 
 class TestLandscape:

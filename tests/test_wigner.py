@@ -222,7 +222,7 @@ class TestNormalizationBox:
         v_min = tilted.landscape.v_min
         whole, _ = quad(lambda q: math.exp(-40.0 * (float(tilted.value(q)) - v_min)),
                         -10.0, 10.0, points=minima, epsabs=0.0, epsrel=1e-13, limit=400)
-        assert _normalizer(tilted, ens, None) == pytest.approx(whole, rel=1e-12)
+        assert _normalizer(tilted, ens) == pytest.approx(whole, rel=1e-12)
 
 
 #: shallow tilted wells keep Z finite at beta = 1000; up to beta = 20 both wells carry weight
@@ -253,18 +253,20 @@ class TestNormalizer:
         v_min = potential.landscape.v_min
         want, _ = quad(lambda q: math.exp(-2.0 * ens.beta * (float(potential.value(q)) - v_min)),
                        lo, hi, points=minima or None, epsabs=0.0, epsrel=1e-13, limit=1000)
-        assert _normalizer(potential, ens, None) == pytest.approx(want, rel=1e-14)
+        assert _normalizer(potential, ens) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("center", [18.0, 100.0])
     def test_shifted_well_stops_at_the_rounding_floor(self, center):
         # V = (q - c)^2 / 2 written as a polynomial cancels terms near c^2 / 2, which
         # leaves exp(-2 beta V) a rounding noise above the 1e-13 tolerance
         well = Polynomial(coeffs=(0.5 * center**2, -center, 0.5))
-        z = _normalizer(well, CanonicalEnsemble(beta=20.0), None)
+        z = _normalizer(well, CanonicalEnsemble(beta=20.0))
         assert z == pytest.approx(math.sqrt(math.pi / 20.0), rel=1e-11)
 
-    def test_unconverged_panels_raise_accuracy_error(self):
-        # a thousand narrow wells in one explicit box need more panels than the cap
+    def test_unconverged_panels_raise_accuracy_error(self, monkeypatch):
+        # a thousand narrow wells in one box need more panels than the cap
+        monkeypatch.setattr(wigner, "normalization_box",
+                            lambda potential, ens: (0.0, 2000.0 * math.pi))
         with pytest.raises(AccuracyError) as info:
-            _normalizer(Pendulum(amplitude=50.0), ENS, (0.0, 2000.0 * math.pi))
+            _normalizer(Pendulum(amplitude=50.0), ENS)
         assert info.value.estimate > NORMALIZER_TOLERANCE
