@@ -8,7 +8,6 @@ with a cosine substitution so fixed-order Gauss-Legendre converges fast.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -66,56 +65,13 @@ def _cross(potential: Potential, E: float, inside: float, outside: float) -> flo
     return _solve(potential.value, potential.derivative, E, inside, outside)
 
 
-class _Walk:
-    """The stops of `turning_points`' outward walk from the minimum, and V at each.
-
-    The stops do not depend on E: the equilibria ahead in order, then half a
-    period on, or 80 doubling steps from 1e-3 on the line (V is monotone
-    between adjacent equilibria, so walking them in order can never step
-    over a thin barrier).  V is taken at a stop only when a call first walks
-    that far, and kept; `peaks` holds the running maximum of the values, so
-    the first stop above E is a bisection away.  A value is kept only once V
-    has returned it.
-    """
-
-    def __init__(self, potential: Potential, direction: float):
-        q0 = potential.landscape.minimum.q0
-        ahead = [pt.q0 for pt in potential.landscape.equilibria
-                 if direction * (pt.q0 - q0) > 1e-9]
-        if direction < 0:
-            ahead = ahead[::-1]
-        if potential.period is not None:
-            half = q0 + direction * 0.5 * potential.period
-            ahead = [x for x in ahead if direction * (x - half) <= 1e-9] + [half]
-        else:
-            q, step = ahead[-1] if ahead else q0, 1e-3
-            for _ in range(80):
-                q += direction * step
-                ahead.append(q)
-                step *= 2.0
-        self.stops = [q0] + ahead
-        self.peaks = []
-
-    def bracket(self, potential: Potential, E: float) -> tuple[float, float] | None:
-        """(the stop before the first with V > E, that stop), or None past the last."""
-        i = bisect.bisect_right(self.peaks, E)
-        while i == len(self.peaks) < len(self.stops) - 1:
-            v = float(potential.value(self.stops[i + 1]))
-            top = self.peaks[-1] if self.peaks else -math.inf
-            self.peaks.append(v if v > top else top)  # a NaN is never above E
-            i += not v > E
-        if i == len(self.stops) - 1:
-            return None
-        return self.stops[i], self.stops[i + 1]
-
-
 def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
     """Pair (a, b) with V(a) = V(b) = E around the global minimum, or None.
 
     Returns None when the motion is unbounded on either side (rotation or
     escape).  E below the potential minimum has no classical motion.  Each
-    side brackets its crossing between the stops of its `_Walk`, kept on
-    the potential.
+    side brackets its crossing between the first stop of its walk
+    (`Landscape.walks`) with V > E and the stop before it.
     """
     land = potential.landscape
     q0, v_min = land.minimum.q0, land.v_min
@@ -124,16 +80,13 @@ def turning_points(potential: Potential, E: float) -> tuple[float, float] | None
     if E == v_min:
         return (q0, q0)
 
-    walks = potential._turning_walks
     ends = []
-    for direction in (+1.0, -1.0):
-        if direction not in walks:
-            walks[direction] = _Walk(potential, direction)
-        pair = walks[direction].bracket(potential, E)
-        if pair is None:
+    for stops, peaks in land.walks:
+        i = peaks.searchsorted(E, side="right")
+        if i == len(peaks):
             # a periodic orbit that clears every crest in the cell rotates
             return None
-        ends.append(_cross(potential, E, *pair))
+        ends.append(_cross(potential, E, float(stops[i]), float(stops[i + 1])))
     b, a = ends
     return (a, b)
 

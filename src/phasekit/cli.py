@@ -161,20 +161,27 @@ def _parse_int(text, field: str, low: int | None = None) -> int:
     return value
 
 
+def _parse_span(parts, field: str) -> tuple[float, float]:
+    """Two finite numbers whose difference is finite too."""
+    lo, hi = _parse_float(parts[0], field), _parse_float(parts[1], field)
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{field!r} spans more than the float range", field=field)
+    return lo, hi
+
+
 def _parse_range(text, field: str) -> np.ndarray:
     """start:stop:count inclusive grid."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ConfigError(f"{field!r} must look like start:stop:count", field=field)
-    return np.linspace(_parse_float(parts[0], field), _parse_float(parts[1], field),
-                       _parse_int(parts[2], field, low=1))
+    return np.linspace(*_parse_span(parts, field), _parse_int(parts[2], field, low=1))
 
 
 def _parse_interval(text, field: str) -> tuple[float, float]:
     parts = str(text).split(":")
     if len(parts) != 2:
         raise ConfigError(f"{field!r} must look like lo:hi", field=field)
-    lo, hi = _parse_float(parts[0], field), _parse_float(parts[1], field)
+    lo, hi = _parse_span(parts, field)
     if not lo < hi:
         raise ConfigError(f"{field!r} needs lo < hi", field=field)
     return lo, hi
@@ -588,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error(exc, "validation")
         return 2
-    except PhasekitError as exc:
+    except (PhasekitError, ArithmeticError) as exc:  # a family formula may overflow
         _emit_error(exc, "computation")
         return 1
     return 0

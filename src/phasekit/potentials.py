@@ -58,13 +58,8 @@ class Potential:
 
     @cached_property
     def landscape(self) -> Landscape:
-        """Equilibria, global minimum and crest, found on first use and kept."""
+        """Equilibria, global minimum, crest and walks, found on first use and kept."""
         return _build_landscape(self)
-
-    @cached_property
-    def _turning_walks(self) -> dict:
-        """bohr_sommerfeld's outward walks from the minimum, kept per direction."""
-        return {}
 
     def to_json(self) -> dict:
         """The family, then each field in declaration order, a tuple as a list."""
@@ -308,7 +303,7 @@ def find_equilibria(
     flat to `tolerance` on the whole grid (the rotor) yields an empty list.
     """
     a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+    if not (np.isfinite(b - a) and a < b):  # b - a can overflow with both ends finite
         raise ValueError("interval must be finite with a < b")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -331,18 +326,51 @@ def find_equilibria(
 
 @dataclass(frozen=True)
 class Landscape:
-    """A potential's equilibria (roots of V' on the search window, sorted), minimum and crest.
+    """A potential's equilibria (roots of V' on the search window, sorted), minimum,
+    crest and turning-point walks.
 
     ``minimum`` is the lowest non-maximum equilibrium, the first on a tie;
     where there is none (flat, monotone or unbounded V) it is the window's
     lower end, marked degenerate with zero curvature.  ``v_min`` is V there.
     ``crest`` is the highest of 2049 samples of one period, or None.
+
+    ``walks`` holds the outward walks from the minimum, right then left, as
+    read-only ``(stops, peaks)`` arrays.  The stops are the minimum, the
+    equilibria ahead in order, then half a period on, or 80 doubling steps
+    from 1e-3 on the line (V is monotone between adjacent equilibria, so
+    walking them in order never steps over a thin barrier).  ``peaks[i]``
+    is the running maximum of V over ``stops[1:i + 2]``, a NaN counting as
+    -inf, so the first stop with V > E is ``stops[searchsorted(peaks, E,
+    "right") + 1]``.
     """
 
     equilibria: tuple[EquilibriumPoint, ...]
     minimum: EquilibriumPoint
     v_min: float
     crest: float | None
+    walks: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+#: a walk's steps on the line past the last equilibrium ahead: 1e-3 2^k, k = 0..79
+_DOUBLINGS = 1e-3 * 2.0 ** np.arange(80)
+
+
+def _walk(potential: Potential, equilibria, q0: float, direction: float):
+    """The (stops, peaks) of `Landscape.walks` on one side of the minimum q0."""
+    ahead = [pt.q0 for pt in equilibria if direction * (pt.q0 - q0) > 1e-9]
+    if direction < 0:
+        ahead = ahead[::-1]
+    if potential.period is not None:
+        half = q0 + direction * 0.5 * potential.period
+        stops = np.array([q0] + [x for x in ahead if direction * (x - half) <= 1e-9] + [half])
+    else:  # from the last equilibrium on, each step is added to the stop before it
+        stops = np.concatenate(([q0], ahead, direction * _DOUBLINGS))
+        np.add.accumulate(stops[len(ahead):], out=stops[len(ahead):])
+    with np.errstate(all="ignore"):  # far stops may overflow
+        v = potential.value(stops[1:])
+    peaks = np.maximum.accumulate(np.fmax(v, -np.inf))  # a NaN is never above E
+    stops.flags.writeable = peaks.flags.writeable = False
+    return stops, peaks
 
 
 def _build_landscape(potential: Potential) -> Landscape:
@@ -375,4 +403,6 @@ def _build_landscape(potential: Potential) -> Landscape:
 
     crest = None if potential.period is None else float(
         np.max(potential.value(np.linspace(0.0, potential.period, 2049))))
-    return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest)
+    walks = tuple(_walk(potential, points, minimum.q0, direction) for direction in (+1.0, -1.0))
+    return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest,
+                     walks=walks)

@@ -582,18 +582,9 @@ class TestKeptWorkIsBitIdentical:
 
 
 class TestKeptWork:
-    @pytest.mark.parametrize("potential, first, second", [
-        (Harmonic(), 3.0, 2.0),
-        (Quartic(), 0.5, 0.7),
-        (Morse(m=1.0, depth=12.0, width=1.0), 6.0, 1.0),
-        (Pendulum(), 0.5, -0.5),
-        (Pendulum(), 2.0, 1.5),
-        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), 1.0, -1.5),
-        (Rotor(), 0.5, 2.0),
-    ], ids=["harmonic", "quartic", "morse", "pendulum", "pendulum-rotation", "tilted",
-            "rotor"])
-    def test_a_second_action_makes_one_array_call_beyond_its_solves(
-            self, potential, first, second, monkeypatch):
+    @staticmethod
+    def count_value_calls(potential, monkeypatch):
+        """(array call?, inside _solve?) for each V call on `potential`'s family."""
         calls, solving = [], []
         value, solve = type(potential).value, bohr_sommerfeld._solve
 
@@ -610,30 +601,62 @@ class TestKeptWork:
 
         monkeypatch.setattr(type(potential), "value", counted_value)
         monkeypatch.setattr(bohr_sommerfeld, "_solve", counted_solve)
+        return calls
+
+    @pytest.mark.parametrize("potential, first, second", [
+        (Harmonic(), 3.0, 2.0),
+        (Quartic(), 0.5, 0.7),
+        (Morse(m=1.0, depth=12.0, width=1.0), 6.0, 1.0),
+        (Pendulum(), 0.5, -0.5),
+        (Pendulum(), 2.0, 1.5),
+        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), 1.0, -1.5),
+        (Rotor(), 0.5, 2.0),
+    ], ids=["harmonic", "quartic", "morse", "pendulum", "pendulum-rotation", "tilted",
+            "rotor"])
+    def test_a_second_action_makes_one_array_call_beyond_its_solves(
+            self, potential, first, second, monkeypatch):
+        calls = self.count_value_calls(potential, monkeypatch)
         action(potential, first)
         calls.clear()
         action(potential, second)
+        assert [call for call in calls if not call[1]] == [(True, False)]
+
+    @pytest.mark.parametrize("potential, E", [
+        (Harmonic(), 3.0),
+        (Quartic(), 0.5),
+        (Morse(m=1.0, depth=12.0, width=1.0), 6.0),
+        (Pendulum(), 0.5),
+        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), 1.0),
+    ], ids=["harmonic", "quartic", "morse", "pendulum", "tilted"])
+    def test_the_first_action_after_the_landscape_walks_no_stop(self, potential, E,
+                                                                monkeypatch):
+        # the walks' V values are landscape data: the loop's quadrature is the only
+        # V call that is not part of a turning-point solve
+        potential.landscape
+        calls = self.count_value_calls(potential, monkeypatch)
+        action(potential, E)
         assert [call for call in calls if not call[1]] == [(True, False)]
 
     @pytest.mark.parametrize("potential", [Harmonic(), Morse(m=1.0, depth=12.0, width=1.0)],
                              ids=["harmonic", "morse"])
     def test_a_walk_cut_by_an_error_in_v_is_not_read_as_escape(self, potential,
                                                                  monkeypatch):
-        # V fails at the stop that brackets the crossing, the first scalar V > E
+        # V fails in the walks' own array call, after the equilibrium scan, whose
+        # array calls are V' only
         E, cls = 10.0, type(potential)
         value, raised = cls.value, []
-        potential.landscape  # scanned first: its own scalar V calls reach past E
 
         def failing(self, q):
-            v = value(self, q)
-            if np.ndim(q) == 0 and v > E and not raised:
+            if np.ndim(q) > 0 and not raised:
                 raised.append(q)
                 raise FloatingPointError("V failed part-way out")
-            return v
+            return value(self, q)
 
         monkeypatch.setattr(cls, "value", failing)
         with pytest.raises(FloatingPointError):
             turning_points(potential, E)
+        assert len(raised) == 1
+        assert np.array_equal(raised[0], potential.landscape.walks[0][0][1:])  # right side
         monkeypatch.setattr(cls, "value", value)
         got = turning_points(potential, E)
         assert got is not None
@@ -643,10 +666,9 @@ class TestKeptWork:
                              ids=["harmonic", "pendulum", "tilted"])
     def test_an_energy_equal_to_v_at_a_stop_walks_past_it(self, potential):
         # V = E at a stop is not above E: the walk goes on, as it did stop by stop
-        turning_points(potential, potential.landscape.v_min + 1.0)
-        walk = potential._turning_walks[+1.0]
-        for stop in walk.stops[1:len(walk.peaks) + 1]:
-            E = float(potential.value(stop))
-            if E > potential.landscape.v_min:
-                assert _bits(turning_points(potential, E)) == _bits(
-                    reference_turning_points(potential, E))
+        for stops, _ in potential.landscape.walks:
+            for stop in stops[1:]:
+                E = float(potential.value(float(stop)))
+                if E > potential.landscape.v_min:
+                    assert _bits(turning_points(potential, E)) == _bits(
+                        reference_turning_points(potential, E))

@@ -151,6 +151,17 @@ class TestArgumentHandling:
         pytest.param(("oracle", "--potential", HARMONIC, "--hbar", "inf"),
                      "hbar", id="hbar-inf"),
         pytest.param(("oracle", "--potential", HARMONIC, "--box", "0:inf"), "box", id="box-inf"),
+        pytest.param(("equilibrium", "--potential", HARMONIC, "--window=-1e308:1e308"),
+                     "window", id="window-span-overflows"),
+        pytest.param(("oracle", "--potential", HARMONIC, "--box=-1e308:1e308", "--levels", "2"),
+                     "box", id="oracle-box-span-overflows"),
+        pytest.param(("quantize", "--potential", HARMONIC, "--levels", "0..1", "--oracle", "on",
+                      "--box=-1e308:1e308"), "box", id="quantize-box-span-overflows"),
+        pytest.param(("thermo", "--potential", HARMONIC, "--ensemble", BETA_ONE,
+                      "--grid=-1e308:1e308:3"), "grid", id="grid-span-overflows"),
+        pytest.param(("wigner", "--potential", HARMONIC, "--ensemble", BETA_ONE,
+                      "--grid", "-1:1:3", "--deltas=-1e308:1e308:3"), "deltas",
+                     id="deltas-span-overflows"),
         pytest.param(("oracle", "--potential", HARMONIC, "--grid-size", "3"),
                      "grid-size", id="oracle-grid-size-3"),
         pytest.param(("oracle", "--potential", HARMONIC, "--overlap-beta", "-1"),
@@ -207,6 +218,19 @@ class TestArgumentHandling:
         assert (code, out) == (2, "")
         error = json.loads(err)["error"]
         assert (error["kind"], error["field"]) == ("validation", field)
+
+    @pytest.mark.parametrize("argv", [
+        ("quantize", "--levels", "0..1"),
+        ("equilibrium",),
+        ("oracle", "--levels", "2"),
+        ("propagate", "--from", "0", "--to", "1", "--time", "1"),
+    ], ids=["quantize", "equilibrium", "oracle", "propagate"])
+    def test_an_overflow_in_a_family_formula_is_a_computation_error(self, run, argv):
+        # omega**2 overflows a float: the formula raises OverflowError, not inf
+        code, out, err = run(*argv, "--potential", '{"family": "harmonic", "omega": 1e200}')
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("computation", "OverflowError")
 
     def test_flag_needs_a_value(self, run):
         code, _, err = run("quantize", "--potential")

@@ -254,6 +254,14 @@ def test_polished_equilibria_are_roots_to_rounding(potential, interval):
         assert abs(sum(terms)) <= 16 * eps * sum(abs(t) for t in terms), q0
 
 
+@pytest.mark.parametrize("interval", [(2.0, 1.0), (-np.inf, 1.0), (0.0, np.nan),
+                                      (-1e308, 1e308)],
+                         ids=["reversed", "infinite", "nan", "width-overflows"])
+def test_an_interval_without_a_finite_width_is_refused(interval):
+    with pytest.raises(ValueError, match="interval"):
+        find_equilibria(Harmonic(), interval)
+
+
 @pytest.mark.parametrize("interval", [SEARCH_WINDOW, (-1.0, 1.3), (-3.0, 2.0)])
 def test_flat_bottom_is_degenerate_on_and_off_the_grid(interval):
     # V' = q^3 is about 1e-12 already at q = 1e-4, where V'' = 3e-8 would read as a minimum
