@@ -180,7 +180,7 @@ def action(potential: Potential, E: float,
         motion = classify_motion(potential, E)
     j_coarse, j, period = _loop_integrals(potential, E, motion, ORDER)
     estimate = abs(j - j_coarse)
-    if estimate > 1e-8 * max(abs(j), 1.0):
+    if not estimate <= 1e-8 * max(abs(j), 1.0):  # a NaN fails
         raise AccuracyError(
             f"action quadrature not converged at order {2 * ORDER}", estimate=estimate
         )
@@ -252,7 +252,9 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
     [J(lo), J(hi)] at an iterate (not monotone), or a bracket that shrinks to
     nothing short of the target (beyond dissociation, a separatrix jump in J);
     below an uncertified hi, once J(lo) + 4 T(lo) (hi - lo) falls short of it.
-    Levels carry the certified J and T of their final iterate.
+    AccuracyError: an iterate above the band bottom whose turning points
+    coincide in floating point, so it has no period.  Levels carry the
+    certified J and T of their final iterate.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns or ns[0] < 0:
@@ -322,6 +324,9 @@ def quantize(potential: Potential, n_range, hbar: float = 1.0,
                 hi, j_hi = e, math.inf
             else:
                 j, t = profile.action, profile.dJ_dE
+                if t is None:  # only the band bottom has no period; above it, rounding
+                    raise AccuracyError(f"level n={n}: the turning points at E={e:g} coincide "
+                                        "in floating point, so J(E) cannot be certified")
                 if not (t > 0.0 and j_lo - tol_j <= j <= j_hi + tol_j):
                     raise BracketError(f"level n={n}: J(E) is not monotone on the search bracket")
                 if abs(j - target) <= tol_j:

@@ -53,7 +53,8 @@ class BoxError(PhasekitError):
 
 
 class ResolutionError(PhasekitError):
-    """Eigensolver grid too coarse for the requested accuracy."""
+    """Eigensolver grid too coarse for the requested accuracy, or so fine that
+    its kinetic scale leaves the shifted periodic operator singular to rounding."""
 
 
 class ConfigError(PhasekitError):

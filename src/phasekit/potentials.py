@@ -309,8 +309,13 @@ def find_equilibria(
         raise ValueError("tolerance must be positive")
 
     grid = np.linspace(a, b, subintervals + 1)
-    dv = np.asarray(potential.derivative(grid), dtype=float)
-    if np.all(np.abs(dv) <= tolerance * max(1.0, float(np.max(np.abs(dv))))):
+    # a steep V' overflows to inf with its sign, which still brackets a root;
+    # inf * 0 gives a NaN, which is neither a root nor a sign change
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = np.asarray(potential.derivative(grid), dtype=float)
+    size = np.abs(dv)
+    peak = float(np.max(size))  # inf or NaN where any |V'| is: neither is flat
+    if peak < math.inf and np.all(size <= tolerance * max(1.0, peak)):
         return []  # flat gradient: a continuum, not isolated equilibria
 
     roots = grid[dv == 0.0].tolist()

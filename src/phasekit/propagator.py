@@ -12,7 +12,7 @@ exponentiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,8 +65,13 @@ class KernelPhase:
     total_phase: float
     prefactor_log: float
     slices: int
-    #: start velocity of the path the phase was taken on
-    v0: float
+    #: the path the phase was taken on
+    path: Trajectory = field(repr=False, compare=False)
+
+    @property
+    def v0(self) -> float:
+        """Start velocity of the path the phase was taken on."""
+        return float(self.path.velocities[0])
 
 
 def _phase(traj: Trajectory, s_cl: float, E: float, hbar: float) -> KernelPhase:
@@ -75,7 +80,7 @@ def _phase(traj: Trajectory, s_cl: float, E: float, hbar: float) -> KernelPhase:
     return KernelPhase(S_cl=s_cl, energy=E, energy_phase=energy_phase,
                        total_phase=(s_cl - energy_phase) / hbar,
                        prefactor_log=traj.slices * math.log(traj.mass),
-                       slices=traj.slices, v0=float(traj.velocities[0]))
+                       slices=traj.slices, path=traj)
 
 
 def _constant_value(potential: Potential) -> float | None:

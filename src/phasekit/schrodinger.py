@@ -110,8 +110,8 @@ def _dirichlet_eigensolve(potential: Potential, hbar: float,
 
 def _periodic_eigensolve(potential: Potential, hbar: float,
                          box: tuple[float, float], M: int, k: int):
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import eigsh
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     lo, hi = box
     h = (hi - lo) / M
@@ -119,16 +119,44 @@ def _periodic_eigensolve(potential: Potential, hbar: float,
     m = potential.mass
     kin = hbar**2 / (m * h**2)
     v = np.asarray(potential.value(grid), dtype=float)
-    off = np.full(M - 1, -0.5 * kin)
-    # the ring's two corner couplings are the diagonals at offsets -(M - 1) and M - 1
-    mat = diags([off[:1], off, kin + v, off, off[:1]], offsets=[1 - M, -1, 0, 1, M - 1],
-                format="csc")
-    # shift-invert below the spectrum; a fixed-seed random start vector keeps
-    # the solve deterministic and, unlike a constant one, has no parity, so
-    # odd states of a symmetric box are not missed
+    diag, c = kin + v, -0.5 * kin
+
+    def ring(x):
+        # every site couples to both neighbours, site 0 to site M - 1 included.
+        # In shift-invert eigsh reads only A's shape and dtype; this is the
+        # operator that `solve` inverts
+        x = np.ravel(x)
+        return diag * x + c * (np.roll(x, 1) + np.roll(x, -1))
+
+    # shift-invert below the spectrum.  With u = e_0 + e_{M-1}, H - sigma is
+    # T + c u u^T, where T is its tridiagonal part with -c added to the two end
+    # diagonals.  T's diagonal (>= kin + 1) dominates its off-diagonal (kin / 2),
+    # so T is positive definite: factor it once, and solve H - sigma by one
+    # pttrs and a Sherman-Morrison correction for c u u^T
     sigma = float(np.min(v)) - 1.0
+    t_diag = diag - sigma
+    t_diag[[0, -1]] -= c
+    d, e, info = dpttrf(t_diag, np.full(M - 1, c))
+    u = np.zeros(M)
+    u[[0, -1]] = 1.0
+    z, _ = dpttrs(d, e, u)
+    with np.errstate(all="ignore"):
+        gain = c / (1.0 + c * (z[0] + z[-1]))  # the denominator is det(H - sigma) / det(T)
+    if info or not -math.inf < gain <= 0.0:
+        raise ResolutionError(f"kinetic scale hbar^2 / (m h^2) = {kin:.3e} leaves H - sigma "
+                              "singular to rounding; use a coarser grid")
+
+    def solve(b):
+        y, _ = dpttrs(d, e, np.ravel(b))
+        return y - (gain * (y[0] + y[-1])) * z
+
+    # a fixed-seed random start vector keeps the solve deterministic and,
+    # unlike a constant one, has no parity, so odd states of a symmetric box
+    # are not missed
     v0 = np.random.default_rng(0).standard_normal(M)
-    vals, vecs = eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0)
+    vals, vecs = eigsh(LinearOperator((M, M), matvec=ring, dtype=float), k=k, sigma=sigma,
+                       which="LM", v0=v0,
+                       OPinv=LinearOperator((M, M), matvec=solve, dtype=float))
     order = np.argsort(vals)
     return grid, h, vals[order], vecs[:, order]
 
@@ -141,9 +169,12 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     """Lowest k eigenpairs of the discretized Schrodinger operator.
 
     Dirichlet walls use the symmetric tridiagonal matrix on the interior
-    grid; periodic boundaries add the two corner couplings and solve the
-    sparse problem by shift-invert.  Eigenvectors are normalized under the
-    grid measure and sign-fixed (largest-magnitude component positive).
+    grid.  Periodic boundaries close it into a ring with two corner
+    couplings; ARPACK finds the lowest levels by shift-invert below min V,
+    each solve O(M): a positive definite tridiagonal factorization and a
+    Sherman-Morrison correction for the corners.  Eigenvectors are
+    normalized under the grid measure and sign-fixed (largest-magnitude
+    component positive).
 
     Wall amplitudes above WALL_FRACTION of the peak raise BoxError.  When
     `resolution_tolerance` is set, a half-resolution solve estimates the
@@ -174,7 +205,7 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     if boundary == "dirichlet":
         peaks = np.max(np.abs(vecs), axis=0)
         walls = np.maximum(np.abs(vecs[0, :]), np.abs(vecs[-1, :]))
-        bad = np.nonzero(walls > WALL_FRACTION * peaks)[0]
+        bad = np.nonzero(~(walls <= WALL_FRACTION * peaks))[0]  # a NaN fails
         if bad.size:
             raise BoxError(
                 f"level {bad[0]} has wall amplitude {walls[bad[0]]:.3e} "
@@ -187,7 +218,7 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
         estimates = np.abs(vals - coarse) / 3.0
         scale = np.abs(vals) + 1.0
         worst = int(np.argmax(estimates / scale))
-        if estimates[worst] > resolution_tolerance * scale[worst]:
+        if not estimates[worst] <= resolution_tolerance * scale[worst]:
             raise ResolutionError(
                 f"level {worst} discretization error estimate "
                 f"{estimates[worst]:.3e} exceeds tolerance; increase M"

@@ -166,7 +166,6 @@ def characteristic_quadrature(ens: CanonicalEnsemble, potential: Potential, q, d
     """
     m, beta = potential.mass, ens.beta
     scale = math.sqrt(m / beta)
-    wavenumber = scale * np.asarray(delta_q, dtype=float)[..., None] / ens.hbar
 
     def p_integral(n: int):
         t, w = _hermgauss(n)
@@ -174,10 +173,13 @@ def characteristic_quadrature(ens: CanonicalEnsemble, potential: Potential, q, d
         return scale * (np.sum(w * np.cos(phase), axis=-1)
                         + 1j * np.sum(w * np.sin(phase), axis=-1))
 
-    coarse = p_integral(QUADRATURE_ORDER)
-    fine = p_integral(2 * QUADRATURE_ORDER)
+    # an overflowing wavenumber makes NaN sums, which fail the gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        wavenumber = scale * np.asarray(delta_q, dtype=float)[..., None] / ens.hbar
+        coarse = p_integral(QUADRATURE_ORDER)
+        fine = p_integral(2 * QUADRATURE_ORDER)
     estimate = float(np.max(np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-300)))
-    if estimate > QUADRATURE_TOLERANCE:
+    if not estimate <= QUADRATURE_TOLERANCE:  # a NaN fails
         raise AccuracyError(
             f"momentum quadrature did not converge at order {2 * QUADRATURE_ORDER}",
             estimate=estimate,

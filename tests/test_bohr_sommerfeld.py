@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from phasekit import (
+    AccuracyError,
     BracketError,
     ForbiddenRegionError,
     Harmonic,
@@ -212,6 +213,12 @@ class TestAction:
     def test_rotor_action_is_circumference_times_momentum(self):
         got = action(Rotor(), 0.5).action
         assert got == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_a_nan_action_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(bohr_sommerfeld, "_loop_integrals",
+                            lambda *args: (math.nan, math.nan, math.nan))
+        with pytest.raises(AccuracyError):
+            action(Harmonic(), 1.0, motion=MotionKind.LIBRATION)
 
     def test_harmonic_period_from_dJ_dE(self):
         prof = action(Harmonic(), 1.0)

@@ -418,6 +418,18 @@ class TestWignerCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError" and "overflowed" in error["message"]
 
+    def test_overflowing_wavenumber_fails_the_quadrature_gate(self, run):
+        # sqrt(m / beta) overflows, the momentum sums are NaN, and NaN passes no gate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("wigner", "--potential",
+                                 '{"family": "quartic", "m": 1e300, "lam": 1000}',
+                                 "--ensemble", '{"beta": 1e-30, "hbar": 1000}',
+                                 "--grid=-1:1:3", "--deltas=0:0.1:2")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("computation", "AccuracyError")
+
     def test_unnormalizable_potential_is_a_computation_error(self, run):
         code, _, err = run("wigner", "--potential",
                            '{"family": "pendulum", "m": 1.0, "amplitude": 1.0}',
@@ -461,6 +473,16 @@ class TestEquilibriumCommand:
         assert len(reports) == 3
         for rep in reports:
             assert rep["T_matched"] == pytest.approx(0.5, rel=1e-9)
+
+    def test_overflowing_gradient_keeps_the_steep_morse_minimum(self, run):
+        # V' overflows to -inf at the window's lower end; the grid is not flat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("equilibrium", "--potential",
+                                 '{"family": "morse", "depth": 100, "width": 40}')
+        assert code == 0, err
+        (report,) = json.loads(out)["reports"]
+        assert report["q0"] == 0.0 and report["curvature"] == pytest.approx(2 * 100 * 40**2)
 
 
 class TestQuantizeCommand:
@@ -557,6 +579,31 @@ class TestQuantizeCommand:
                            "--levels", "2..2")
         assert code == 1
         assert json.loads(err)["error"]["type"] == "BracketError"
+
+    def test_steep_morse_levels_match_the_closed_form(self, run):
+        # the minimum survives V' overflowing on the equilibrium grid
+        depth, width = 1e4, 40.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("quantize", "--potential",
+                                 json.dumps({"family": "morse", "depth": depth, "width": width}),
+                                 "--levels", "0..1")
+        assert code == 0, err
+        hbar_omega = width * math.sqrt(2.0 * depth)
+        for row in json.loads(out)["levels"]:
+            quantum = hbar_omega * (row["n"] + 0.5)
+            assert row["E_bs"] == pytest.approx(quantum - quantum**2 / (4.0 * depth), rel=1e-9)
+
+    def test_collapsed_turning_points_are_a_certificate_failure(self, run):
+        # m omega^2 overflows, so the turning points coincide at every E above V_min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("quantize", "--potential",
+                                 '{"family": "harmonic", "m": 1e300, "omega": 1e150}',
+                                 "--levels", "0..2", "--hbar", "1e300")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("computation", "AccuracyError")
 
 
 class TestPropagateCommand:

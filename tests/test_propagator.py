@@ -180,6 +180,26 @@ class TestSeededShooting:
         for row in rows:
             assert abs(row.v0 - limit.v0) <= 1e-8
 
+    @pytest.mark.parametrize("potential, q_a, q_b, t", SHOOTINGS,
+                             ids=["quartic", "morse", "pendulum"])
+    def test_the_limit_count_reuses_the_limit_path(self, potential, q_a, q_b, t,
+                                                    monkeypatch, capsys):
+        argv = ["propagate", "--potential", json.dumps(potential.to_json()), "--from", str(q_a),
+                "--to", str(q_b), "--time", repr(t), "--slices", "2000,4096"]
+        passes = []
+        rk4 = propagator._rk4
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
+        limit = propagator.kernel_phase(potential, q_a, q_b, t, N=4096)
+        limit_passes = len(passes)
+        passes.clear()
+        assert main(argv) == 0
+        # the limit's passes and one for 2000 slices; none for the limit's own 4096
+        assert len(passes) == limit_passes + 1
+        fresh = sliced_phase(classical_trajectory(potential, q_a, q_b, t, 4096,
+                                                  v_start=limit.v0), potential, limit.energy)
+        row = json.loads(capsys.readouterr().out)["convergence"][-1]
+        assert (row["N"], row["sliced_phase"]) == (4096, fresh.total_phase)
+
     def test_first_pass_within_tolerance_is_accepted(self, monkeypatch):
         converged = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000)
         passes = []

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,11 +17,25 @@ from phasekit import (
     ResolutionError,
     Rotor,
 )
+from phasekit import schrodinger
 from phasekit.schrodinger import (
     default_box,
     fd_eigensolve,
     ground_state_overlap,
 )
+
+#: eigsh's module, which imports splu under its own name
+arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+
+
+def dense_ring(potential, hbar, sol):
+    """The periodic Hamiltonian on sol's grid, built entry by entry, and its kinetic scale."""
+    M = len(sol.grid)
+    kin = hbar**2 / (potential.mass * sol.spacing**2)
+    ring = np.diag(kin + potential.value(sol.grid))
+    for i in range(M):
+        ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = -0.5 * kin
+    return ring, kin
 
 
 def morse_level(depth, width, m, n, hbar=1.0):
@@ -115,6 +130,23 @@ class TestDirichletSolve:
         with pytest.raises(ValueError):
             fd_eigensolve(Harmonic(), **kwargs)
 
+    @pytest.mark.parametrize("poison, error", [("vectors", BoxError),
+                                               ("coarse levels", ResolutionError)])
+    def test_a_nan_fails_the_gates(self, monkeypatch, poison, error):
+        solve = schrodinger._dirichlet_eigensolve
+
+        def poisoned(potential, hbar, box, M, k):
+            grid, h, vals, vecs = solve(potential, hbar, box, M, k)
+            if poison == "vectors":
+                vecs = np.full_like(vecs, np.nan)
+            elif M < 1024:
+                vals = np.full_like(vals, np.nan)
+            return grid, h, vals, vecs
+
+        monkeypatch.setattr(schrodinger, "_dirichlet_eigensolve", poisoned)
+        with pytest.raises(error):
+            fd_eigensolve(Harmonic(), M=1024, k=2, resolution_tolerance=1e-4)
+
     def test_periodic_boundary_needs_a_box_on_the_line(self):
         with pytest.raises(ValueError):
             fd_eigensolve(Harmonic(), boundary="periodic")
@@ -131,22 +163,41 @@ class TestPeriodicSolve:
         assert abs(sol.eigenvalues[1] - sol.eigenvalues[2]) <= 1e-8
         assert abs(sol.eigenvalues[3] - sol.eigenvalues[4]) <= 1e-8
 
-    def test_operator_is_the_dense_ring(self, monkeypatch):
-        # the sparse matrix handed to eigsh, against the ring built entry by entry
+    @pytest.mark.parametrize("potential, hbar, box, M", [
+        (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), 64),
+        (Rotor(), 1.0, None, 512),
+    ], ids=["pendulum", "rotor"])
+    def test_operator_and_its_shift_inverse_are_the_dense_ring(self, monkeypatch,
+                                                                potential, hbar, box, M):
+        # the operator and shift-inverse handed to eigsh, against the ring built entry by entry
         seen = []
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda mat, **kw: seen.append(mat) or eigsh(mat, **kw))
-        pot, M, hbar = Pendulum(m=1.3, amplitude=2.0), 64, 0.7
-        sol = fd_eigensolve(pot, hbar=hbar, box=(-math.pi, math.pi), boundary="periodic",
-                            M=M, k=3)
-        (mat,) = seen
-        assert mat.format == "csc"
-        kin = hbar**2 / (pot.mass * sol.spacing**2)
-        ring = np.diag(kin + pot.value(sol.grid))
-        for i in range(M):
-            ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = -0.5 * kin
-        assert np.array_equal(mat.toarray(), ring)
+                            lambda op, **kw: seen.append((op, kw)) or eigsh(op, **kw))
+        sol = fd_eigensolve(potential, hbar=hbar, box=box, boundary="periodic", M=M, k=3)
+        ((op, kw),) = seen
+        ring, _ = dense_ring(potential, hbar, sol)
+        x = np.random.default_rng(1).standard_normal(M)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(op.matvec(x) - ring @ x)) <= (
+            4.0 * eps * np.max(np.abs(ring).sum(axis=1)) * np.max(np.abs(x)))
+        y = kw["OPinv"].matvec(x)
+        residual = (ring - kw["sigma"] * np.eye(M)) @ y - x
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(x)
+
+    def test_periodic_solve_never_calls_splu(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the periodic solve factored a sparse matrix")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        monkeypatch.setattr(arpack, "splu", refuse)
+        sol = fd_eigensolve(Rotor(), boundary="periodic", M=1024, k=3)
+        assert sol.eigenvalues == pytest.approx([0.0, 0.5, 0.5], abs=1e-5)
+
+    def test_ring_singular_to_rounding_is_a_resolution_error(self):
+        # kin ~ 1e302 against the shift's gap of 1: the Sherman-Morrison
+        # denominator det(H - sigma) / det(T) cancels to rounding noise
+        with pytest.raises(ResolutionError):
+            fd_eigensolve(Rotor(inertia=1e-300), boundary="periodic", M=64, k=3)
 
     def test_deterministic_repeat(self):
         a = fd_eigensolve(Rotor(), boundary="periodic", M=1024, k=3)
@@ -192,3 +243,17 @@ def test_periodic_solve_finds_the_first_odd_state(m, omega, hbar, half, M):
     sol = fd_eigensolve(Harmonic(m=m, omega=omega), hbar=hbar, box=(-half, half),
                         M=M, k=2, boundary="periodic")
     assert sol.eigenvalues / (hbar * omega) == pytest.approx([0.5, 1.5], abs=1e-4)
+
+
+@pytest.mark.parametrize("potential, hbar, box, M", [
+    (Rotor(), 1.0, None, 64),
+    (Rotor(inertia=0.3), 0.8, None, 512),
+    (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), 128),
+    (Pendulum(amplitude=20.0), 1.0, (-math.pi, math.pi), 256),
+    (Harmonic(m=0.8, omega=1.5), 1.0, (-8.0, 8.0), 512),
+], ids=["rotor-64", "rotor-512", "pendulum-128", "deep-pendulum-256", "harmonic-512"])
+def test_periodic_levels_match_dense_eigh(potential, hbar, box, M):
+    sol = fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=6, boundary="periodic")
+    ring, kin = dense_ring(potential, hbar, sol)
+    reference = np.linalg.eigvalsh(ring)[:6]
+    assert np.max(np.abs(sol.eigenvalues - reference)) <= 100.0 * np.finfo(float).eps * kin
