@@ -5,10 +5,12 @@ in closed form, so downstream quadratures and residual checks never pay
 finite-difference noise.  Periodic families (the rigid rotor) declare a
 coordinate period; all other families live on the real line.
 
-Methods apply numpy ufuncs to q as given: a Python float gives a scalar
-and an array gives an array, with the same bits.  Powers go through
-np.square and np.power, never Python's **, which rounds a float
-differently from the array loop.
+Methods apply numpy ufuncs and float arithmetic to q as given: a Python
+float gives a scalar and an array gives an array, with the same bits.
+Powers of q are products (q * q), which round alike on a float and in the
+array loop; Python's ** on q does not, and np.power costs a binary ufunc
+call per float and rounds as whichever SIMD pow numpy dispatches to.
+Polynomials run Horner's rule in numpy.polynomial's polyval order.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ class Harmonic(Potential):
     m: float = 1.0
     omega: float = 1.0
 
+    def __post_init__(self):
+        # an infinite m omega^2 makes V' = inf * q a NaN at q = 0, which loses the minimum;
+        # omega * omega is omega**2 where that is finite, and inf where ** would raise
+        if math.isinf(self.m * (self.omega * self.omega)):
+            raise OverflowError(f"harmonic stiffness m*omega^2 overflows "
+                                f"(m={self.m:g}, omega={self.omega:g})")
+
     def value(self, q):
         return 0.5 * self.m * self.omega**2 * np.square(q)
 
@@ -97,13 +106,23 @@ class Quartic(Potential):
     lam: float = 1.0
 
     def value(self, q):
-        return 0.25 * self.lam * np.power(q, 4.0)
+        q2 = q * q
+        return 0.25 * self.lam * (q2 * q2)
 
     def derivative(self, q):
-        return self.lam * np.power(q, 3.0)
+        return self.lam * (q * (q * q))
 
     def second_derivative(self, q):
-        return 3.0 * self.lam * np.square(q)
+        return 3.0 * self.lam * (q * q)
+
+
+def _horner(coeffs, q):
+    """The polynomial with `coeffs` (highest power first) at q, to the bit as
+    npoly.polyval does it: c_n + q * 0 (a NaN or inf q propagates), then c + y * q."""
+    y = coeffs[0] + q * 0.0
+    for c in coeffs[1:]:
+        y = c + y * q
+    return y
 
 
 @dataclass(frozen=True)
@@ -115,17 +134,19 @@ class Polynomial(Potential):
     coeffs: tuple = (0.0,)
 
     @cached_property
-    def _slopes(self):
-        return npoly.polyder(self.coeffs), npoly.polyder(self.coeffs, 2)
+    def _descending(self):
+        """V, V' and V'' coefficients as Python floats, highest power first."""
+        return tuple(tuple(float(c) for c in npoly.polyder(self.coeffs, k)[::-1])
+                     for k in range(3))
 
     def value(self, q):
-        return npoly.polyval(q, self.coeffs)
+        return _horner(self._descending[0], q)
 
     def derivative(self, q):
-        return npoly.polyval(q, self._slopes[0])
+        return _horner(self._descending[1], q)
 
     def second_derivative(self, q):
-        return npoly.polyval(q, self._slopes[1])
+        return _horner(self._descending[2], q)
 
 
 @dataclass(frozen=True)

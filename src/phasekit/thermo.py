@@ -45,7 +45,8 @@ def matching_temperature(potential: Potential, point: EquilibriumPoint,
     """Width-matching inverse temperature at a stable equilibrium.
 
     Requires positive curvature; maxima and degenerate points admit no
-    real matched temperature.
+    real matched temperature, and a beta that under- or overflows (m / V''
+    or the division by hbar) no finite one: NoRealTemperatureError.
     """
     curvature = float(point.curvature)
     if curvature <= 0.0:
@@ -54,6 +55,13 @@ def matching_temperature(potential: Potential, point: EquilibriumPoint,
             "no real matched temperature exists"
         )
     beta = math.sqrt(potential.mass / curvature) / hbar
+    if not 0.0 < beta < math.inf:
+        how = "underflows to 0" if beta == 0.0 else "overflows"
+        raise NoRealTemperatureError(
+            f"matched beta = sqrt(m / V'') / hbar {how} at q0={point.q0:g} "
+            f"(m={potential.mass:g}, V''={curvature:g}, hbar={hbar:g}); "
+            "no finite matched temperature exists"
+        )
     return MatchingReport(
         q0=point.q0,
         matched_beta=beta,

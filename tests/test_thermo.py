@@ -62,6 +62,16 @@ class TestMatchingTemperature:
         with pytest.raises(NoRealTemperatureError):
             matching_temperature(Quartic(), flat)
 
+    @pytest.mark.parametrize("mass, amplitude, hbar, word", [
+        (1e-300, 1e30, 1.0, "underflows"),  # m / V'' is below the least subnormal
+        (1e300, 1e-5, 1e-300, "overflows"),
+    ])
+    def test_a_beta_out_of_float_range_is_named(self, mass, amplitude, hbar, word):
+        # an underflowing beta used to end in ZeroDivisionError at 1 / (2 beta k_B)
+        pot = Pendulum(m=mass, amplitude=amplitude)
+        with pytest.raises(NoRealTemperatureError, match=word):
+            matching_temperature(pot, stable_point(pot), hbar=hbar)
+
     def test_units_scale_out(self):
         pot = Harmonic(m=1.0, omega=1.0)
         report = matching_temperature(pot, stable_point(pot), hbar=2.0, k_B=3.0)
