@@ -34,14 +34,21 @@ from .potentials import Stability, find_equilibria, potential_from_json
 
 # ---------------------------------------------------------------- formatting
 
-def _fmt(x: float) -> str:
-    return "%.17g" % (float(x) + 0.0)  # adding 0.0 turns -0.0 into 0.0
+def _fmt(x: float, name: str = "value") -> str:
+    """%.17g of a finite float; FloatingPointError, naming `name`, for a NaN or an
+    infinity, which JSON cannot hold."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise FloatingPointError(f"{name} came out {x!r}; an artifact holds finite numbers only")
+    return "%.17g" % (x + 0.0)  # adding 0.0 turns -0.0 into 0.0
 
 
-def _cell(value) -> str:
+def _cell(value, name: str) -> str:
     """A scalar as one CSV cell, or as the value of a ``# key: value`` line: its JSON
     text, except that None is empty and a string is not quoted."""
-    return "" if value is None else str(value) if isinstance(value, str) else _json(value)
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, str) else _json(value, None, name)
 
 
 @dataclass(frozen=True)
@@ -53,46 +60,52 @@ class Table:
     header: tuple | None = None
 
 
-def _rows(rows: list, cell: Callable, keys, sep: str, open_: str, close: str) -> list[str]:
+def _rows(rows: list, cell: Callable, keys, names, sep: str, open_: str,
+          close: str) -> list[str]:
     """Each row as ``open_``, its cells (each after its key) joined by ``sep``, ``close``:
     one % on a template where an all-float column has a %.17g slot (-0.0 canonicalized
-    by adding 0.0) and any other column is rendered cell by cell."""
+    by adding 0.0) and any other column is rendered cell by cell.  A non-finite float
+    raises FloatingPointError naming its column (from ``names``)."""
     slots, columns = [], []
-    for column in zip(*rows):
+    for name, column in zip(names, zip(*rows)):
         if set(map(type, column)) == {float}:
+            if not all(map(math.isfinite, column)):
+                raise FloatingPointError(f"{name} holds a non-finite float; an artifact holds "
+                                         "finite numbers only")
             slots.append("%.17g")
             columns.append([x + 0.0 for x in column])
         else:
             slots.append("%s")
-            columns.append(list(map(cell, column)))
+            columns.append([cell(x, name=name) for x in column])
     template = open_ + sep.join(k.replace("%", "%%") + s for k, s in zip(keys, slots)) + close
     return [template % row for row in zip(*columns)]
 
 
-def _json(value, indent: int | None = None) -> str:
+def _json(value, indent: int | None = None, name: str = "value") -> str:
     """JSON text on one line, or, given an ``indent`` level, one entry per line.
 
-    Lists of scalars stay on one line in either form.
+    Lists of scalars stay on one line in either form.  A non-finite float
+    raises FloatingPointError naming its key or column (``name`` at the top).
     """
     deeper = None if indent is None else indent + 1
     if isinstance(value, Table):  # only in an indented body
         brackets = "[]"
         if value.keys is None:
-            items = _rows(value.rows, _json, repeat(""), ", ", "[", "]")
+            items = _rows(value.rows, _json, repeat(""), repeat(name), ", ", "[", "]")
         else:
             lead = "\n" + "  " * deeper + "  "
             items = _rows(value.rows, _json, [json.dumps(k) + ": " for k in value.keys],
-                          "," + lead, "{" + lead, lead[:-2] + "}")
+                          value.keys, "," + lead, "{" + lead, lead[:-2] + "}")
     elif isinstance(value, dict):
         brackets = "{}"
-        items = [f"{json.dumps(str(k))}: {_json(v, deeper)}" for k, v in value.items()]
+        items = [f"{json.dumps(str(k))}: {_json(v, deeper, str(k))}" for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         brackets = "[]"
-        items = [_json(v, deeper) for v in value]
+        items = [_json(v, deeper, name) for v in value]
         if not any(isinstance(v, (dict, list, tuple)) for v in value):
             indent = None
     elif isinstance(value, float):
-        return _fmt(value)
+        return _fmt(value, name)
     else:
         return json.dumps(value)
     if indent is None or not items:
@@ -101,15 +114,15 @@ def _json(value, indent: int | None = None) -> str:
     return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def _comment(value) -> str:
+def _comment(value, name: str) -> str:
     """A dict as JSON, a tuple in the lo:hi interval syntax, a list as cells."""
     if isinstance(value, dict):
-        return _json(value)
+        return _json(value, None, name)
     if isinstance(value, tuple):
-        return ":".join(map(_cell, value))
+        return ":".join(_cell(x, name) for x in value)
     if isinstance(value, list):
-        return ",".join(map(_cell, value))
-    return _cell(value)
+        return ",".join(_cell(x, name) for x in value)
+    return _cell(value, name)
 
 
 def _emit(subcommand: str, echo: dict, body: dict, sections: list, fmt: str) -> str:
@@ -122,9 +135,9 @@ def _emit(subcommand: str, echo: dict, body: dict, sections: list, fmt: str) -> 
         return _json({"config": echo, **body}, indent=0) + "\n"
     lines = [f"# phasekit {subcommand}", f"# config: {_json(echo)}"]
     for comments, table in sections:
-        lines += [f"# {k}: {_comment(v)}" for k, v in comments.items() if v is not None]
+        lines += [f"# {k}: {_comment(v, k)}" for k, v in comments.items() if v is not None]
         lines.append(",".join(table.header or table.keys))
-        lines += _rows(table.rows, _cell, repeat(""), ",", "", "")
+        lines += _rows(table.rows, _cell, repeat(""), table.header or table.keys, ",", "", "")
     return "\n".join(lines) + "\n"
 
 

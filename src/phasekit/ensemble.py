@@ -11,6 +11,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .errors import NoRealTemperatureError
 from .potentials import json_number
 
 
@@ -28,7 +29,14 @@ class CanonicalEnsemble:
 
     @property
     def temperature(self) -> float:
-        return 1.0 / (2.0 * self.beta * self.k_B)
+        """T = 1 / (2 beta k_B); NoRealTemperatureError where 2 beta k_B underflows."""
+        product = 2.0 * self.beta * self.k_B
+        T = 1.0 / product if product > 0.0 else math.inf
+        if T == math.inf:
+            raise NoRealTemperatureError(
+                f"T = 1 / (2 beta k_B) overflows (beta={self.beta:g}, k_B={self.k_B:g}); "
+                "no finite temperature exists")
+        return T
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)

@@ -25,7 +25,8 @@ class AccuracyError(PhasekitError):
 
 
 class NoRealTemperatureError(PhasekitError):
-    """Curvature-temperature matching attempted at a non-minimum."""
+    """No finite real temperature: matching at a non-minimum, or a beta or a
+    T = 1 / (2 beta k_B) that under- or overflows."""
 
 
 class ForbiddenRegionError(PhasekitError):

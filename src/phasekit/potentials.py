@@ -432,3 +432,26 @@ def _build_landscape(potential: Potential) -> Landscape:
     walks = tuple(_walk(potential, points, minimum.q0, direction) for direction in (+1.0, -1.0))
     return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest,
                      walks=walks)
+
+
+def well_box(potential: Potential, level: float, accept=None) -> tuple[float, float] | None:
+    """One period for a cyclic coordinate; on the line the first q0 -+ 2^j (j < 60) about
+    the landscape minimum q0 where V reaches `level` at each wall (a NaN fails, an overflow
+    to inf passes), every non-maximum equilibrium with V < `level` is inside (q0's own well
+    only for a periodic V) and `accept(half)`, if given, holds; None where none does.
+    """
+    if potential.periodic_coordinate:
+        return (0.0, potential.period)
+    land = potential.landscape
+    q0 = land.minimum.q0
+    low = [q0] + [pt.q0 for pt in land.equilibria if potential.period is None and
+                  pt.stability is not Stability.MAXIMUM and float(potential.value(pt.q0)) < level]
+    half = 1.0
+    with np.errstate(over="ignore"):
+        for _ in range(60):
+            lo, hi = q0 - half, q0 + half
+            if (float(potential.value(lo)) >= level and float(potential.value(hi)) >= level
+                    and lo < min(low) and max(low) < hi and (accept is None or accept(half))):
+                return (lo, hi)
+            half *= 2.0
+    return None

@@ -3,8 +3,8 @@
 Discretizes -(hbar^2 / 2m) psi'' + V psi = E psi with second-order central
 differences on a uniform grid and solves the symmetric eigenproblem.  This
 is the independent ground truth against which the semiclassical quantizer
-and the thermal-amplitude constructions are checked, so it shares no code
-with them.
+and the thermal-amplitude constructions are checked, so it shares only the
+potential's landscape and its box search (`well_box`) with them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .ensemble import CanonicalEnsemble
 from .errors import BoxError, ResolutionError
-from .potentials import Potential
+from .potentials import Potential, well_box
 
 #: wall amplitudes above this fraction of the peak mean the box clips the state
 WALL_FRACTION = 1e-6
@@ -67,29 +67,19 @@ def _wall_decay(potential: Potential, hbar: float, k: int, q0: float, half: floa
 def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float]:
     """Walls where V clears the highest requested level by a wide margin.
 
-    Doubles a half-width about the minimum q0 until both walls pass two tests:
-    V there reaches v0 + hbar omega (2k + 11), with omega from V''(q0); and
-    the highest level decays into each wall by DECAY_NEPERS (`_wall_decay`).
-    The first sizes curved wells; the second sizes wells whose level scale
-    V''(q0) misses, such as the flat-bottomed quartic.
+    The `well_box` at level v0 + hbar omega (2k + 11), with omega from
+    V''(q0), whose highest level also decays into each wall by DECAY_NEPERS
+    (`_wall_decay`).  The level sizes curved wells and puts every well below
+    it in the box; the decay sizes wells whose level scale V''(q0) misses,
+    such as the flat-bottomed quartic.
     """
-    if potential.periodic_coordinate:
-        return (0.0, potential.period)
-    land = potential.landscape
-    q0, curvature = land.minimum.q0, land.minimum.curvature
-    m = potential.mass
-    omega_local = math.sqrt(max(curvature, 1e-6) / m)
-    target = land.v_min + hbar * omega_local * (2.0 * k + 11.0)
-    half = 1.0
-    # steep walls overflow to inf at wide halves; inf still clears the target
-    with np.errstate(over="ignore"):
-        for _ in range(60):
-            if (float(potential.value(q0 - half)) >= target
-                    and float(potential.value(q0 + half)) >= target
-                    and _wall_decay(potential, hbar, k, q0, half) >= DECAY_NEPERS):
-                return (q0 - half, q0 + half)
-            half *= 2.0
-    raise BoxError("potential never clears the requested levels; box cannot confine them")
+    q0, curvature = potential.landscape.minimum.q0, potential.landscape.minimum.curvature
+    omega_local = math.sqrt(max(curvature, 1e-6) / potential.mass)
+    box = well_box(potential, potential.landscape.v_min + hbar * omega_local * (2.0 * k + 11.0),
+                   lambda half: _wall_decay(potential, hbar, k, q0, half) >= DECAY_NEPERS)
+    if box is None:
+        raise BoxError("potential never clears the requested levels; box cannot confine them")
+    return box
 
 
 def _dirichlet_eigensolve(potential: Potential, hbar: float,

@@ -46,7 +46,8 @@ def matching_temperature(potential: Potential, point: EquilibriumPoint,
 
     Requires positive curvature; maxima and degenerate points admit no
     real matched temperature, and a beta that under- or overflows (m / V''
-    or the division by hbar) no finite one: NoRealTemperatureError.
+    or the division by hbar), or a T = 1 / (2 beta k_B) that overflows, no
+    finite one: NoRealTemperatureError.
     """
     curvature = float(point.curvature)
     if curvature <= 0.0:
@@ -65,7 +66,7 @@ def matching_temperature(potential: Potential, point: EquilibriumPoint,
     return MatchingReport(
         q0=point.q0,
         matched_beta=beta,
-        matched_temperature=1.0 / (2.0 * beta * k_B),
+        matched_temperature=CanonicalEnsemble(beta, hbar, k_B).temperature,
         curvature=curvature,
     )
 
@@ -127,6 +128,7 @@ def thermo_profile(potential: Potential, ens: CanonicalEnsemble, grid,
     """
     if normalization not in ("paper", "normalized"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    T = ens.temperature
     qs = np.asarray(grid, dtype=float)
     v = np.asarray(potential.value(qs), dtype=float)
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -137,7 +139,6 @@ def thermo_profile(potential: Potential, ens: CanonicalEnsemble, grid,
         if bad.any():
             raise DomainError(
                 f"psi^2 {what} at q={qs[np.argmax(bad)]:g}; entropy undefined there")
-    T = ens.temperature
     entropy = ens.k_B * np.log(psi_sq)
     return ThermoProfile(
         q=qs,

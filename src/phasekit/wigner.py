@@ -28,7 +28,7 @@ from numpy.polynomial.hermite import hermgauss
 from .bohr_sommerfeld import _leggauss
 from .ensemble import CanonicalEnsemble
 from .errors import AccuracyError, NormalizationError
-from .potentials import Potential, Stability
+from .potentials import Potential, well_box
 
 #: relative weight below which a box wall, or a minimum left outside the box, is negligible
 WALL_WEIGHT = 1e-12
@@ -50,38 +50,23 @@ QUADRATURE_TOLERANCE = 1e-10
 def normalization_box(potential: Potential, ens: CanonicalEnsemble) -> tuple[float, float]:
     """Finite interval on which exp(-2 beta V) integrates to the normalizer.
 
-    Periodic-coordinate potentials use one period.  On the line the box
-    grows from the landscape's global minimum until the weight
-    exp(-2 beta (V - V_min)) is at most WALL_WEIGHT at both walls and the
-    box holds every landscape minimum whose weight exceeds WALL_WEIGHT.
-    Densities that never decay (a periodic V on the line, V unbounded below)
-    raise NormalizationError.
+    The `well_box` at the rise of V above V_min where the weight
+    exp(-2 beta (V - V_min)) falls to WALL_WEIGHT: one period for a cyclic
+    coordinate; on the line both walls weigh at most WALL_WEIGHT and the
+    box holds every minimum that weighs more, so no well is missing from Z.
+    Densities that never decay (a periodic V on the line, whose wells
+    repeat forever, or V unbounded below) raise NormalizationError.
     """
-    if potential.periodic_coordinate:
-        return (0.0, potential.period)
-
-    land = potential.landscape
-    center = land.minimum.q0
-    # the rise of V above its minimum at which exp(-2 beta V) falls to WALL_WEIGHT of its peak
-    rise = -math.log(WALL_WEIGHT) / (2.0 * ens.beta)
-    # a well the box left out would be missing from Z, not merely clipped
-    heavy = [pt.q0 for pt in land.equilibria if pt.stability is not Stability.MAXIMUM
-             and float(potential.value(pt.q0)) - land.v_min < rise] + [center]
-
-    half = 1.0
-    # a periodic V repeats its wells forever, so no box holds them all; a
-    # steep wall that overflows to inf at a wide half weighs nothing
-    with np.errstate(over="ignore"):
-        for _ in range(60 if potential.period is None else 0):
-            lo, hi = center - half, center + half
-            if (min(float(potential.value(lo)), float(potential.value(hi))) - land.v_min >= rise
-                    and lo < min(heavy) and max(heavy) < hi):
-                return (lo, hi)
-            half *= 2.0
-    raise NormalizationError(
-        f"exp(-2 beta V) does not decay below {WALL_WEIGHT:g} of its peak on any "
-        f"finite box for {type(potential).__name__}; the density is not normalizable"
-    )
+    box = None
+    if potential.period is None or potential.periodic_coordinate:
+        rise = -math.log(WALL_WEIGHT) / (2.0 * ens.beta)  # where the weight is WALL_WEIGHT
+        box = well_box(potential, potential.landscape.v_min + rise)
+    if box is None:
+        raise NormalizationError(
+            f"exp(-2 beta V) does not decay below {WALL_WEIGHT:g} of its peak on any "
+            f"finite box for {type(potential).__name__}; the density is not normalizable"
+        )
+    return box
 
 
 @lru_cache(maxsize=32)

@@ -8,11 +8,13 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasekit
 from phasekit import Quartic
 from phasekit import bohr_sommerfeld as bs
+from phasekit import wigner
 from phasekit.cli import _fmt, main
 
 HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
@@ -21,11 +23,21 @@ ROTOR = '{"family": "rotor", "inertia": 1.0}'
 BETA_ONE = '{"beta": 1.0}'
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"CLI output holds {name}, which is not JSON")
+
+
 @pytest.fixture
 def run(capsys):
     def _run(*argv):
         code = main(list(argv))
         captured = capsys.readouterr()
+        # every JSON artifact (CSV and --out runs excepted) and every error must parse,
+        # with no NaN or Infinity in either
+        if code == 0 and captured.out.startswith("{"):
+            json.loads(captured.out, parse_constant=_refuse_constant)
+        if captured.err:
+            json.loads(captured.err, parse_constant=_refuse_constant)
         return code, captured.out, captured.err
     return _run
 
@@ -255,6 +267,25 @@ class TestArgumentHandling:
         assert (error["kind"], error["type"]) == ("computation", "NoRealTemperatureError")
         assert "underflows" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("equilibrium", "--potential", HARMONIC, "--hbar", "1e10", "--kB", "1e-300"),
+        ("thermo", "--potential", HARMONIC, "--ensemble", '{"beta": 1e-300, "k_B": 1e-10}',
+         "--grid", "0:1:3"),
+        ("thermo", "--potential", HARMONIC, "--ensemble", '{"beta": 1e-300, "k_B": 1e-300}',
+         "--grid", "0:1:3"),
+    ], ids=["matched", "ensemble", "underflowing-product"])
+    def test_an_overflowing_temperature_is_a_computation_error(self, run, argv):
+        # T = 1 / (2 beta k_B) overflows: `equilibrium` printed "T_matched": inf, `thermo`
+        # printed "F_G": nan (T = inf times S = 0) and, where 2 beta k_B underflows to 0,
+        # ended in a bare ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("computation", "NoRealTemperatureError")
+        assert "overflows" in error["message"]
+
     def test_flag_needs_a_value(self, run):
         code, _, err = run("quantize", "--potential")
         assert code == 2
@@ -460,6 +491,19 @@ class TestWignerCommand:
                            "--deltas", "0:0.1:2")
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "computation"
+
+
+    def test_a_non_finite_float_is_a_computation_error_naming_its_column(self, run,
+                                                                           monkeypatch):
+        monkeypatch.setattr(wigner, "pde_residual",
+                            lambda ens, pot, q, dq: np.full(np.broadcast(q, dq).shape, np.nan))
+        for fmt in ("json", "csv"):
+            code, out, err = run("wigner", "--potential", HARMONIC, "--ensemble", BETA_ONE,
+                                 "--grid", "-1:1:3", "--deltas", "0:0.1:2", "--format", fmt)
+            assert (code, out) == (1, "")
+            error = json.loads(err)["error"]
+            assert (error["kind"], error["type"]) == ("computation", "FloatingPointError")
+            assert "residual" in error["message"]
 
 
 class TestThermoCommand:
@@ -681,6 +725,31 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["box"] == [-8.0, 8.0]
         assert payload["eigenvalues"][7] == pytest.approx(12.738322, abs=1e-5)
+
+    @pytest.mark.parametrize("coeffs, box, levels, explicit", [
+        # (q^2 - 16)^2: minima at -+4 behind a barrier of 256, two degenerate pairs
+        ("[256, 0, -32, 0, 1]", [-20.0, 12.0], [5.64089, 5.64089, 16.85856, 16.85856], "-8:8"),
+        # tilted: the right well's ground state (5.7209) is the second level
+        ("[0, 0.01, 64, -16, 1]", [-16.0000781227113, 15.999921877288699],
+         [5.64106, 5.72072, 16.85907, 16.93806], "-4:12"),
+    ], ids=["symmetric", "tilted"])
+    def test_default_box_holds_a_well_behind_a_tall_barrier(self, run, coeffs, box, levels,
+                                                            explicit):
+        # the box held only the first minimum's well: (-8, 0), with a wall on the symmetric
+        # barrier top, printed 5.6411, 16.860, 27.981, 39.002 (half the potential's spectrum),
+        # and (-4, 4) left out the tilted well's 5.7209
+        potential = f'{{"family": "polynomial", "coeffs": {coeffs}}}'
+        code, out, err = run("oracle", "--potential", potential, "--levels", "4")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["box"] == box
+        assert payload["eigenvalues"] == pytest.approx(levels, abs=1e-5)
+        # a fine grid on a box about both wells: the default box's step is within 1e-4
+        code, out, err = run("oracle", "--potential", potential, "--levels", "4",
+                             f"--box={explicit}", "--grid-size", "8192")
+        assert code == 0, err
+        assert payload["eigenvalues"] == pytest.approx(json.loads(out)["eigenvalues"],
+                                                       rel=1e-4)
 
     def test_rotor_resolves_to_periodic(self, run):
         code, out, _ = run("oracle", "--potential", ROTOR, "--levels", "3",

@@ -68,6 +68,11 @@ COMMANDS = {
     "oracle-eigenvectors": (["oracle", "--potential", HARMONIC, "--levels", "2",
                              "--grid-size", "256", "--box", "-6:6", "--eigenvectors", "on"],
                             ("json", "csv")),
+    # V = (q^2 - 16)^2: the default box holds both minima behind the barrier of 256, so the
+    # levels come in degenerate pairs
+    "oracle-tall-barrier": (["oracle", "--potential",
+                             '{"family": "polynomial", "coeffs": [256, 0, -32, 0, 1]}',
+                             "--levels", "4", "--grid-size", "1024"], ("json", "csv")),
     # levels of a double well paired by well; named for the null cells it held while
     # the oracle computed one state per level (test_render.py covers null cells)
     "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from phasekit import CanonicalEnsemble, ensemble_from_json
+from phasekit import CanonicalEnsemble, NoRealTemperatureError, ensemble_from_json
 
 
 def test_temperature_halves_per_beta_unit():
@@ -10,6 +10,14 @@ def test_temperature_halves_per_beta_unit():
     assert CanonicalEnsemble(beta=1.0).temperature == 0.5
     assert CanonicalEnsemble(beta=0.5).temperature == 1.0
     assert CanonicalEnsemble(beta=1.0, k_B=2.0).temperature == 0.25
+
+
+@pytest.mark.parametrize("k_B", [1e-10, 1e-300])
+def test_an_ensemble_without_a_finite_temperature_builds_but_names_it(k_B):
+    # `oracle --overlap-beta` builds an ensemble and never reads T
+    ens = CanonicalEnsemble(beta=1e-300, k_B=k_B)
+    with pytest.raises(NoRealTemperatureError, match="overflows"):
+        ens.temperature
 
 
 def test_json_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -21,7 +22,7 @@ from phasekit import (
     potential_from_json,
 )
 from phasekit import potentials
-from phasekit.potentials import _classify, _solve
+from phasekit.potentials import _classify, _solve, well_box
 
 SEARCH_WINDOW = (-10.0, 10.0)  # where every landscape scan starts
 
@@ -381,6 +382,51 @@ class TestLandscape:
         assert land.minimum.stability is Stability.DEGENERATE
         assert land.minimum.curvature == 0.0
         assert (land.v_min, land.crest) == (0.0, 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _BrokenWall(Harmonic):
+    """A harmonic well whose V past q = 1.5 is `wall` (NaN or inf)."""
+
+    wall: float = math.nan
+
+    def value(self, q):
+        return np.where(q > 1.5, self.wall, 0.5 * q * q)
+
+
+class TestWellBox:
+    def test_cyclic_coordinate_gives_one_period(self):
+        assert well_box(Rotor(), 1.0) == (0.0, 2.0 * math.pi)
+
+    def test_walls_are_tested_one_by_one(self):
+        # V(-2) = 2 clears the level, V(2) is NaN; the lesser wall of the two (min of
+        # the pair) read 2 and passed
+        assert well_box(_BrokenWall(wall=math.nan), 1.0) is None
+        assert well_box(_BrokenWall(wall=math.inf), 1.0) == (-2.0, 2.0)
+
+    def test_accept_has_the_last_word(self):
+        seen = []
+
+        def accept(half):
+            seen.append(half)
+            return half >= 8.0
+
+        assert well_box(Harmonic(), 0.1, accept) == (-8.0, 8.0)
+        assert seen == [1.0, 2.0, 4.0, 8.0]  # the walls clear 0.1 from the first box on
+
+    def test_periodic_line_potential_holds_its_own_well_only(self):
+        # q0 = -2 pi; at -+16 both walls clear 4 (V = -5 cos 16 = 4.79), with other wells inside
+        pot = Pendulum(amplitude=5.0)
+        assert well_box(pot, 4.0) == (pot.landscape.minimum.q0 - 16.0,
+                                      pot.landscape.minimum.q0 + 16.0)
+
+    def test_every_well_below_the_level_is_held(self):
+        # minima at 0 and 8 (V = 0.08) behind a barrier of 256 at 4: the walls clear 0.05
+        # and 0.1 at -+1, but only the level above the second well reaches it
+        pot = Polynomial(coeffs=(0.0, 0.01, 64.0, -16.0, 1.0))
+        q0 = pot.landscape.minimum.q0
+        assert well_box(pot, 0.05) == (q0 - 1.0, q0 + 1.0)
+        assert well_box(pot, 0.1) == (q0 - 16.0, q0 + 16.0)
 
 
 def test_double_well_equilibria():

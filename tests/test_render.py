@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,17 @@ CELLS = st.one_of(FLOATS, st.none(), st.booleans(), st.integers(), st.text(max_s
 INDENTS = (0, 1, 2, 3)
 
 
+def _check(render, reference, *tables):
+    """``render()`` gives ``reference()`` where every float in ``tables`` is finite;
+    otherwise it raises FloatingPointError, since JSON holds no NaN or infinity."""
+    if all(math.isfinite(x) for t in tables for row in t.rows for x in row
+           if isinstance(x, float)):
+        assert render() == reference()
+    else:
+        with pytest.raises(FloatingPointError):
+            render()
+
+
 @st.composite
 def tables(draw, keyed=True):
     """A table of 0 to 4 rows whose columns are all-float or mixed."""
@@ -95,22 +107,22 @@ def tables(draw, keyed=True):
 @settings(max_examples=150, deadline=None)
 @given(tables(), st.sampled_from(INDENTS))
 def test_keyed_table_json_matches_the_per_cell_renderer(table, indent):
-    assert _json(table, indent) == _ref_json(_ref_rows(table), indent)
+    _check(lambda: _json(table, indent), lambda: _ref_json(_ref_rows(table), indent), table)
 
 
 @settings(max_examples=100, deadline=None)
 @given(tables(keyed=False), st.sampled_from(INDENTS))
 def test_unkeyed_table_json_matches_the_per_cell_renderer(table, indent):
-    assert _json(table, indent) == _ref_json(_ref_rows(table), indent)
+    _check(lambda: _json(table, indent), lambda: _ref_json(_ref_rows(table), indent), table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tables())
 def test_table_csv_matches_the_per_cell_renderer(table):
     comments = {"summary": {"E": -0.0}, "box": (-6.0, 6.0), "skipped": None}
-    expected = ["# phasekit t", "# config: {}", '# summary: {"E": 0}', "# box: -6:6",
-                *_ref_csv(table)]
-    assert _emit("t", {}, {}, [(comments, table)], "csv") == "\n".join(expected) + "\n"
+    expected = ["# phasekit t", "# config: {}", '# summary: {"E": 0}', "# box: -6:6"]
+    _check(lambda: _emit("t", {}, {}, [(comments, table)], "csv"),
+           lambda: "\n".join(expected + _ref_csv(table)) + "\n", table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,17 +136,52 @@ def test_artifacts_match_at_every_table_depth(rows, vectors, fmt):
     if fmt == "json":
         ref_body = {"blocks": [{"potential": {"m": 1.0}, "rows": _ref_rows(rows)}],
                     "rows": _ref_rows(rows), "eigenvectors": _ref_rows(vectors)}
-        expected = _ref_json({"config": {"a": -0.0}, **ref_body}, indent=0) + "\n"
+        expected = lambda: _ref_json({"config": {"a": -0.0}, **ref_body}, indent=0) + "\n"
     else:
-        expected = "\n".join(["# phasekit t", '# config: {"a": 0}', '# potential: {"m": 1}',
-                              *_ref_csv(rows), "x"]) + "\n"
-    assert _emit("t", {"a": -0.0}, body, sections, fmt) == expected
+        expected = lambda: "\n".join(["# phasekit t", '# config: {"a": 0}',
+                                      '# potential: {"m": 1}', *_ref_csv(rows), "x"]) + "\n"
+    # CSV prints only the sections, which do not hold the eigenvectors
+    _check(lambda: _emit("t", {"a": -0.0}, body, sections, fmt), expected,
+           *((rows, vectors) if fmt == "json" else (rows,)))
 
 
 def test_edge_floats_in_a_float_column():
-    table = Table(("m",), [(x,) for x in EDGE_FLOATS])
+    table = Table(("m",), [(x,) for x in EDGE_FLOATS if math.isfinite(x)])
     assert set(map(type, (x for (x,) in table.rows))) == {float}  # the %.17g slot path
     text = _json(table, 1)
     assert text == _ref_json(_ref_rows(table), 1)
     assert '"m": 0\n' in text and '"m": 1\n' in text and '"m": 0.30000000000000004\n' in text
     assert "-0" not in text.replace("-0.6", "")
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                             np.float64(math.nan)],
+                                      ids=["inf", "-inf", "nan", "np.nan"])
+
+
+def _non_finite_cases(bad):
+    """(comments, table) with one non-finite float, keyed by the name the error gives."""
+    plain = Table(("n",), [(0,)])
+    return {
+        "E": ({}, Table(("n", "E"), [(0, 1.0), (1, bad)])),  # a %.17g slot
+        "E_oracle": ({}, Table(("n", "E_oracle"), [(0, None), (1, bad)])),  # cell by cell
+        "T_matched": ({"summary": {"E": 0.5, "T_matched": bad}}, plain),
+        "overlap": ({"overlap": bad}, plain),
+        "eigenvalues": ({"eigenvalues": [0.5, bad]}, plain),
+        "box": ({"box": (-6.0, bad)}, plain),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@NON_FINITE
+@pytest.mark.parametrize("name", list(_non_finite_cases(0.0)))
+def test_a_non_finite_float_is_refused_by_name(name, bad, fmt):
+    comments, table = _non_finite_cases(bad)[name]
+    with pytest.raises(FloatingPointError, match=name):
+        _emit("t", {}, {**comments, "rows": table}, [(comments, table)], fmt)
+
+
+@NON_FINITE
+def test_a_table_without_keys_is_named_by_its_key(bad):
+    with pytest.raises(FloatingPointError, match="eigenvectors"):
+        _emit("t", {}, {"eigenvectors": Table(None, [[0.1, bad]])}, [], "json")

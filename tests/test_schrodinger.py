@@ -23,6 +23,7 @@ from phasekit.schrodinger import (
     fd_eigensolve,
     ground_state_overlap,
 )
+from phasekit.wigner import normalization_box
 
 #: eigsh's module, which imports splu under its own name
 arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
@@ -72,6 +73,23 @@ class TestDefaultBox:
     def test_curved_wells_keep_the_curvature_rule_box(self, pot, hbar, k, box):
         # the WKB decay test never moves a box that V''(q0) already sizes
         assert default_box(pot, hbar=hbar, k=k) == box
+
+    def test_deep_pendulum_box_holds_its_own_well(self):
+        # a periodic V on the line: the box about q0 = -2 pi holds that well only
+        assert default_box(Pendulum(amplitude=100.0), 1.0, 1) == (-8.283185307179586,
+                                                                  -4.283185307179586)
+
+    @pytest.mark.parametrize("coeffs", [(256.0, 0.0, -32.0, 0.0, 1.0),
+                                        (0.0, 0.01, 64.0, -16.0, 1.0)])
+    def test_default_and_normalization_boxes_hold_the_same_minima(self, coeffs):
+        # both levels clear the second well (V there is 0 and 0.08), so both boxes hold it;
+        # the default box used to hold the first minimum's well only
+        pot = Polynomial(coeffs=coeffs)
+        minima = [pt.q0 for pt in pot.landscape.equilibria if pt.curvature > 0]
+        held = [[q for q in minima if lo < q < hi]
+                for lo, hi in (default_box(pot, hbar=1.0, k=4),
+                               normalization_box(pot, CanonicalEnsemble(beta=1.0)))]
+        assert len(minima) == 2 and held == [minima, minima]
 
     @pytest.mark.parametrize("lam, m, hbar", [
         (1.0, 1.0, 1.0), (2.0, 0.7, 1.3), (0.5, 1.5, 0.7), (0.5, 0.7, 1.3), (2.0, 1.5, 0.7),

@@ -72,6 +72,12 @@ class TestMatchingTemperature:
         with pytest.raises(NoRealTemperatureError, match=word):
             matching_temperature(pot, stable_point(pot), hbar=hbar)
 
+    def test_an_overflowing_matched_temperature_is_named(self):
+        # beta = 1e-10 is finite, but 1 / (2 beta k_B) overflows: this returned T = inf
+        pot = Harmonic()
+        with pytest.raises(NoRealTemperatureError, match="overflows"):
+            matching_temperature(pot, stable_point(pot), hbar=1e10, k_B=1e-300)
+
     def test_units_scale_out(self):
         pot = Harmonic(m=1.0, omega=1.0)
         report = matching_temperature(pot, stable_point(pot), hbar=2.0, k_B=3.0)
@@ -166,6 +172,14 @@ class TestThermoProfile:
         ens = CanonicalEnsemble(beta=1.0)
         with pytest.raises(DomainError):
             thermo_profile(Harmonic(), ens, np.array([0.0, 40.0]))
+
+    @pytest.mark.parametrize("k_B", [1e-10, 1e-300])
+    def test_an_overflowing_temperature_is_named(self, k_B):
+        # T = 1 / (2 beta k_B) overflowed: F_G = -T S came out NaN (T = inf, S = 0), and
+        # with 2 beta k_B = 0 the division raised ZeroDivisionError
+        ens = CanonicalEnsemble(beta=1e-300, k_B=k_B)
+        with pytest.raises(NoRealTemperatureError, match="overflows"):
+            thermo_profile(Harmonic(), ens, np.linspace(0.0, 1.0, 3))
 
     def test_unknown_normalization_rejected(self):
         with pytest.raises(ValueError):

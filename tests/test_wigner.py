@@ -213,6 +213,13 @@ class TestNormalizationBox:
         with pytest.raises(NormalizationError):
             normalization_box(Pendulum(amplitude=5.0), CanonicalEnsemble(beta=2.0))
 
+    def test_periodic_line_potential_is_refused_before_any_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the box search ran")
+        monkeypatch.setattr(wigner, "well_box", search)
+        with pytest.raises(NormalizationError):
+            normalization_box(Pendulum(amplitude=5.0), CanonicalEnsemble(beta=2.0))
+
     def test_box_holds_the_second_well_of_a_tilted_double_well(self):
         tilted = Polynomial(coeffs=(0.0, 0.05, -1.2, 0.0, 0.3))
         ens = CanonicalEnsemble(beta=20.0)
