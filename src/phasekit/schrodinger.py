@@ -25,6 +25,25 @@ WALL_FRACTION = 1e-6
 #: less (the WKB prefactor 1 / sqrt|p| makes up the rest of ln(1 / WALL_FRACTION));
 #: the V''(q0) rule alone gives harmonic walls 11.5 or more.
 DECAY_NEPERS = 9.0
+#: the Dirichlet solve bisects for its shifts on M // COARSEN points of the same box.
+#: Over 88 solves of the benchmark's Dirichlet shapes (8192 <= M <= 32768) the total
+#: was 3.66 s at 4, 3.05 s at 8 and 2.67 s at 16, against 5.49 s for the direct
+#: solve.  Over a seeded sweep of 292 random grids (64 <= M <= 32768) 8 and 16 both
+#: took 0.80 of the direct time, but 16 seeds no grid below M = 1024
+COARSEN = 8
+#: inverse-iteration steps per shift.  After 3, first-sweep residuals of the
+#: benchmark's shapes ran to 169 eps ||T||_1; after 4 they are at rounding (below 2.4)
+INVERSE_STEPS = 4
+#: the certificate's first test, ||R||_F <= RITZ_RESIDUAL eps ||T||_1.  A Ritz value
+#: lies within ||r||^2 / gap of its eigenvalue, so closer than the bisection's own
+#: eps ||T||_1 wherever the gap exceeds RITZ_RESIDUAL^2 eps ||T||_1 (6e-6 for the
+#: harmonic well on (-9, 9) at M = 32768)
+RITZ_RESIDUAL = 64.0
+#: the radius's rounding allowance is (sqrt(k) + 1) ROUNDING_SLACK eps ||T||_1
+ROUNDING_SLACK = 4.0
+#: rows per block of the Gram and residual products, which so keep at most two
+#: M x (k + 1) arrays alive
+ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,19 +101,134 @@ def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float
     return box
 
 
+def _dirichlet_matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int):
+    """Interior grid, spacing, diagonal and (constant) off-diagonal of the Dirichlet operator."""
+    lo, hi = box
+    h = (hi - lo) / (M + 1)
+    grid = lo + h * np.arange(1, M + 1)
+    kin = hbar**2 / (potential.mass * h**2)
+    return grid, h, kin + np.asarray(potential.value(grid), dtype=float), -0.5 * kin
+
+
+def _t_rows(diag: np.ndarray, c: float, v: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows a:b of T v, for T with diagonal `diag` and every off-diagonal entry c."""
+    out = diag[a:b, None] * v[a:b]
+    out[1:] += c * v[a:b - 1]
+    out[:-1] += c * v[a + 1:b]
+    if a > 0:
+        out[0] += c * v[a - 1]
+    if b < len(diag):
+        out[-1] += c * v[b]
+    return out
+
+
+def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int):
+    """Rayleigh-Ritz pairs of T from one inverse-iteration sweep at `shifts`, and a certificate.
+
+    Returns the n = len(shifts) Ritz values and, only when the lowest k
+    pairs are certified, the Ritz vectors; (None, None) when the sweep's
+    basis V is not finite or not of full rank.  The Ritz basis is V Q, with
+    Q the eigenvectors of V^T T V against V^T V, and R = T U - U Theta over
+    its first k columns U.  Kahan's theorem (Parlett, The Symmetric
+    Eigenvalue Problem, 11.5) puts k distinct eigenvalues of T within
+    `radius` of the lowest k Ritz values, and a Sturm count of exactly k
+    below the midpoint x of rho_{k-1} and rho_k makes them the k lowest.
+    """
+    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+
+    M, n = len(diag), len(shifts)
+    off = np.full(M - 1, c)
+    # fixed-seed random starts, one per shift: the solve is deterministic, and two
+    # shifts at one tunnelling pair start, and so end, on independent vectors
+    v = np.random.default_rng(0).random((n, M)).T
+    v -= 0.5
+    for j, shift in enumerate(shifts):
+        lu = dgttrf(off, diag - shift, off)[:-1]
+        for _ in range(INVERSE_STEPS):
+            y = dgttrs(*lu, v[:, j])[0]
+            v[:, j] = y / np.max(np.abs(y))
+    gram, overlap = np.zeros((n, n)), np.zeros((n, n))
+    for a in range(0, M, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, M)
+        gram += v[a:b].T @ _t_rows(diag, c, v, a, b)
+        overlap += v[a:b].T @ v[a:b]
+    try:
+        rho, q = eigh(0.5 * (gram + gram.T), 0.5 * (overlap + overlap.T))
+    except ValueError:  # not finite, or (LinAlgError) V^T V not positive definite
+        return None, None
+    v = v @ q
+    u = v[:, :k]
+    res2, overlap = 0.0, np.zeros((k, k))
+    for a in range(0, M, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, M)
+        res2 += float(np.sum((_t_rows(diag, c, u, a, b) - u[a:b] * rho[:k]) ** 2))
+        overlap += u[a:b].T @ u[a:b]
+
+    norm1 = float(np.max(np.abs(diag))) + 2.0 * abs(c)  # ||T||_1
+    eps_t = np.finfo(float).eps * norm1
+    resid = math.sqrt(res2)
+    # eta is U's departure from orthonormality: the orthonormal U (U^T U)^(-1/2) has
+    # residual at most (||R|| + 4 eta max|rho|) / (1 - eta) for eta <= 1/2.  Forming
+    # T U rounds each column of R by about 4 eps ||T||_1 at most, and the Sturm
+    # count is exact for a matrix within about 2 eps ||T||_1 of T: the last term
+    eta = float(np.linalg.norm(overlap - np.eye(k)))
+    radius = ((resid + 4.0 * eta * float(np.max(np.abs(rho[:k])))) / (1.0 - eta)
+              + ROUNDING_SLACK * (math.sqrt(k) + 1.0) * eps_t)
+    x = 0.5 * (rho[k - 1] + rho[k])
+    if not (resid <= RITZ_RESIDUAL * eps_t and eta <= 0.5 and rho[k - 1] + radius < x):
+        return rho, None  # a NaN fails here too
+    # RANGE='V' with abstol above ||T||_1 stops at the Sturm counts of the interval's ends
+    count, _, _, _, info = dstebz(diag, off, 1, -np.inf, x, 0, 0, 4.0 * norm1, "E")
+    return rho, (v if info == 0 and count == k else None)
+
+
+def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, float],
+                       diag: np.ndarray, c: float, k: int):
+    """The lowest k certified eigenpairs of T, shifted from the coarse grid, or (None, None)."""
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+    coarse = len(diag) // COARSEN
+    if coarse < 64 or k + 1 > coarse - 2:  # fd_eigensolve's limits, for k + 1 coarse levels
+        return None, None
+    _, _, coarse_diag, coarse_c = _dirichlet_matrix(potential, hbar, box, coarse)
+    if not np.all(np.isfinite(coarse_diag)):
+        return None, None
+    try:
+        shifts = eigh_tridiagonal(coarse_diag, np.full(coarse - 1, coarse_c), eigvals_only=True,
+                                  select="i", select_range=(0, k))
+    except LinAlgError:  # bisection did not converge: the direct call decides
+        return None, None
+    # the coarse level k must lie within about one level spacing of the full grid's:
+    # its error, about E (kappa h)^2 / 12 with E its kinetic energy above min V and
+    # (kappa h)^2 = 2 E / kin (kin = -2 c), must not exceed the mean spacing E / (k + 1/2),
+    # so E (k + 1/2) <= 6 kin.  In a seeded sweep of 389 random grids with k up to 200,
+    # 4 of the 225 solves within that bound fell back, and 152 of the 181 beyond it would
+    if not (shifts[k] - np.min(coarse_diag) - 2.0 * coarse_c) * (k + 0.5) <= -12.0 * coarse_c:
+        return None, None
+    for _ in range(2):  # the second sweep shifts by the first one's Ritz values
+        shifts, vecs = _ritz_pairs(diag, c, shifts, k)
+        if vecs is not None:
+            return shifts[:k], vecs[:, :k]
+        if shifts is None:
+            break
+    return None, None
+
+
 def _dirichlet_eigensolve(potential: Potential, hbar: float,
                           box: tuple[float, float], M: int, k: int):
     # scipy is imported here, not at module level: only an eigensolve pays for it
     from scipy.linalg import eigh_tridiagonal
 
-    lo, hi = box
-    h = (hi - lo) / (M + 1)
-    grid = lo + h * np.arange(1, M + 1)
-    m = potential.mass
-    kin = hbar**2 / (m * h**2)
-    diag = kin + np.asarray(potential.value(grid), dtype=float)
-    off = np.full(M - 1, -0.5 * kin)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    grid, h, diag, c = _dirichlet_matrix(potential, hbar, box, M)
+    vals = None
+    if np.all(np.isfinite(diag)):  # the direct call refuses a V that is not finite, as before
+        # an overflow or a NaN in the seeded attempt fails its certificate, silently
+        with np.errstate(all="ignore"):
+            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k)
+    if vals is None:
+        vals, vecs = eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
+                                      select_range=(0, k - 1))
     return grid, h, vals, vecs
 
 
@@ -158,13 +292,23 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
                   resolution_tolerance: float | None = None) -> EigenSolution:
     """Lowest k eigenpairs of the discretized Schrodinger operator.
 
-    Dirichlet walls use the symmetric tridiagonal matrix on the interior
-    grid.  Periodic boundaries close it into a ring with two corner
-    couplings; ARPACK finds the lowest levels by shift-invert below min V,
-    each solve O(M): a positive definite tridiagonal factorization and a
-    Sherman-Morrison correction for the corners.  Eigenvectors are
-    normalized under the grid measure and sign-fixed (largest-magnitude
-    component positive).
+    Dirichlet walls use the symmetric tridiagonal matrix T on the interior
+    grid.  The lowest k + 1 levels on M // COARSEN points of the same box
+    shift one inverse-iteration sweep on the full grid, and a Rayleigh-Ritz
+    step returns its lowest k pairs only under a certificate: ||R||_F at
+    most RITZ_RESIDUAL eps ||T||_1, a Kahan radius below half the gap to the
+    next Ritz value, and a Sturm count of exactly k below that gap's
+    midpoint.  So each level lies within its radius of a distinct one of
+    the k lowest eigenvalues of T.  A failed certificate takes a second
+    sweep at the Ritz values.  When that fails too, when M // COARSEN is
+    below 64 or below k + 3, or when the coarse level k is likely off by
+    more than a level spacing, one `eigh_tridiagonal` call (bisection, then
+    inverse iteration) on the full grid gives the levels.  Periodic boundaries close T into a
+    ring with two corner couplings; ARPACK finds the lowest levels by
+    shift-invert below min V, each solve O(M): a positive definite
+    tridiagonal factorization and a Sherman-Morrison correction for the
+    corners.  Eigenvectors are normalized under the grid measure and
+    sign-fixed (largest-magnitude component positive).
 
     Wall amplitudes above WALL_FRACTION of the peak raise BoxError.  When
     `resolution_tolerance` is set, a half-resolution solve estimates the

@@ -1,4 +1,16 @@
+import warnings
+
 import pytest
+
+# A failing hypothesis test makes hypothesis import this module, and with it libcst,
+# whose import raises a DeprecationWarning; under `filterwarnings = ["error"]` that
+# happened inside pytest's report hook, an INTERNALERROR that ended the run without
+# a summary.  Importing it once here, with that warning ignored, keeps the report
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+
+pytest_plugins = ["pytester"]
 
 _ACCEPTANCE: dict[str, tuple[str, str]] = {}
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from phasekit import (
@@ -37,6 +39,39 @@ def dense_ring(potential, hbar, sol):
     for i in range(M):
         ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = -0.5 * kin
     return ring, kin
+
+
+def direct_solve(potential, hbar, box, M, k):
+    """The Dirichlet levels and vectors of one `eigh_tridiagonal` call on the full grid."""
+    _, _, diag, c = schrodinger._dirichlet_matrix(potential, hbar, box, M)
+    return scipy.linalg.eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
+                                         select_range=(0, k - 1))
+
+
+def count_sweeps(monkeypatch):
+    """A list that records, per seeded sweep, whether its pairs were certified."""
+    sweeps = []
+    ritz = schrodinger._ritz_pairs
+
+    def counted(*args):
+        rho, vecs = ritz(*args)
+        sweeps.append(vecs is not None)
+        return rho, vecs
+
+    monkeypatch.setattr(schrodinger, "_ritz_pairs", counted)
+    return sweeps
+
+
+def refuse_direct_solve(monkeypatch):
+    """Make the full-grid `eigh_tridiagonal` call raise; the values-only coarse call still runs."""
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def values_only(*args, eigvals_only=False, **kwargs):
+        if not eigvals_only:
+            raise AssertionError("the Dirichlet solve fell back to the direct call")
+        return eigh_tridiagonal(*args, eigvals_only=True, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", values_only)
 
 
 def morse_level(depth, width, m, n, hbar=1.0):
@@ -165,9 +200,118 @@ class TestDirichletSolve:
         with pytest.raises(error):
             fd_eigensolve(Harmonic(), M=1024, k=2, resolution_tolerance=1e-4)
 
+    @pytest.mark.parametrize("poison, sweeps_run", [("vectors", [False]),
+                                                   ("radius", [False, False])])
+    def test_a_nan_in_the_certificate_falls_back(self, monkeypatch, poison, sweeps_run):
+        # a NaN in the inverse-iteration vectors or in the certificate's radius
+        # fails the certificate, and the solve is the direct one, bit for bit
+        expected = direct_solve(Harmonic(), 1.0, (-8.0, 8.0), 1024, 2)
+        if poison == "vectors":
+            dgttrs = scipy.linalg.lapack.dgttrs
+            monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", lambda *args: (
+                np.full_like(dgttrs(*args)[0], np.nan), 0))
+        else:
+            monkeypatch.setattr(schrodinger, "ROUNDING_SLACK", math.nan)
+        sweeps = count_sweeps(monkeypatch)
+        _, _, vals, vecs = schrodinger._dirichlet_eigensolve(Harmonic(), 1.0, (-8.0, 8.0), 1024, 2)
+        assert sweeps == sweeps_run
+        assert np.array_equal(vals, expected[0]) and np.array_equal(vecs, expected[1])
+
     def test_periodic_boundary_needs_a_box_on_the_line(self):
         with pytest.raises(ValueError):
             fd_eigensolve(Harmonic(), boundary="periodic")
+
+
+SYMMETRIC_WELL = Polynomial(coeffs=(0, 0, -2, 0, 0.5))
+TILTED_WELL = Polynomial(coeffs=(0, 0.3, -2, 0, 0.5))
+TALL_BARRIER = Polynomial(coeffs=(256, 0, -32, 0, 1))
+
+
+class TestSeededDirichletSolve:
+    @pytest.mark.parametrize("potential, hbar, box", [
+        (Harmonic(), 1.0, None),
+        (Quartic(), 1.0, None),
+        (Morse(m=1.0, depth=12.0, width=1.0), 1.0, (-2.0, 12.0)),
+        (SYMMETRIC_WELL, 0.2, None),
+        (TILTED_WELL, 0.2, None),
+    ], ids=["harmonic", "quartic", "morse", "symmetric-well", "tilted-well"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_certified_pairs_match_the_direct_solve(self, potential, hbar, box, k):
+        # k = 1, 3 and 5 put a tunnelling pair of the symmetric well across the
+        # k boundary: the certificate must keep the pair apart
+        box = box or default_box(potential, hbar, k)
+        M = 8192
+        _, _, diag, c = schrodinger._dirichlet_matrix(potential, hbar, box, M)
+        vals, vecs = schrodinger._seeded_eigenpairs(potential, hbar, box, diag, c, k)
+        assert vals is not None
+        direct, _ = direct_solve(potential, hbar, box, M, k)
+        tv = diag[:, None] * vecs
+        tv[1:] += c * vecs[:-1]
+        tv[:-1] += c * vecs[1:]
+        residual = np.linalg.norm(tv - vecs * vals)
+        # the direct levels are bisection midpoints, good to about eps ||T||_1
+        eps_t = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(c))
+        assert np.max(np.abs(vals - direct)) <= residual + 2.0 * eps_t
+
+    @pytest.mark.parametrize("potential, hbar, box, M, k, sweeps_run", [
+        # V = (q^2 - 16)^2: its tunnelling pairs are degenerate to rounding, and one
+        # across the k boundary can never be certified
+        (TALL_BARRIER, 1.0, (-20.0, 12.0), 4096, 1, [False, False]),
+        (TALL_BARRIER, 1.0, (-20.0, 12.0), 4096, 3, [False, False]),
+        # the coarse step is far above hbar / p: no sweep is tried
+        (Harmonic(), 1.0, (-1000.0, 1000.0), 8192, 4, []),
+        # M // 8 < 64: no coarse grid
+        (Harmonic(), 1.0, (-8.0, 8.0), 511, 4, []),
+        # V near overflow: the Gram matrices overflow, with no warning
+        (Polynomial(coeffs=(1e305, 0, 0.5)), 1.0, (-8.0, 8.0), 4096, 3, [False]),
+    ], ids=["tall-barrier-1", "tall-barrier-3", "wide-box", "small-grid", "near-overflow"])
+    def test_uncertified_solves_are_the_direct_solve(self, monkeypatch,
+                                                      potential, hbar, box, M, k, sweeps_run):
+        sweeps = count_sweeps(monkeypatch)
+        _, _, vals, vecs = schrodinger._dirichlet_eigensolve(potential, hbar, box, M, k)
+        assert sweeps == sweeps_run
+        expected_vals, expected_vecs = direct_solve(potential, hbar, box, M, k)
+        assert np.array_equal(vals, expected_vals) and np.array_equal(vecs, expected_vecs)
+
+    @pytest.mark.parametrize("case", ["certified", "missed level", "unconverged"])
+    def test_the_certificate_refuses_a_bad_sweep(self, case):
+        # shifts at levels 0, 2 and 3 give well-converged pairs with a wide gap above
+        # them, and only the Sturm count sees that level 1 is missing; shifts 0.3 above
+        # levels 0, 1 and 2 leave pairs that only the residual bound refuses
+        _, _, diag, c = schrodinger._dirichlet_matrix(Harmonic(), 1.0, (-8.0, 8.0), 2048)
+        levels = scipy.linalg.eigh_tridiagonal(diag, np.full(2047, c), eigvals_only=True,
+                                               select="i", select_range=(0, 3))
+        shifts = {"certified": levels[[0, 1, 2]], "missed level": levels[[0, 2, 3]],
+                  "unconverged": levels[[0, 1, 2]] + 0.3}[case]
+        _, vecs = schrodinger._ritz_pairs(diag, c, shifts, 2)
+        assert (vecs is not None) == (case == "certified")
+
+    def test_repeat_solves_are_identical(self):
+        a = fd_eigensolve(TILTED_WELL, hbar=0.2, M=4096, k=6)
+        b = fd_eigensolve(TILTED_WELL, hbar=0.2, M=4096, k=6)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    @pytest.mark.parametrize("potential, hbar, box, M, k", [
+        # the Dirichlet shapes of bench/workloads.py at mid-range draws
+        (Harmonic(m=1.25, omega=1.25), 1.0, None, 8192, 4),
+        (Harmonic(m=1.25, omega=1.25), 1.0, None, 16384, 10),
+        (Harmonic(m=1.25, omega=1.25), 1.0, None, 32768, 20),
+        (Harmonic(m=1.25, omega=1.25), 1.0, None, 32768, 6),
+        (Harmonic(m=1.25, omega=1.25), 1.0, None, 16384, 1),
+        (Morse(m=1.15, depth=15.0, width=0.8), 1.0, (-3.125, 15.0), 16384, 3),
+        (Morse(m=1.15, depth=15.0, width=0.8), 1.0, (-3.125, 15.0), 32768, 4),
+        (Quartic(m=1.1, lam=1.25), 1.0, (-4.283106, 4.283106), 16384, 6),
+        (Quartic(m=1.1, lam=1.25), 1.0, (-4.604497, 4.604497), 32768, 10),
+        (Quartic(m=1.1, lam=1.25), 1.0, None, 8192, 4),
+        (Quartic(m=1.1, lam=1.25), 1.0, None, 16384, 8),
+        # the widest explicit harmonic box the benchmark draws
+        (Harmonic(m=0.5, omega=0.5), 1.3, (-24.97999, 24.97999), 32768, 20),
+    ])
+    def test_benchmark_shapes_take_the_seeded_path(self, monkeypatch, potential, hbar, box, M, k):
+        refuse_direct_solve(monkeypatch)
+        sol = fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k)
+        assert sol.eigenvalues.shape == (k,)
 
 
 class TestPeriodicSolve:
