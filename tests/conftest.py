@@ -5,10 +5,15 @@ import pytest
 # A failing hypothesis test makes hypothesis import this module, and with it libcst,
 # whose import raises a DeprecationWarning; under `filterwarnings = ["error"]` that
 # happened inside pytest's report hook, an INTERNALERROR that ended the run without
-# a summary.  Importing it once here, with that warning ignored, keeps the report
+# a summary.  Importing it once here, with that warning ignored, keeps the report.
+# libcst comes only with hypothesis's optional `codemods` extra; without it
+# hypothesis skips that import, and so does this
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 pytest_plugins = ["pytester"]
 
