@@ -25,7 +25,7 @@ WALL_FRACTION = 1e-6
 #: less (the WKB prefactor 1 / sqrt|p| makes up the rest of ln(1 / WALL_FRACTION));
 #: the V''(q0) rule alone gives harmonic walls 11.5 or more.
 DECAY_NEPERS = 9.0
-#: the Dirichlet solve bisects for its shifts on M // COARSEN points of the same box.
+#: the seeded solves take their shifts from M // COARSEN points of the same box.
 #: Over 88 solves of the benchmark's Dirichlet shapes (8192 <= M <= 32768) the total
 #: was 3.66 s at 4, 3.05 s at 8 and 2.67 s at 16, against 5.49 s for the direct
 #: solve.  Over a seeded sweep of 292 random grids (64 <= M <= 32768) 8 and 16 both
@@ -108,19 +108,85 @@ def _dirichlet_matrix(potential: Potential, hbar: float, box: tuple[float, float
     return grid, h, kin + np.asarray(potential.value(grid), dtype=float), -0.5 * kin
 
 
-def _t_rows(diag: np.ndarray, c: float, v: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows a:b of T v, for T with diagonal `diag` and every off-diagonal entry c."""
+def _ring_matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int):
+    """Grid, spacing, diagonal and (constant) coupling of the periodic operator, and min V."""
+    lo, hi = box
+    h = (hi - lo) / M
+    grid = lo + h * np.arange(M)
+    kin = hbar**2 / (potential.mass * h**2)
+    v = np.asarray(potential.value(grid), dtype=float)
+    return grid, h, kin + v, -0.5 * kin, float(np.min(v))
+
+
+def _t_rows(diag: np.ndarray, c: float, v: np.ndarray, a: int, b: int, ring: bool) -> np.ndarray:
+    """Rows a:b of T v, for T with diagonal `diag` and every off-diagonal entry c.
+
+    On a ring T also couples rows 0 and M - 1 by c.
+    """
+    M = len(diag)
     out = diag[a:b, None] * v[a:b]
     out[1:] += c * v[a:b - 1]
     out[:-1] += c * v[a + 1:b]
     if a > 0:
         out[0] += c * v[a - 1]
-    if b < len(diag):
+    elif ring:
+        out[0] += c * v[M - 1]
+    if b < M:
         out[-1] += c * v[b]
+    elif ring:
+        out[-1] += c * v[0]
     return out
 
 
-def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int):
+def _ring_split(diag: np.ndarray, c: float):
+    """The ring T as T_u + c u u^T: T_u's diagonal (T's less c at both ends), u = e_0 + e_{M-1}."""
+    t_diag, u = diag.copy(), np.zeros(len(diag))
+    t_diag[[0, -1]] -= c
+    u[[0, -1]] = 1.0
+    return t_diag, u
+
+
+def _count_below(diag: np.ndarray, c: float, x: float, ring: bool = False) -> int:
+    """How many eigenvalues of T lie below x, or -1 where rounding could make the count wrong.
+
+    The Dirichlet count is stebz's Sturm count, exact for a matrix within
+    about 2 eps ||T||_1 of T.  On a ring, T = T_u + c u u^T with c < 0, and
+    Haynsworth's inertia additivity on the bordered matrix [[T_u - x, u],
+    [u^T, -1/c]] gives neg(T - x) = neg(T_u - x) + [s < 0], with the scalar
+    s = 1 + c u^T z, z = (T_u - x)^(-1) u, equal to det(T - x) / det(T_u - x):
+    Sturm's count of T_u and the sign of s.  Rounding: gttrs's z solves
+    exactly a matrix within a few eps ||T||_1 of T_u - x (partial pivoting on
+    a tridiagonal matrix is backward stable), so the computed s, up to the
+    rounding of its last product and sum (at most 3 eps (1 + |c u^T z|)), has
+    the sign that counts for that matrix.  Its count of T_u equals stebz's
+    when no eigenvalue of T_u lies within 8 eps ||T||_1 of x, which a second
+    count, over that window, checks.  So the sum counts exactly for a matrix
+    within a few eps ||T||_1 of T.  A scalar within its rounding bound, an
+    eigenvalue of T_u in the window, and a NaN are refused.
+    """
+    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+
+    off = np.full(len(diag) - 1, c)
+    norm1 = float(np.max(np.abs(diag))) + 2.0 * abs(c)  # ||T||_1
+    t_diag, u = _ring_split(diag, c) if ring else (diag, None)
+    # RANGE='V' with abstol above ||T||_1 stops at the Sturm counts of the interval's ends
+    count, _, _, _, info = dstebz(t_diag, off, 1, -np.inf, x, 0, 0, 4.0 * norm1, "E")
+    if info:
+        return -1
+    if not ring:
+        return count
+    eps = np.finfo(float).eps
+    near, _, _, _, info = dstebz(t_diag, off, 1, x - 8.0 * eps * norm1, x + 8.0 * eps * norm1,
+                                 0, 0, 4.0 * norm1, "E")
+    z = dgttrs(*dgttrf(off, t_diag - x, off)[:-1], u)[0]
+    cz = c * (z[0] + z[-1])
+    s = 1.0 + cz
+    if info or near or not abs(s) > 3.0 * eps * (1.0 + abs(cz)):
+        return -1
+    return count + int(s < 0.0)
+
+
+def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int, ring: bool = False):
     """Rayleigh-Ritz pairs of T from one inverse-iteration sweep at `shifts`, and a certificate.
 
     Returns the n = len(shifts) Ritz values and, only when the lowest k
@@ -129,47 +195,62 @@ def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int):
     Q the eigenvectors of V^T T V against V^T V, and R = T U - U Theta over
     its first k columns U.  Kahan's theorem (Parlett, The Symmetric
     Eigenvalue Problem, 11.5) puts k distinct eigenvalues of T within
-    `radius` of the lowest k Ritz values, and a Sturm count of exactly k
-    below the midpoint x of rho_{k-1} and rho_k makes them the k lowest.
+    `radius` of the lowest k Ritz values, and a count (`_count_below`) of
+    exactly k below the midpoint x of rho_{k-1} and rho_k makes them the k
+    lowest.  On a ring (`ring`) each shifted solve factors the tridiagonal
+    T_u - s and corrects for c u u^T by Sherman-Morrison.
     """
     from scipy.linalg import eigh
-    from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     M, n = len(diag), len(shifts)
     off = np.full(M - 1, c)
+    t_diag, u = _ring_split(diag, c) if ring else (diag, None)
     # fixed-seed random starts, one per shift: the solve is deterministic, and two
     # shifts at one tunnelling pair start, and so end, on independent vectors
     v = np.random.default_rng(0).random((n, M)).T
     v -= 0.5
     for j, shift in enumerate(shifts):
-        lu = dgttrf(off, diag - shift, off)[:-1]
+        lu = dgttrf(off, t_diag - shift, off)[:-1]
+        if ring:
+            # (T_u - s + c u u^T)^(-1) b is y - c (u^T y) z / (1 + c u^T z), with
+            # y = (T_u - s)^(-1) b and z = (T_u - s)^(-1) u.  It is taken times the
+            # denominator, which only rescales the iterate: at an exact level the
+            # denominator is det(T - s) / det(T_u - s) = 0 (the rotor's zero level,
+            # where both grids give s = 0 to rounding), and the step is then z, the
+            # level's eigenvector
+            cz = c * dgttrs(*lu, u)[0]
+            denominator = 1.0 + (cz[0] + cz[-1])
         for _ in range(INVERSE_STEPS):
             y = dgttrs(*lu, v[:, j])[0]
-            v[:, j] = y / np.max(np.abs(y))
+            if ring:
+                uy = y[0] + y[-1]
+                y *= denominator
+                y -= uy * cz
+            np.divide(y, max(y.max(), -y.min()), out=v[:, j])  # y / max |y|
     gram, overlap = np.zeros((n, n)), np.zeros((n, n))
     for a in range(0, M, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, M)
-        gram += v[a:b].T @ _t_rows(diag, c, v, a, b)
+        gram += v[a:b].T @ _t_rows(diag, c, v, a, b, ring)
         overlap += v[a:b].T @ v[a:b]
     try:
         rho, q = eigh(0.5 * (gram + gram.T), 0.5 * (overlap + overlap.T))
     except ValueError:  # not finite, or (LinAlgError) V^T V not positive definite
         return None, None
     v = v @ q
-    u = v[:, :k]
+    w = v[:, :k]
     res2, overlap = 0.0, np.zeros((k, k))
     for a in range(0, M, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, M)
-        res2 += float(np.sum((_t_rows(diag, c, u, a, b) - u[a:b] * rho[:k]) ** 2))
-        overlap += u[a:b].T @ u[a:b]
+        res2 += float(np.sum((_t_rows(diag, c, w, a, b, ring) - w[a:b] * rho[:k]) ** 2))
+        overlap += w[a:b].T @ w[a:b]
 
-    norm1 = float(np.max(np.abs(diag))) + 2.0 * abs(c)  # ||T||_1
-    eps_t = np.finfo(float).eps * norm1
+    eps_t = np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * abs(c))  # eps ||T||_1
     resid = math.sqrt(res2)
     # eta is U's departure from orthonormality: the orthonormal U (U^T U)^(-1/2) has
     # residual at most (||R|| + 4 eta max|rho|) / (1 - eta) for eta <= 1/2.  Forming
-    # T U rounds each column of R by about 4 eps ||T||_1 at most, and the Sturm
-    # count is exact for a matrix within about 2 eps ||T||_1 of T: the last term,
+    # T U rounds each column of R by about 4 eps ||T||_1 at most, and the count is
+    # exact for a matrix within a few eps ||T||_1 of T: the last term,
     # 4 (sqrt(k) + 1) eps ||T||_1
     eta = float(np.linalg.norm(overlap - np.eye(k)))
     radius = ((resid + 4.0 * eta * float(np.max(np.abs(rho[:k])))) / (1.0 - eta)
@@ -177,36 +258,93 @@ def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int):
     x = 0.5 * (rho[k - 1] + rho[k])
     if not (resid <= RITZ_RESIDUAL * eps_t and eta <= 0.5 and rho[k - 1] + radius < x):
         return rho, None  # a NaN fails here too
-    # RANGE='V' with abstol above ||T||_1 stops at the Sturm counts of the interval's ends
-    count, _, _, _, info = dstebz(diag, off, 1, -np.inf, x, 0, 0, 4.0 * norm1, "E")
-    return rho, (v if info == 0 and count == k else None)
+    return rho, (v if _count_below(diag, c, x, ring) == k else None)
+
+
+def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
+    """The lowest k levels of the ring by ARPACK shift-invert below min V, in ascending order."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    M = len(diag)
+
+    def ring(x):
+        # every site couples to both neighbours, site 0 to site M - 1 included.
+        # In shift-invert eigsh reads only A's shape and dtype; this is the
+        # operator that `solve` inverts
+        x = np.ravel(x)
+        return diag * x + c * (np.roll(x, 1) + np.roll(x, -1))
+
+    # shift-invert below the spectrum.  With u = e_0 + e_{M-1}, H - sigma is
+    # T_u + c u u^T, where T_u is its tridiagonal part with -c added to the two end
+    # diagonals.  T_u's diagonal (>= kin + 1) dominates its off-diagonal (kin / 2),
+    # so T_u is positive definite: factor it once, and solve H - sigma by one
+    # pttrs and a Sherman-Morrison correction for c u u^T
+    sigma = v_min - 1.0
+    t_diag = diag - sigma
+    t_diag[[0, -1]] -= c
+    d, e, info = dpttrf(t_diag, np.full(M - 1, c))
+    u = np.zeros(M)
+    u[[0, -1]] = 1.0
+    z, _ = dpttrs(d, e, u)
+    with np.errstate(all="ignore"):
+        gain = c / (1.0 + c * (z[0] + z[-1]))  # the denominator is det(H - sigma) / det(T_u)
+    if info or not -math.inf < gain <= 0.0:
+        raise ResolutionError(f"kinetic scale hbar^2 / (m h^2) = {-2.0 * c:.3e} leaves "
+                              "H - sigma singular to rounding; use a coarser grid")
+
+    def solve(b):
+        y, _ = dpttrs(d, e, np.ravel(b))
+        return y - (gain * (y[0] + y[-1])) * z
+
+    # a fixed-seed random start vector keeps the solve deterministic and,
+    # unlike a constant one, has no parity, so odd states of a symmetric box
+    # are not missed
+    v0 = np.random.default_rng(0).standard_normal(M)
+    vals, vecs = eigsh(LinearOperator((M, M), matvec=ring, dtype=float), k=k, sigma=sigma,
+                       which="LM", v0=v0,
+                       OPinv=LinearOperator((M, M), matvec=solve, dtype=float))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, float],
-                       diag: np.ndarray, c: float, k: int):
-    """The lowest k certified eigenpairs of T, shifted from the coarse grid, or (None, None)."""
+                       diag: np.ndarray, c: float, k: int, ring: bool = False):
+    """The lowest k certified eigenpairs of T, shifted from the coarse grid, or (None, None).
+
+    The coarse levels are bisected on the Dirichlet grid and come from ARPACK
+    (`_ring_eigsh`) on the ring.
+    """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
+    from scipy.sparse.linalg import ArpackError
 
     coarse = len(diag) // COARSEN
     if coarse < 64 or k + 1 > coarse - 2:  # fd_eigensolve's limits, for k + 1 coarse levels
         return None, None
-    _, _, coarse_diag, coarse_c = _dirichlet_matrix(potential, hbar, box, coarse)
+    if ring:
+        _, _, coarse_diag, coarse_c, v_min = _ring_matrix(potential, hbar, box, coarse)
+    else:
+        _, _, coarse_diag, coarse_c = _dirichlet_matrix(potential, hbar, box, coarse)
     if not np.all(np.isfinite(coarse_diag)):
         return None, None
     try:
-        shifts = eigh_tridiagonal(coarse_diag, np.full(coarse - 1, coarse_c), eigvals_only=True,
-                                  select="i", select_range=(0, k))
-    except LinAlgError:  # bisection did not converge: the direct call decides
+        shifts = (_ring_eigsh(coarse_diag, coarse_c, v_min, k + 1)[0] if ring else
+                  eigh_tridiagonal(coarse_diag, np.full(coarse - 1, coarse_c), eigvals_only=True,
+                                   select="i", select_range=(0, k)))
+    except (LinAlgError, ArpackError, ResolutionError):
+        # bisection or ARPACK did not converge, or the coarse ring is singular to
+        # rounding: the full-grid call decides
         return None, None
     # the coarse level k is off by about E (kappa h)^2 / 12, with E its kinetic energy
     # above min V and (kappa h)^2 = 2 E / kin (kin = -2 c): E (k + 1/2) / (6 kin) of the
     # mean spacing E / (k + 1/2).  One sweep certifies only from shifts well inside a
     # spacing, so the seeded solve is tried only for E (k + 1/2) <= kin / 5.  In a
     # seeded sweep of 1000 random grids, 272 of the 284 solves within that bound
-    # certified and 41 of the 716 beyond it; the benchmark's Dirichlet solves reach 0.04 kin
+    # certified and 41 of the 716 beyond it.  The benchmark's Dirichlet solves reach
+    # 0.04 kin and its periodic ones 0.011 kin
     if not (shifts[k] - np.min(coarse_diag) - 2.0 * coarse_c) * (k + 0.5) <= -0.4 * coarse_c:
         return None, None
-    rho, vecs = _ritz_pairs(diag, c, shifts, k)
+    rho, vecs = _ritz_pairs(diag, c, shifts, k, ring)
     return (None, None) if vecs is None else (rho[:k], vecs[:, :k])
 
 
@@ -229,55 +367,14 @@ def _dirichlet_eigensolve(potential: Potential, hbar: float,
 
 def _periodic_eigensolve(potential: Potential, hbar: float,
                          box: tuple[float, float], M: int, k: int):
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    lo, hi = box
-    h = (hi - lo) / M
-    grid = lo + h * np.arange(M)
-    m = potential.mass
-    kin = hbar**2 / (m * h**2)
-    v = np.asarray(potential.value(grid), dtype=float)
-    diag, c = kin + v, -0.5 * kin
-
-    def ring(x):
-        # every site couples to both neighbours, site 0 to site M - 1 included.
-        # In shift-invert eigsh reads only A's shape and dtype; this is the
-        # operator that `solve` inverts
-        x = np.ravel(x)
-        return diag * x + c * (np.roll(x, 1) + np.roll(x, -1))
-
-    # shift-invert below the spectrum.  With u = e_0 + e_{M-1}, H - sigma is
-    # T + c u u^T, where T is its tridiagonal part with -c added to the two end
-    # diagonals.  T's diagonal (>= kin + 1) dominates its off-diagonal (kin / 2),
-    # so T is positive definite: factor it once, and solve H - sigma by one
-    # pttrs and a Sherman-Morrison correction for c u u^T
-    sigma = float(np.min(v)) - 1.0
-    t_diag = diag - sigma
-    t_diag[[0, -1]] -= c
-    d, e, info = dpttrf(t_diag, np.full(M - 1, c))
-    u = np.zeros(M)
-    u[[0, -1]] = 1.0
-    z, _ = dpttrs(d, e, u)
-    with np.errstate(all="ignore"):
-        gain = c / (1.0 + c * (z[0] + z[-1]))  # the denominator is det(H - sigma) / det(T)
-    if info or not -math.inf < gain <= 0.0:
-        raise ResolutionError(f"kinetic scale hbar^2 / (m h^2) = {kin:.3e} leaves H - sigma "
-                              "singular to rounding; use a coarser grid")
-
-    def solve(b):
-        y, _ = dpttrs(d, e, np.ravel(b))
-        return y - (gain * (y[0] + y[-1])) * z
-
-    # a fixed-seed random start vector keeps the solve deterministic and,
-    # unlike a constant one, has no parity, so odd states of a symmetric box
-    # are not missed
-    v0 = np.random.default_rng(0).standard_normal(M)
-    vals, vecs = eigsh(LinearOperator((M, M), matvec=ring, dtype=float), k=k, sigma=sigma,
-                       which="LM", v0=v0,
-                       OPinv=LinearOperator((M, M), matvec=solve, dtype=float))
-    order = np.argsort(vals)
-    return grid, h, vals[order], vecs[:, order]
+    grid, h, diag, c, v_min = _ring_matrix(potential, hbar, box, M)
+    vals = None
+    if np.all(np.isfinite(diag)):
+        with np.errstate(all="ignore"):
+            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k, ring=True)
+    if vals is None:
+        vals, vecs = _ring_eigsh(diag, c, v_min, k)
+    return grid, h, vals, vecs
 
 
 def fd_eigensolve(potential: Potential, hbar: float = 1.0,
@@ -298,12 +395,20 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     M // COARSEN is below 64 or below k + 3, or when the coarse level k is
     likely off by more than a thirtieth of a level spacing, one
     `eigh_tridiagonal` call (bisection, then inverse iteration) on the full
-    grid gives the levels.  Periodic boundaries close T into a ring with two
-    corner couplings; ARPACK finds the lowest levels by
-    shift-invert below min V, each solve O(M): a positive definite
-    tridiagonal factorization and a Sherman-Morrison correction for the
-    corners.  Eigenvectors are normalized under the grid measure and
-    sign-fixed (largest-magnitude component positive).
+    grid gives the levels.
+
+    Periodic boundaries close T into a ring with two corner couplings,
+    T_u + c u u^T with T_u tridiagonal and u = e_0 + e_{M-1}, and take the
+    same path: the coarse levels come from ARPACK on the M // COARSEN ring,
+    each shifted solve of the sweep is one tridiagonal factorization of
+    T_u - s and a Sherman-Morrison correction for the corners, and the count
+    adds to T_u's Sturm count the sign of one scalar (Haynsworth inertia
+    additivity), refused where rounding could flip it.  Where the seeded
+    solve is not tried or not certified, ARPACK finds the lowest levels of
+    the full ring by shift-invert below min V, each solve O(M): a positive
+    definite tridiagonal factorization and a Sherman-Morrison correction.
+    Eigenvectors are normalized under the grid measure and sign-fixed
+    (largest-magnitude component positive).
 
     Wall amplitudes above WALL_FRACTION of the peak raise BoxError.  When
     `resolution_tolerance` is set, a half-resolution solve estimates the

@@ -813,3 +813,19 @@ def test_only_an_eigensolve_imports_scipy():
     loaded = json.loads(done.stdout)
     assert loaded.pop("oracle") is True
     assert loaded == dict.fromkeys(loaded, False)
+
+
+def test_rotor_oracle_prints_the_same_bytes_under_one_and_two_blas_threads():
+    # the largest periodic solve of the benchmark; ARPACK's output changed with the
+    # thread count here, the certified seeded solve's does not
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "phasekit.cli", "oracle", "--potential", ROTOR,
+            "--boundary", "periodic", "--levels", "15", "--grid-size", "32768"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -31,14 +31,19 @@ from phasekit.wigner import normalization_box
 arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
 
 
+def ring_matrix(diag, c):
+    """The dense ring with diagonal `diag` and every coupling c, sites 0 and M - 1 included."""
+    M = len(diag)
+    ring = np.diag(diag)
+    for i in range(M):
+        ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = c
+    return ring
+
+
 def dense_ring(potential, hbar, sol):
     """The periodic Hamiltonian on sol's grid, built entry by entry, and its kinetic scale."""
-    M = len(sol.grid)
     kin = hbar**2 / (potential.mass * sol.spacing**2)
-    ring = np.diag(kin + potential.value(sol.grid))
-    for i in range(M):
-        ring[i, (i + 1) % M] = ring[i, (i - 1) % M] = -0.5 * kin
-    return ring, kin
+    return ring_matrix(kin + potential.value(sol.grid), -0.5 * kin), kin
 
 
 def direct_solve(potential, hbar, box, M, k):
@@ -330,11 +335,12 @@ class TestPeriodicSolve:
 
     @pytest.mark.parametrize("potential, hbar, box, M", [
         (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), 64),
-        (Rotor(), 1.0, None, 512),
+        (Rotor(), 1.0, None, 504),
     ], ids=["pendulum", "rotor"])
     def test_operator_and_its_shift_inverse_are_the_dense_ring(self, monkeypatch,
                                                                 potential, hbar, box, M):
-        # the operator and shift-inverse handed to eigsh, against the ring built entry by entry
+        # the operator and shift-inverse handed to eigsh, against the ring built entry by
+        # entry; M // 8 < 64, so the one eigsh call is the full-grid one
         seen = []
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
@@ -367,6 +373,115 @@ class TestPeriodicSolve:
     def test_deterministic_repeat(self):
         a = fd_eigensolve(Rotor(), boundary="periodic", M=1024, k=3)
         b = fd_eigensolve(Rotor(), boundary="periodic", M=1024, k=3)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def refuse_full_grid_eigsh(monkeypatch, M):
+    """Make an eigsh call on M points raise; the coarse call on M // 8 points still runs."""
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def coarse_only(op, **kwargs):
+        if op.shape[0] == M:
+            raise AssertionError("the periodic solve fell back to ARPACK on the full grid")
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", coarse_only)
+
+
+class TestSeededPeriodicSolve:
+    def test_ring_count_matches_dense_eigvalsh(self):
+        # random rings: the count at gap midpoints and at random points is exact, and
+        # none of them is refused
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            M = int(rng.integers(64, 201))
+            kin = 10.0 ** rng.uniform(0.0, 4.0)
+            diag = kin + rng.uniform(-1.0, 1.0, M) * 10.0 ** rng.uniform(-1.0, 3.0)
+            levels = np.linalg.eigvalsh(ring_matrix(diag, -0.5 * kin))
+            gaps = 0.5 * (levels[:-1] + levels[1:])
+            for x in [*gaps[rng.integers(0, M - 1, 3)], *rng.uniform(levels[0], levels[-1], 2)]:
+                count = schrodinger._count_below(diag, -0.5 * kin, x, ring=True)
+                assert count == np.sum(levels < x)
+
+    def test_ring_count_refuses_what_rounding_could_flip(self):
+        kin = 50.0
+        diag = np.full(128, kin)
+        # the rotor: T - 0 is singular, so the scalar det(T) / det(T_u) is 0 to rounding
+        assert schrodinger._count_below(diag, -0.5 * kin, 0.0, ring=True) == -1
+        assert schrodinger._count_below(diag, -0.5 * kin, -1e-3, ring=True) == 0
+        assert schrodinger._count_below(diag, -0.5 * kin, 1e-3, ring=True) == 1
+        # an eigenvalue of T_u at x: the two counts may not be for one matrix
+        rng = np.random.default_rng(3)
+        diag = kin + rng.uniform(-5.0, 5.0, 128)
+        t_u = ring_matrix(schrodinger._ring_split(diag, -0.5 * kin)[0], -0.5 * kin)
+        t_u[0, -1] = t_u[-1, 0] = 0.0
+        x = np.linalg.eigvalsh(t_u)[10]
+        assert schrodinger._count_below(diag, -0.5 * kin, x, ring=True) == -1
+
+    @pytest.mark.parametrize("potential, hbar, box, M, k", [
+        (Rotor(), 1.0, None, 1024, 7),
+        (Rotor(inertia=0.3), 0.8, None, 1024, 5),
+        (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), 1024, 6),
+        (Harmonic(m=0.8, omega=1.5), 1.0, (-8.0, 8.0), 1024, 2),
+    ], ids=["rotor-7", "rotor-5", "pendulum", "harmonic"])
+    def test_certified_levels_match_dense_eigh(self, monkeypatch, potential, hbar, box, M, k):
+        sweeps = count_sweeps(monkeypatch)
+        sol = fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k, boundary="periodic")
+        assert sweeps == [True]
+        ring, kin = dense_ring(potential, hbar, sol)
+        reference = np.linalg.eigvalsh(ring)[:k]
+        assert np.max(np.abs(sol.eigenvalues - reference)) <= 100.0 * np.finfo(float).eps * kin
+        vecs = sol.eigenvectors
+        assert np.linalg.norm(ring @ vecs - vecs * sol.eigenvalues) <= (
+            100.0 * np.finfo(float).eps * kin * np.linalg.norm(vecs))
+
+    def test_rotor_levels_are_the_exact_discrete_ones(self):
+        # 2 kin sin^2(pi n / M), the zero level included
+        M, k = 16384, 11
+        sol = fd_eigensolve(Rotor(), boundary="periodic", M=M, k=k)
+        kin = 1.0 / sol.spacing**2
+        n = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
+        exact = 2.0 * kin * np.sin(np.pi * n / M) ** 2
+        assert np.max(np.abs(sol.eigenvalues - exact)) <= 1e-2 * np.finfo(float).eps * kin
+
+    @pytest.mark.parametrize("M, k, sweeps_run, poison", [
+        # k = 6 splits the rotor's degenerate pair n = 3: no certificate can keep it apart
+        (16384, 6, [False], False),
+        # M // 8 < 64: no coarse grid
+        (504, 3, [], False),
+        # a NaN in the inverse-iteration solves fails the certificate
+        (8192, 3, [False], True),
+    ], ids=["split-pair", "small-grid", "failed-certificate"])
+    def test_fallbacks_are_arpack_bit_for_bit(self, monkeypatch, M, k, sweeps_run, poison):
+        box = (0.0, 2.0 * math.pi)
+        _, _, diag, c, v_min = schrodinger._ring_matrix(Rotor(), 1.0, box, M)
+        expected_vals, expected_vecs = schrodinger._ring_eigsh(diag, c, v_min, k)
+        if poison:
+            dgttrs = scipy.linalg.lapack.dgttrs
+            monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", lambda *args: (
+                np.full_like(dgttrs(*args)[0], np.nan), 0))
+        sweeps = count_sweeps(monkeypatch)
+        _, _, vals, vecs = schrodinger._periodic_eigensolve(Rotor(), 1.0, box, M, k)
+        assert sweeps == sweeps_run
+        assert np.array_equal(vals, expected_vals) and np.array_equal(vecs, expected_vecs)
+
+    @pytest.mark.parametrize("potential, hbar, box, M, k", [
+        # the periodic shapes of bench/workloads.py at mid-range draws
+        (Rotor(inertia=1.25), 1.0, None, 8192, 3),
+        (Rotor(inertia=1.25), 1.0, None, 16384, 11),
+        (Rotor(inertia=1.25), 1.0, None, 32768, 15),
+        (Rotor(inertia=0.5), 1.3, None, 32768, 15),
+        (Harmonic(m=1.25, omega=1.25), 1.0, (-8.485281, 8.485281), 8192, 5),
+    ])
+    def test_benchmark_shapes_take_the_seeded_path(self, monkeypatch, potential, hbar, box, M, k):
+        refuse_full_grid_eigsh(monkeypatch, M)
+        sol = fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k, boundary="periodic")
+        assert sol.eigenvalues.shape == (k,)
+
+    def test_repeat_solves_are_identical(self):
+        a = fd_eigensolve(Rotor(), boundary="periodic", M=8192, k=5)
+        b = fd_eigensolve(Rotor(), boundary="periodic", M=8192, k=5)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
