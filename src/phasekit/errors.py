@@ -54,8 +54,8 @@ class BoxError(PhasekitError):
 
 
 class ResolutionError(PhasekitError):
-    """Eigensolver grid too coarse for the requested accuracy, or so fine that
-    its kinetic scale leaves the shifted periodic operator singular to rounding."""
+    """Periodic eigensolver grid so fine that its kinetic scale leaves the
+    shifted operator singular to rounding."""
 
 
 class ConfigError(PhasekitError):

@@ -133,6 +133,15 @@ class Polynomial(Potential):
     m: float = 1.0
     coeffs: tuple = (0.0,)
 
+    def __post_init__(self):
+        # an infinite V' or V'' coefficient loses every equilibrium, as an infinite
+        # harmonic stiffness does; the overflow is checked here, not warned of by polyder
+        with np.errstate(over="ignore"):
+            _, d1, d2 = self._descending
+        if any(math.isinf(c) for c in d1 + d2):
+            raise OverflowError(f"polynomial V' or V'' coefficients overflow "
+                                f"(coeffs={list(self.coeffs)})")
+
     @cached_property
     def _descending(self):
         """V, V' and V'' coefficients as Python floats, highest power first."""

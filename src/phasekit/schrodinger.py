@@ -99,20 +99,15 @@ def default_box(potential: Potential, hbar: float, k: int) -> tuple[float, float
     return box
 
 
-def _dirichlet_matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int):
-    """Interior grid, spacing, diagonal and (constant) off-diagonal of the Dirichlet operator."""
-    lo, hi = box
-    h = (hi - lo) / (M + 1)
-    grid = lo + h * np.arange(1, M + 1)
-    kin = hbar**2 / (potential.mass * h**2)
-    return grid, h, kin + np.asarray(potential.value(grid), dtype=float), -0.5 * kin
+def _matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int, ring: bool):
+    """Grid, spacing, diagonal, (constant) off-diagonal or coupling, and min V of the operator.
 
-
-def _ring_matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int):
-    """Grid, spacing, diagonal and (constant) coupling of the periodic operator, and min V."""
+    The Dirichlet grid is the box's M interior points; the ring's starts at the left end.
+    """
     lo, hi = box
-    h = (hi - lo) / M
-    grid = lo + h * np.arange(M)
+    first = 0 if ring else 1
+    h = (hi - lo) / (M + first)
+    grid = lo + h * np.arange(first, M + first)
     kin = hbar**2 / (potential.mass * h**2)
     v = np.asarray(potential.value(grid), dtype=float)
     return grid, h, kin + v, -0.5 * kin, float(np.min(v))
@@ -281,11 +276,8 @@ def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
     # so T_u is positive definite: factor it once, and solve H - sigma by one
     # pttrs and a Sherman-Morrison correction for c u u^T
     sigma = v_min - 1.0
-    t_diag = diag - sigma
-    t_diag[[0, -1]] -= c
+    t_diag, u = _ring_split(diag - sigma, c)
     d, e, info = dpttrf(t_diag, np.full(M - 1, c))
-    u = np.zeros(M)
-    u[[0, -1]] = 1.0
     z, _ = dpttrs(d, e, u)
     with np.errstate(all="ignore"):
         gain = c / (1.0 + c * (z[0] + z[-1]))  # the denominator is det(H - sigma) / det(T_u)
@@ -321,10 +313,7 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
     coarse = len(diag) // COARSEN
     if coarse < 64 or k + 1 > coarse - 2:  # fd_eigensolve's limits, for k + 1 coarse levels
         return None, None
-    if ring:
-        _, _, coarse_diag, coarse_c, v_min = _ring_matrix(potential, hbar, box, coarse)
-    else:
-        _, _, coarse_diag, coarse_c = _dirichlet_matrix(potential, hbar, box, coarse)
+    _, _, coarse_diag, coarse_c, v_min = _matrix(potential, hbar, box, coarse, ring)
     if not np.all(np.isfinite(coarse_diag)):
         return None, None
     try:
@@ -348,40 +337,28 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
     return (None, None) if vecs is None else (rho[:k], vecs[:, :k])
 
 
-def _dirichlet_eigensolve(potential: Potential, hbar: float,
-                          box: tuple[float, float], M: int, k: int):
+def _eigensolve(potential: Potential, hbar: float,
+                box: tuple[float, float], M: int, k: int, ring: bool):
     # scipy is imported here, not at module level: only an eigensolve pays for it
     from scipy.linalg import eigh_tridiagonal
 
-    grid, h, diag, c = _dirichlet_matrix(potential, hbar, box, M)
+    grid, h, diag, c, v_min = _matrix(potential, hbar, box, M, ring)
     vals = None
     if np.all(np.isfinite(diag)):  # the direct call refuses a V that is not finite, as before
         # an overflow or a NaN in the seeded attempt fails its certificate, silently
         with np.errstate(all="ignore"):
-            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k)
+            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k, ring)
     if vals is None:
-        vals, vecs = eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
-                                      select_range=(0, k - 1))
-    return grid, h, vals, vecs
-
-
-def _periodic_eigensolve(potential: Potential, hbar: float,
-                         box: tuple[float, float], M: int, k: int):
-    grid, h, diag, c, v_min = _ring_matrix(potential, hbar, box, M)
-    vals = None
-    if np.all(np.isfinite(diag)):
-        with np.errstate(all="ignore"):
-            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k, ring=True)
-    if vals is None:
-        vals, vecs = _ring_eigsh(diag, c, v_min, k)
+        vals, vecs = (_ring_eigsh(diag, c, v_min, k) if ring else
+                      eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
+                                       select_range=(0, k - 1)))
     return grid, h, vals, vecs
 
 
 def fd_eigensolve(potential: Potential, hbar: float = 1.0,
                   box: tuple[float, float] | None = None,
                   M: int = 4096, k: int = 4,
-                  boundary: str = "dirichlet",
-                  resolution_tolerance: float | None = None) -> EigenSolution:
+                  boundary: str = "dirichlet") -> EigenSolution:
     """Lowest k eigenpairs of the discretized Schrodinger operator.
 
     Dirichlet walls use the symmetric tridiagonal matrix T on the interior
@@ -410,10 +387,7 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     Eigenvectors are normalized under the grid measure and sign-fixed
     (largest-magnitude component positive).
 
-    Wall amplitudes above WALL_FRACTION of the peak raise BoxError.  When
-    `resolution_tolerance` is set, a half-resolution solve estimates the
-    discretization error of each level and ResolutionError is raised if
-    any estimate exceeds the tolerance (relative to |E| + 1).
+    Wall amplitudes above WALL_FRACTION of the peak raise BoxError.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
@@ -423,11 +397,12 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
         raise ValueError(f"unknown boundary {boundary!r}")
     if boundary == "periodic" and not potential.periodic_coordinate and box is None:
         raise ValueError("periodic boundary needs an explicit box for line potentials")
+    if box is not None and not (math.isfinite(box[1] - box[0]) and box[0] < box[1]):
+        raise ValueError("box must be finite with lo < hi")  # hi - lo can overflow
     if box is None:
         box = default_box(potential, hbar, k)
 
-    solve = _dirichlet_eigensolve if boundary == "dirichlet" else _periodic_eigensolve
-    grid, h, vals, vecs = solve(potential, hbar, box, M, k)
+    grid, h, vals, vecs = _eigensolve(potential, hbar, box, M, k, boundary == "periodic")
 
     norms = np.sqrt(np.sum(vecs**2, axis=0) * h)
     vecs = vecs / norms
@@ -444,18 +419,6 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
             raise BoxError(
                 f"level {bad[0]} has wall amplitude {walls[bad[0]]:.3e} "
                 f"(> {WALL_FRACTION:g} of peak); enlarge the box {box}"
-            )
-
-    if resolution_tolerance is not None:
-        _, _, coarse, _ = solve(potential, hbar, box, M // 2, k)
-        # second-order convergence: err(M) ~ (coarse - fine) / 3
-        estimates = np.abs(vals - coarse) / 3.0
-        scale = np.abs(vals) + 1.0
-        worst = int(np.argmax(estimates / scale))
-        if not estimates[worst] <= resolution_tolerance * scale[worst]:
-            raise ResolutionError(
-                f"level {worst} discretization error estimate "
-                f"{estimates[worst]:.3e} exceeds tolerance; increase M"
             )
 
     return EigenSolution(

@@ -244,19 +244,24 @@ class TestArgumentHandling:
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("computation", "OverflowError")
 
-    @pytest.mark.parametrize("argv", [("equilibrium",), ("quantize", "--levels", "0..2")],
-                             ids=["equilibrium", "quantize"])
-    def test_an_overflowing_harmonic_stiffness_is_a_computation_error(self, run, argv):
-        # m omega^2 = inf made V' = inf * q a NaN at q = 0: `equilibrium` exited 0 with
-        # no minimum
+    @pytest.mark.parametrize("potential, word", [
+        ('{"family": "harmonic", "m": 1e300, "omega": 1e150}', "stiffness"),
+        ('{"family": "polynomial", "coeffs": [0, 0, 1e308]}', "coefficients"),
+    ], ids=["harmonic", "polynomial"])
+    @pytest.mark.parametrize("argv", [("equilibrium",), ("quantize", "--levels", "0..2"),
+                                      ("oracle", "--levels", "2", "--grid-size", "1024")],
+                             ids=["equilibrium", "quantize", "oracle"])
+    def test_an_overflowing_stiffness_or_coefficient_is_a_computation_error(self, run, argv,
+                                                                             potential, word):
+        # m omega^2 = inf, or V'' = 2 * 1e308, made V' or V'' infinite and lost the minimum:
+        # `equilibrium` exited 0 with no minimum
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(*argv, "--potential",
-                                 '{"family": "harmonic", "m": 1e300, "omega": 1e150}')
+            code, out, err = run(*argv, "--potential", potential)
         assert (code, out) == (1, "")
         error = json.loads(err)["error"]
         assert (error["kind"], error["type"]) == ("computation", "OverflowError")
-        assert "stiffness" in error["message"]
+        assert word in error["message"]
 
     def test_an_underflowing_matched_beta_is_a_computation_error(self, run):
         # sqrt(m / V'') underflows to 0: this was a ZeroDivisionError

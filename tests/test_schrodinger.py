@@ -48,7 +48,7 @@ def dense_ring(potential, hbar, sol):
 
 def direct_solve(potential, hbar, box, M, k):
     """The Dirichlet levels and vectors of one `eigh_tridiagonal` call on the full grid."""
-    _, _, diag, c = schrodinger._dirichlet_matrix(potential, hbar, box, M)
+    _, _, diag, c, _ = schrodinger._matrix(potential, hbar, box, M, ring=False)
     return scipy.linalg.eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
                                          select_range=(0, k - 1))
 
@@ -173,37 +173,29 @@ class TestDirichletSolve:
         with pytest.raises(BoxError):
             fd_eigensolve(Harmonic(), box=(-2.0, 2.0), M=512, k=4)
 
-    def test_resolution_gate(self):
-        with pytest.raises(ResolutionError):
-            fd_eigensolve(Harmonic(), M=128, k=2, resolution_tolerance=1e-9)
-        fd_eigensolve(Harmonic(), M=4096, k=2, resolution_tolerance=1e-4)
-
     @pytest.mark.parametrize("kwargs", [
         dict(M=32),
         dict(k=0),
         dict(M=64, k=63),
         dict(boundary="bloch"),
+        dict(box=(8.0, -8.0), boundary="periodic"),
+        dict(box=(0.0, 0.0)),
+        dict(box=(-math.inf, 8.0), boundary="periodic"),
     ])
     def test_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             fd_eigensolve(Harmonic(), **kwargs)
 
-    @pytest.mark.parametrize("poison, error", [("vectors", BoxError),
-                                               ("coarse levels", ResolutionError)])
-    def test_a_nan_fails_the_gates(self, monkeypatch, poison, error):
-        solve = schrodinger._dirichlet_eigensolve
+    def test_a_nan_fails_the_wall_gate(self, monkeypatch):
+        solve = schrodinger._eigensolve
 
-        def poisoned(potential, hbar, box, M, k):
-            grid, h, vals, vecs = solve(potential, hbar, box, M, k)
-            if poison == "vectors":
-                vecs = np.full_like(vecs, np.nan)
-            elif M < 1024:
-                vals = np.full_like(vals, np.nan)
-            return grid, h, vals, vecs
+        def poisoned(*args):
+            grid, h, vals, vecs = solve(*args)
+            return grid, h, vals, np.full_like(vecs, np.nan)
 
-        monkeypatch.setattr(schrodinger, "_dirichlet_eigensolve", poisoned)
-        with pytest.raises(error):
-            fd_eigensolve(Harmonic(), M=1024, k=2, resolution_tolerance=1e-4)
+        monkeypatch.setattr(schrodinger, "_eigensolve", poisoned)
+        with pytest.raises(BoxError):
+            fd_eigensolve(Harmonic(), M=1024, k=2)
 
     @pytest.mark.parametrize("poison", ["vectors", "radius"])
     def test_a_nan_in_the_certificate_falls_back(self, monkeypatch, poison):
@@ -218,7 +210,7 @@ class TestDirichletSolve:
         else:
             monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: math.nan)
         sweeps = count_sweeps(monkeypatch)
-        _, _, vals, vecs = schrodinger._dirichlet_eigensolve(Harmonic(), 1.0, (-8.0, 8.0), 1024, 2)
+        _, _, vals, vecs = schrodinger._eigensolve(Harmonic(), 1.0, (-8.0, 8.0), 1024, 2, False)
         assert sweeps == [False]
         assert np.array_equal(vals, expected[0]) and np.array_equal(vecs, expected[1])
 
@@ -246,7 +238,7 @@ class TestSeededDirichletSolve:
         # k boundary: the certificate must keep the pair apart
         box = box or default_box(potential, hbar, k)
         M = 8192
-        _, _, diag, c = schrodinger._dirichlet_matrix(potential, hbar, box, M)
+        _, _, diag, c, _ = schrodinger._matrix(potential, hbar, box, M, ring=False)
         vals, vecs = schrodinger._seeded_eigenpairs(potential, hbar, box, diag, c, k)
         assert vals is not None
         direct, _ = direct_solve(potential, hbar, box, M, k)
@@ -276,7 +268,7 @@ class TestSeededDirichletSolve:
     def test_uncertified_solves_are_the_direct_solve(self, monkeypatch,
                                                       potential, hbar, box, M, k, sweeps_run):
         sweeps = count_sweeps(monkeypatch)
-        _, _, vals, vecs = schrodinger._dirichlet_eigensolve(potential, hbar, box, M, k)
+        _, _, vals, vecs = schrodinger._eigensolve(potential, hbar, box, M, k, False)
         assert sweeps == sweeps_run
         expected_vals, expected_vecs = direct_solve(potential, hbar, box, M, k)
         assert np.array_equal(vals, expected_vals) and np.array_equal(vecs, expected_vecs)
@@ -286,7 +278,7 @@ class TestSeededDirichletSolve:
         # shifts at levels 0, 2 and 3 give well-converged pairs with a wide gap above
         # them, and only the Sturm count sees that level 1 is missing; shifts 0.3 above
         # levels 0, 1 and 2 leave pairs that only the residual bound refuses
-        _, _, diag, c = schrodinger._dirichlet_matrix(Harmonic(), 1.0, (-8.0, 8.0), 2048)
+        _, _, diag, c, _ = schrodinger._matrix(Harmonic(), 1.0, (-8.0, 8.0), 2048, ring=False)
         levels = scipy.linalg.eigh_tridiagonal(diag, np.full(2047, c), eigvals_only=True,
                                                select="i", select_range=(0, 3))
         shifts = {"certified": levels[[0, 1, 2]], "missed level": levels[[0, 2, 3]],
@@ -455,14 +447,14 @@ class TestSeededPeriodicSolve:
     ], ids=["split-pair", "small-grid", "failed-certificate"])
     def test_fallbacks_are_arpack_bit_for_bit(self, monkeypatch, M, k, sweeps_run, poison):
         box = (0.0, 2.0 * math.pi)
-        _, _, diag, c, v_min = schrodinger._ring_matrix(Rotor(), 1.0, box, M)
+        _, _, diag, c, v_min = schrodinger._matrix(Rotor(), 1.0, box, M, ring=True)
         expected_vals, expected_vecs = schrodinger._ring_eigsh(diag, c, v_min, k)
         if poison:
             dgttrs = scipy.linalg.lapack.dgttrs
             monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", lambda *args: (
                 np.full_like(dgttrs(*args)[0], np.nan), 0))
         sweeps = count_sweeps(monkeypatch)
-        _, _, vals, vecs = schrodinger._periodic_eigensolve(Rotor(), 1.0, box, M, k)
+        _, _, vals, vecs = schrodinger._eigensolve(Rotor(), 1.0, box, M, k, True)
         assert sweeps == sweeps_run
         assert np.array_equal(vals, expected_vals) and np.array_equal(vecs, expected_vecs)
 
@@ -495,6 +487,18 @@ class TestRichardson:
         plain = np.abs(coarse - expected)
         rich = np.abs((4.0 * fine - coarse) / 3.0 - expected)
         assert np.all(rich < plain / 100.0)
+
+    @pytest.mark.parametrize("potential, hbar, box, Ms, k, boundary", [
+        # the Dirichlet spacing halves exactly at 2M + 1 interior points, the ring's at 2M
+        (Harmonic(), 1.0, (-8.0, 8.0), (1024, 2049, 4099), 4, "dirichlet"),
+        (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), (512, 1024, 2048), 6,
+         "periodic"),
+    ], ids=["dirichlet", "ring"])
+    def test_levels_converge_at_second_order(self, potential, hbar, box, Ms, k, boundary):
+        # an error of order h^2 shrinks fourfold per halving of the spacing
+        coarse, mid, fine = (fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k,
+                                           boundary=boundary).eigenvalues for M in Ms)
+        assert np.max(np.abs((coarse - mid) / (mid - fine) - 4.0)) <= 0.01
 
 
 class TestGroundStateOverlap:
