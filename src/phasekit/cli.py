@@ -594,6 +594,7 @@ def _subcommand_and_options(argv: list[str]) -> tuple[str, dict, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    subcommand = None
     try:
         subcommand, written, opts = _subcommand_and_options(argv)
         body, sections = _RUNNERS[subcommand](opts)
@@ -612,6 +613,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PhasekitError, ArithmeticError) as exc:  # a family formula may overflow
         _emit_error(exc, "computation")
+        return 1
+    except MemoryError as exc:  # numpy's, for an array too large to allocate
+        sized = any(opt.name == "grid-size" for opt in SCHEMAS.get(subcommand, ()))
+        error = MemoryError(f"{exc}; lower 'grid-size'" if sized else str(exc))
+        error.field = "grid-size" if sized else None
+        _emit_error(error, "computation")
         return 1
     return 0
 

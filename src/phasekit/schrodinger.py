@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,22 +26,25 @@ WALL_FRACTION = 1e-6
 #: less (the WKB prefactor 1 / sqrt|p| makes up the rest of ln(1 / WALL_FRACTION));
 #: the V''(q0) rule alone gives harmonic walls 11.5 or more.
 DECAY_NEPERS = 9.0
-#: the seeded solves take their shifts from M // COARSEN points of the same box.
-#: Over 88 solves of the benchmark's Dirichlet shapes (8192 <= M <= 32768) the total
-#: was 3.66 s at 4, 3.05 s at 8 and 2.67 s at 16, against 5.49 s for the direct
-#: solve.  Over a seeded sweep of 292 random grids (64 <= M <= 32768) 8 and 16 both
-#: took 0.80 of the direct time, but 16 seeds no grid below M = 1024
+#: the seeded solves take their shifts and start vectors from M // COARSEN points of
+#: the same box.  Over the benchmark's 99 Dirichlet and 36 periodic solves (seeds
+#: 1-3, 8192 <= M <= 32768, in process, BLAS on one thread) the totals were 2.6-2.8 s
+#: and 1.1-1.3 s at 4, 2.1-2.4 s and 1.0-1.1 s at 8, and 1.9-2.2 s and 0.9-1.0 s at
+#: 16, but 16 seeds no grid below M = 1024
 COARSEN = 8
-#: inverse-iteration steps per shift.  After 3, sweep residuals of the
-#: benchmark's shapes ran to 169 eps ||T||_1; after 4 they are at rounding (below 2.4)
-INVERSE_STEPS = 4
+#: inverse-iteration steps per shift, on the coarse Dirichlet grid and on the full
+#: grid.  From the coarse grid's vectors 2 leave all 540 benchmark solves of seeds
+#: 1-12 certified at the first Rayleigh-Ritz step, with ||R||_F <= 5.3 eps ||T||_1,
+#: and the solves of seeds 1-3 above take 2.1-2.2 s and 0.96-0.98 s, against
+#: 2.75-2.9 s and 1.1-1.2 s for 4 steps from random starts
+INVERSE_STEPS = 2
 #: the certificate's first test, ||R||_F <= RITZ_RESIDUAL eps ||T||_1.  A Ritz value
 #: lies within ||r||^2 / gap of its eigenvalue, so closer than the bisection's own
 #: eps ||T||_1 wherever the gap exceeds RITZ_RESIDUAL^2 eps ||T||_1 (6e-6 for the
 #: harmonic well on (-9, 9) at M = 32768)
 RITZ_RESIDUAL = 64.0
-#: rows per block of the Gram and residual products, which so keep at most two
-#: M x (k + 1) arrays alive
+#: rows per block of the prolongation and of the Gram, rotation and residual
+#: products, which so keep one M x (k + 1) array alive
 _ROW_BLOCK = 4096
 
 
@@ -181,30 +185,42 @@ def _count_below(diag: np.ndarray, c: float, x: float, ring: bool = False) -> in
     return count + int(s < 0.0)
 
 
-def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int, ring: bool = False):
-    """Rayleigh-Ritz pairs of T from one inverse-iteration sweep at `shifts`, and a certificate.
+def _prolong(coarse: np.ndarray, M: int, ring: bool = False) -> np.ndarray:
+    """The columns of `coarse`, linearly interpolated onto the M-point grid of the same box.
 
-    Returns the n = len(shifts) Ritz values and, only when the lowest k
-    pairs are certified, the Ritz vectors; (None, None) when the sweep's
-    basis V is not finite or not of full rank.  The Ritz basis is V Q, with
-    Q the eigenvectors of V^T T V against V^T V, and R = T U - U Theta over
-    its first k columns U.  Kahan's theorem (Parlett, The Symmetric
-    Eigenvalue Problem, 11.5) puts k distinct eigenvalues of T within
-    `radius` of the lowest k Ritz values, and a count (`_count_below`) of
-    exactly k below the midpoint x of rho_{k-1} and rho_k makes them the k
-    lowest.  On a ring (`ring`) each shifted solve factors the tridiagonal
-    T_u - s and corrects for c u u^T by Sherman-Morrison.
+    Dirichlet grids are interior points, with zeros at both walls; a ring wraps its
+    last interval round to its first point, and M need not be a multiple of the
+    coarse size.  Written in row blocks into one Fortran-order M x n array, whose
+    columns the sweep solves in place.
     """
-    from scipy.linalg import eigh
+    first = 0 if ring else 1
+    coarse_m, n = coarse.shape
+    # the coarse values with both walls, or on a ring with point 0 again at the end
+    ext = np.vstack([coarse, coarse[:1]]) if ring else np.pad(coarse, ((1, 1), (0, 0)))
+    out = np.empty((M, n), order="F")
+    for a in range(0, M, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, M)
+        # fine point j sits (j + first) (coarse_m + first) / (M + first) coarse spacings
+        # into the box: interval i, fraction f, exact in integers
+        i, r = np.divmod(np.arange(a + first, b + first) * (coarse_m + first), M + first)
+        f = (r / (M + first))[:, None]
+        np.multiply(ext[i], 1.0 - f, out=out[a:b])
+        out[a:b] += ext[i + 1] * f
+    return out
+
+
+def _sweep(diag: np.ndarray, c: float, shifts: np.ndarray, v: np.ndarray, steps: int,
+           ring: bool = False) -> None:
+    """`steps` inverse-iteration steps of T at shifts[j] on column j of v, in place.
+
+    Each shift factors T - s once (`gttrf`), and each step is one `gttrs` and a
+    rescaling to max |y| = 1.  On a ring (`ring`) the factored matrix is the
+    tridiagonal T_u - s, and each step corrects for c u u^T by Sherman-Morrison.
+    """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
-    M, n = len(diag), len(shifts)
-    off = np.full(M - 1, c)
+    off = np.full(len(diag) - 1, c)
     t_diag, u = _ring_split(diag, c) if ring else (diag, None)
-    # fixed-seed random starts, one per shift: the solve is deterministic, and two
-    # shifts at one tunnelling pair start, and so end, on independent vectors
-    v = np.random.default_rng(0).random((n, M)).T
-    v -= 0.5
     for j, shift in enumerate(shifts):
         lu = dgttrf(off, t_diag - shift, off)[:-1]
         if ring:
@@ -216,13 +232,32 @@ def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int, ring: bo
             # level's eigenvector
             cz = c * dgttrs(*lu, u)[0]
             denominator = 1.0 + (cz[0] + cz[-1])
-        for _ in range(INVERSE_STEPS):
+        for _ in range(steps):
             y = dgttrs(*lu, v[:, j])[0]
             if ring:
                 uy = y[0] + y[-1]
                 y *= denominator
                 y -= uy * cz
             np.divide(y, max(y.max(), -y.min()), out=v[:, j])  # y / max |y|
+
+
+def _ritz_pairs(diag: np.ndarray, c: float, v: np.ndarray, k: int, ring: bool = False):
+    """Rayleigh-Ritz pairs of T on the n columns of v, and their certificate.
+
+    Replaces v by the Ritz basis and returns the n Ritz values and the
+    verdict on its lowest k pairs: "certified"; "residual" when only ||R||_F
+    is too large; "refused" otherwise, and (None, "refused"), with v
+    unchanged, when V is not finite or not of full rank.  The Ritz basis is
+    V Q, with Q the eigenvectors of V^T T V against V^T V, and R = T U - U
+    Theta over its first k columns U.  Kahan's theorem (Parlett, The
+    Symmetric Eigenvalue Problem, 11.5) puts k distinct eigenvalues of T
+    within `radius` of the lowest k Ritz values, and a count
+    (`_count_below`) of exactly k below the midpoint x of rho_{k-1} and
+    rho_k makes them the k lowest.
+    """
+    from scipy.linalg import eigh
+
+    M, n = v.shape
     gram, overlap = np.zeros((n, n)), np.zeros((n, n))
     for a in range(0, M, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, M)
@@ -231,8 +266,10 @@ def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int, ring: bo
     try:
         rho, q = eigh(0.5 * (gram + gram.T), 0.5 * (overlap + overlap.T))
     except ValueError:  # not finite, or (LinAlgError) V^T V not positive definite
-        return None, None
-    v = v @ q
+        return None, "refused"
+    for a in range(0, M, _ROW_BLOCK):  # V <- V Q in place
+        b = min(a + _ROW_BLOCK, M)
+        v[a:b] = v[a:b] @ q
     w = v[:, :k]
     res2, overlap = 0.0, np.zeros((k, k))
     for a in range(0, M, _ROW_BLOCK):
@@ -251,9 +288,27 @@ def _ritz_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, k: int, ring: bo
     radius = ((resid + 4.0 * eta * float(np.max(np.abs(rho[:k])))) / (1.0 - eta)
               + 4.0 * (math.sqrt(k) + 1.0) * eps_t)
     x = 0.5 * (rho[k - 1] + rho[k])
-    if not (resid <= RITZ_RESIDUAL * eps_t and eta <= 0.5 and rho[k - 1] + radius < x):
-        return rho, None  # a NaN fails here too
-    return rho, (v if _count_below(diag, c, x, ring) == k else None)
+    if not (eta <= 0.5 and rho[k - 1] + radius < x):
+        return rho, "refused"  # a NaN fails here too
+    if not resid <= RITZ_RESIDUAL * eps_t:
+        return rho, "residual"
+    return rho, ("certified" if _count_below(diag, c, x, ring) == k else "refused")
+
+
+def _certified_pairs(diag: np.ndarray, c: float, shifts: np.ndarray, v: np.ndarray, k: int,
+                     ring: bool = False):
+    """The lowest k certified Ritz pairs of T from start vectors v at `shifts`, or (None, None).
+
+    INVERSE_STEPS steps per shift (`_sweep`, in place on v) and a Rayleigh-Ritz
+    step (`_ritz_pairs`); when only its residual test fails, one more step per
+    shift on the Ritz basis and a second Rayleigh-Ritz step.
+    """
+    _sweep(diag, c, shifts, v, INVERSE_STEPS, ring)
+    rho, verdict = _ritz_pairs(diag, c, v, k, ring)
+    if verdict == "residual":
+        _sweep(diag, c, shifts, v, 1, ring)
+        rho, verdict = _ritz_pairs(diag, c, v, k, ring)
+    return (rho[:k], v[:, :k]) if verdict == "certified" else (None, None)
 
 
 def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
@@ -302,10 +357,13 @@ def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
 
 def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, float],
                        diag: np.ndarray, c: float, k: int, ring: bool = False):
-    """The lowest k certified eigenpairs of T, shifted from the coarse grid, or (None, None).
+    """The lowest k certified eigenpairs of T, seeded from the coarse grid, or (None, None).
 
-    The coarse levels are bisected on the Dirichlet grid and come from ARPACK
-    (`_ring_eigsh`) on the ring.
+    The k + 1 coarse levels are the full grid's shifts, and the coarse vectors,
+    interpolated (`_prolong`), its start vectors (`_certified_pairs`).  On the
+    ring both come from ARPACK (`_ring_eigsh`); the Dirichlet levels are
+    bisected, and their vectors are INVERSE_STEPS steps of the same sweep from
+    fixed-seed random starts, with no Rayleigh-Ritz step.
     """
     from scipy.linalg import LinAlgError, eigh_tridiagonal
     from scipy.sparse.linalg import ArpackError
@@ -317,9 +375,19 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
     if not np.all(np.isfinite(coarse_diag)):
         return None, None
     try:
-        shifts = (_ring_eigsh(coarse_diag, coarse_c, v_min, k + 1)[0] if ring else
-                  eigh_tridiagonal(coarse_diag, np.full(coarse - 1, coarse_c), eigvals_only=True,
-                                   select="i", select_range=(0, k)))
+        if ring:
+            shifts, start = _ring_eigsh(coarse_diag, coarse_c, v_min, k + 1)
+        else:
+            bisect = partial(eigh_tridiagonal, coarse_diag, np.full(coarse - 1, coarse_c),
+                             eigvals_only=True, select="i", select_range=(0, k))
+            # only as far as two steps of the sweep can use: to 1e-10 ||T_c||_1.  Two
+            # shifts closer than 4 tol may both sit nearer one level of a tunnelling
+            # pair, and both their vectors would then converge to that level: such
+            # shifts are bisected again, to the default eps ||T_c||_1
+            tol = 1e-10 * (float(np.max(np.abs(coarse_diag))) + 2.0 * abs(coarse_c))
+            shifts = bisect(tol=tol)
+            if np.min(np.diff(shifts)) <= 4.0 * tol:
+                shifts = bisect()
     except (LinAlgError, ArpackError, ResolutionError):
         # bisection or ARPACK did not converge, or the coarse ring is singular to
         # rounding: the full-grid call decides
@@ -327,14 +395,20 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
     # the coarse level k is off by about E (kappa h)^2 / 12, with E its kinetic energy
     # above min V and (kappa h)^2 = 2 E / kin (kin = -2 c): E (k + 1/2) / (6 kin) of the
     # mean spacing E / (k + 1/2).  One sweep certifies only from shifts well inside a
-    # spacing, so the seeded solve is tried only for E (k + 1/2) <= kin / 5.  In a
-    # seeded sweep of 1000 random grids, 272 of the 284 solves within that bound
-    # certified and 41 of the 716 beyond it.  The benchmark's Dirichlet solves reach
-    # 0.04 kin and its periodic ones 0.011 kin
+    # spacing, so the seeded solve is tried only for E (k + 1/2) <= kin / 5.  With four
+    # steps from random starts, a sample of 1000 random grids certified 272 of the 284
+    # solves within that bound and 41 of the 716 beyond it; with coarse starts and the
+    # extra step, 162 of 166 tries within it certified over 400 random grids.  The
+    # benchmark's Dirichlet solves reach 0.04 kin and its periodic ones 0.011 kin
     if not (shifts[k] - np.min(coarse_diag) - 2.0 * coarse_c) * (k + 0.5) <= -0.4 * coarse_c:
         return None, None
-    rho, vecs = _ritz_pairs(diag, c, shifts, k, ring)
-    return (None, None) if vecs is None else (rho[:k], vecs[:, :k])
+    if not ring:
+        # fixed-seed random starts, one per shift (Fortran order): the solve is
+        # deterministic, and two shifts at one tunnelling pair start, and so end, on
+        # independent vectors
+        start = np.random.default_rng(0).random((k + 1, coarse)).T - 0.5
+        _sweep(coarse_diag, coarse_c, shifts, start, INVERSE_STEPS)
+    return _certified_pairs(diag, c, shifts, _prolong(start, len(diag), ring), k, ring)
 
 
 def _eigensolve(potential: Potential, hbar: float,
@@ -362,28 +436,33 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     """Lowest k eigenpairs of the discretized Schrodinger operator.
 
     Dirichlet walls use the symmetric tridiagonal matrix T on the interior
-    grid.  The lowest k + 1 levels on M // COARSEN points of the same box
-    shift one inverse-iteration sweep on the full grid, and a Rayleigh-Ritz
+    grid.  On M // COARSEN points of the same box the lowest k + 1 levels
+    are bisected, and INVERSE_STEPS inverse-iteration steps at each of them
+    from fixed-seed random starts give their vectors.  The coarse levels
+    shift, and the coarse vectors, linearly interpolated, start one sweep
+    of INVERSE_STEPS steps per shift on the full grid, and a Rayleigh-Ritz
     step returns its lowest k pairs only under a certificate: ||R||_F at
     most RITZ_RESIDUAL eps ||T||_1, a Kahan radius below half the gap to the
     next Ritz value, and a Sturm count of exactly k below that gap's
     midpoint.  So each level lies within its radius of a distinct one of
-    the k lowest eigenvalues of T.  When the certificate fails, when
-    M // COARSEN is below 64 or below k + 3, or when the coarse level k is
-    likely off by more than a thirtieth of a level spacing, one
-    `eigh_tridiagonal` call (bisection, then inverse iteration) on the full
-    grid gives the levels.
+    the k lowest eigenvalues of T.  When only ||R||_F fails, each shift
+    takes one more step on the Ritz basis and a second Rayleigh-Ritz step
+    decides.  When the certificate fails, when M // COARSEN is below 64 or
+    below k + 3, or when the coarse level k is likely off by more than a
+    thirtieth of a level spacing, one `eigh_tridiagonal` call (bisection,
+    then inverse iteration) on the full grid gives the levels.
 
     Periodic boundaries close T into a ring with two corner couplings,
     T_u + c u u^T with T_u tridiagonal and u = e_0 + e_{M-1}, and take the
-    same path: the coarse levels come from ARPACK on the M // COARSEN ring,
-    each shifted solve of the sweep is one tridiagonal factorization of
-    T_u - s and a Sherman-Morrison correction for the corners, and the count
-    adds to T_u's Sturm count the sign of one scalar (Haynsworth inertia
-    additivity), refused where rounding could flip it.  Where the seeded
-    solve is not tried or not certified, ARPACK finds the lowest levels of
-    the full ring by shift-invert below min V, each solve O(M): a positive
-    definite tridiagonal factorization and a Sherman-Morrison correction.
+    same path: the coarse levels and vectors come from ARPACK on the
+    M // COARSEN ring, each shifted solve of the sweep is one tridiagonal
+    factorization of T_u - s and a Sherman-Morrison correction for the
+    corners, and the count adds to T_u's Sturm count the sign of one scalar
+    (Haynsworth inertia additivity), refused where rounding could flip it.
+    Where the seeded solve is not tried or not certified, ARPACK finds the
+    lowest levels of the full ring by shift-invert below min V, each solve
+    O(M): a positive definite tridiagonal factorization and a
+    Sherman-Morrison correction.
     Eigenvectors are normalized under the grid measure and sign-fixed
     (largest-magnitude component positive).
 

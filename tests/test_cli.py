@@ -14,7 +14,7 @@ import pytest
 import phasekit
 from phasekit import Quartic
 from phasekit import bohr_sommerfeld as bs
-from phasekit import wigner
+from phasekit import schrodinger, wigner
 from phasekit.cli import _fmt, main
 
 HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
@@ -140,6 +140,22 @@ class TestArgumentHandling:
         assert code == 2
         error = json.loads(err)["error"]
         assert (error["kind"], error["field"]) == ("validation", "box")
+
+    def test_a_grid_too_large_to_allocate_is_a_json_error(self, run, monkeypatch):
+        # numpy raises MemoryError (_ArrayMemoryError) for the grid; none is allocated here
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape "
+                              "(100000000000,) and data type float64")
+
+        monkeypatch.setattr(schrodinger, "_matrix", unallocatable)
+        code, out, err = run("oracle", "--potential", '{"family": "rotor"}',
+                             "--boundary", "periodic", "--levels", "3",
+                             "--grid-size", "100000000000")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"], error["field"]) == (
+            "computation", "MemoryError", "grid-size")
+        assert "'grid-size'" in error["message"]
 
     def test_malformed_grid(self, run):
         code, _, err = run("thermo", "--potential", HARMONIC,

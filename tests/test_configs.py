@@ -73,6 +73,14 @@ COMMANDS = {
     "oracle-tall-barrier": (["oracle", "--potential",
                              '{"family": "polynomial", "coeffs": [256, 0, -32, 0, 1]}',
                              "--levels", "4", "--grid-size", "1024"], ("json", "csv")),
+    # seeded solves at M = 32768, whose start vectors come from the coarse grid: the
+    # rotor's from ARPACK on the 4096-point ring, the harmonic well's from two steps at
+    # its bisected coarse levels (CI runs both under two BLAS threads as well)
+    "oracle-rotor-32768": (["oracle", "--potential", '{"family": "rotor"}', "--boundary",
+                            "periodic", "--levels", "15", "--grid-size", "32768"],
+                           ("json", "csv")),
+    "oracle-harmonic-32768": (["oracle", "--potential", HARMONIC, "--box=-9:9",
+                               "--grid-size", "32768", "--levels", "20"], ("json", "csv")),
     # levels of a double well paired by well; named for the null cells it held while
     # the oracle computed one state per level (test_render.py covers null cells)
     "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",
