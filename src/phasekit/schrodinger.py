@@ -43,8 +43,8 @@ INVERSE_STEPS = 2
 #: eps ||T||_1 wherever the gap exceeds RITZ_RESIDUAL^2 eps ||T||_1 (6e-6 for the
 #: harmonic well on (-9, 9) at M = 32768)
 RITZ_RESIDUAL = 64.0
-#: rows per block of the prolongation and of the Gram, rotation and residual
-#: products, which so keep one M x (k + 1) array alive
+#: rows per block of the Rayleigh-Ritz step's Gram, rotation and residual products,
+#: which so keep one M x (k + 1) array alive
 _ROW_BLOCK = 4096
 
 
@@ -107,14 +107,20 @@ def _matrix(potential: Potential, hbar: float, box: tuple[float, float], M: int,
     """Grid, spacing, diagonal, (constant) off-diagonal or coupling, and min V of the operator.
 
     The Dirichlet grid is the box's M interior points; the ring's starts at the left end.
+    A diagonal that is not finite (V overflows on the grid) raises BoxError.
     """
     lo, hi = box
     first = 0 if ring else 1
     h = (hi - lo) / (M + first)
     grid = lo + h * np.arange(first, M + first)
     kin = hbar**2 / (potential.mass * h**2)
-    v = np.asarray(potential.value(grid), dtype=float)
-    return grid, h, kin + v, -0.5 * kin, float(np.min(v))
+    with np.errstate(all="ignore"):  # a family formula may overflow far out in a wide box
+        v = np.asarray(potential.value(grid), dtype=float)
+        diag = kin + v
+    if not np.all(np.isfinite(diag)):
+        raise BoxError(f"V is not finite on the {M}-point grid of the box {box}; "
+                       "narrow the box")
+    return grid, h, diag, -0.5 * kin, float(np.min(v))
 
 
 def _t_rows(diag: np.ndarray, c: float, v: np.ndarray, a: int, b: int, ring: bool) -> np.ndarray:
@@ -190,22 +196,29 @@ def _prolong(coarse: np.ndarray, M: int, ring: bool = False) -> np.ndarray:
 
     Dirichlet grids are interior points, with zeros at both walls; a ring wraps its
     last interval round to its first point, and M need not be a multiple of the
-    coarse size.  Written in row blocks into one Fortran-order M x n array, whose
-    columns the sweep solves in place.
+    coarse size.  Each column of the Fortran-order M x n result, which the sweep
+    solves in place, is two gathers from one column of the coarse values:
+    (1 - f) v[i], then f v[i + 1] added, for fine point j in interval i at fraction f.
     """
     first = 0 if ring else 1
     coarse_m, n = coarse.shape
-    # the coarse values with both walls, or on a ring with point 0 again at the end
-    ext = np.vstack([coarse, coarse[:1]]) if ring else np.pad(coarse, ((1, 1), (0, 0)))
+    # the coarse values with both walls, or on a ring with point 0 again at the end,
+    # one contiguous column per vector
+    ext = np.asfortranarray(np.vstack([coarse, coarse[:1]]) if ring
+                            else np.pad(coarse, ((1, 1), (0, 0))))
+    # fine point j sits (j + first) (coarse_m + first) / (M + first) coarse spacings
+    # into the box: interval i, fraction f, exact in integers
+    i, r = np.divmod(np.arange(first, M + first) * (coarse_m + first), M + first)
+    f = r / (M + first)
+    g, above, term = 1.0 - f, i + 1, np.empty(M)
     out = np.empty((M, n), order="F")
-    for a in range(0, M, _ROW_BLOCK):
-        b = min(a + _ROW_BLOCK, M)
-        # fine point j sits (j + first) (coarse_m + first) / (M + first) coarse spacings
-        # into the box: interval i, fraction f, exact in integers
-        i, r = np.divmod(np.arange(a + first, b + first) * (coarse_m + first), M + first)
-        f = (r / (M + first))[:, None]
-        np.multiply(ext[i], 1.0 - f, out=out[a:b])
-        out[a:b] += ext[i + 1] * f
+    for col, values in zip(out.T, ext.T):
+        # every index is in range; mode="clip" only spares take its buffered copy
+        np.take(values, i, out=col, mode="clip")
+        col *= g
+        np.take(values, above, out=term, mode="clip")
+        term *= f
+        col += term
     return out
 
 
@@ -213,25 +226,37 @@ def _sweep(diag: np.ndarray, c: float, shifts: np.ndarray, v: np.ndarray, steps:
            ring: bool = False) -> None:
     """`steps` inverse-iteration steps of T at shifts[j] on column j of v, in place.
 
-    Each shift factors T - s once (`gttrf`), and each step is one `gttrs` and a
+    Each shift factors T - s (`gttrf`), and each step is one `gttrs` and a
     rescaling to max |y| = 1.  On a ring (`ring`) the factored matrix is the
     tridiagonal T_u - s, and each step corrects for c u u^T by Sherman-Morrison.
+    A shift whose shifted diagonal is, bit for bit, the previous shift's reuses
+    that factorization (and on a ring its Sherman-Morrison terms): a bitwise-equal
+    matrix has a bitwise-equal LU.  The coarse ARPACK levels of a degenerate pair
+    on the ring lie closer than one rounding of the diagonal, and so share one.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     off = np.full(len(diag) - 1, c)
     t_diag, u = _ring_split(diag, c) if ring else (diag, None)
+    factored = None
     for j, shift in enumerate(shifts):
-        lu = dgttrf(off, t_diag - shift, off)[:-1]
-        if ring:
-            # (T_u - s + c u u^T)^(-1) b is y - c (u^T y) z / (1 + c u^T z), with
-            # y = (T_u - s)^(-1) b and z = (T_u - s)^(-1) u.  It is taken times the
-            # denominator, which only rescales the iterate: at an exact level the
-            # denominator is det(T - s) / det(T_u - s) = 0 (the rotor's zero level,
-            # where both grids give s = 0 to rounding), and the step is then z, the
-            # level's eigenvector
-            cz = c * dgttrs(*lu, u)[0]
-            denominator = 1.0 + (cz[0] + cz[-1])
+        shifted = t_diag - shift
+        # the first entries differ for all but near-equal shifts, and settle most
+        # comparisons; the int64 views compare every bit, signed zeros and NaNs
+        # included.  gttrf factors a copy, so `factored` keeps the diagonal it had
+        if not (factored is not None and shifted[0] == factored[0]
+                and np.array_equal(shifted.view(np.int64), factored.view(np.int64))):
+            factored = shifted
+            lu = dgttrf(off, shifted, off)[:-1]
+            if ring:
+                # (T_u - s + c u u^T)^(-1) b is y - c (u^T y) z / (1 + c u^T z), with
+                # y = (T_u - s)^(-1) b and z = (T_u - s)^(-1) u.  It is taken times the
+                # denominator, which only rescales the iterate: at an exact level the
+                # denominator is det(T - s) / det(T_u - s) = 0 (the rotor's zero level,
+                # where both grids give s = 0 to rounding), and the step is then z, the
+                # level's eigenvector
+                cz = c * dgttrs(*lu, u)[0]
+                denominator = 1.0 + (cz[0] + cz[-1])
         for _ in range(steps):
             y = dgttrs(*lu, v[:, j])[0]
             if ring:
@@ -371,10 +396,8 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
     coarse = len(diag) // COARSEN
     if coarse < 64 or k + 1 > coarse - 2:  # fd_eigensolve's limits, for k + 1 coarse levels
         return None, None
-    _, _, coarse_diag, coarse_c, v_min = _matrix(potential, hbar, box, coarse, ring)
-    if not np.all(np.isfinite(coarse_diag)):
-        return None, None
     try:
+        _, _, coarse_diag, coarse_c, v_min = _matrix(potential, hbar, box, coarse, ring)
         if ring:
             shifts, start = _ring_eigsh(coarse_diag, coarse_c, v_min, k + 1)
         else:
@@ -388,9 +411,9 @@ def _seeded_eigenpairs(potential: Potential, hbar: float, box: tuple[float, floa
             shifts = bisect(tol=tol)
             if np.min(np.diff(shifts)) <= 4.0 * tol:
                 shifts = bisect()
-    except (LinAlgError, ArpackError, ResolutionError):
-        # bisection or ARPACK did not converge, or the coarse ring is singular to
-        # rounding: the full-grid call decides
+    except (LinAlgError, ArpackError, ResolutionError, BoxError):
+        # bisection or ARPACK did not converge, the coarse ring is singular to
+        # rounding, or V is not finite on the coarse grid: the full-grid call decides
         return None, None
     # the coarse level k is off by about E (kappa h)^2 / 12, with E its kinetic energy
     # above min V and (kappa h)^2 = 2 E / kin (kin = -2 c): E (k + 1/2) / (6 kin) of the
@@ -417,11 +440,9 @@ def _eigensolve(potential: Potential, hbar: float,
     from scipy.linalg import eigh_tridiagonal
 
     grid, h, diag, c, v_min = _matrix(potential, hbar, box, M, ring)
-    vals = None
-    if np.all(np.isfinite(diag)):  # the direct call refuses a V that is not finite, as before
-        # an overflow or a NaN in the seeded attempt fails its certificate, silently
-        with np.errstate(all="ignore"):
-            vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k, ring)
+    # an overflow or a NaN in the seeded attempt fails its certificate, silently
+    with np.errstate(all="ignore"):
+        vals, vecs = _seeded_eigenpairs(potential, hbar, box, diag, c, k, ring)
     if vals is None:
         vals, vecs = (_ring_eigsh(diag, c, v_min, k) if ring else
                       eigh_tridiagonal(diag, np.full(M - 1, c), select="i",
@@ -456,9 +477,10 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     T_u + c u u^T with T_u tridiagonal and u = e_0 + e_{M-1}, and take the
     same path: the coarse levels and vectors come from ARPACK on the
     M // COARSEN ring, each shifted solve of the sweep is one tridiagonal
-    factorization of T_u - s and a Sherman-Morrison correction for the
-    corners, and the count adds to T_u's Sturm count the sign of one scalar
-    (Haynsworth inertia additivity), refused where rounding could flip it.
+    factorization of T_u - s (one per degenerate pair, whose shifts round to
+    one matrix) and a Sherman-Morrison correction for the corners, and the
+    count adds to T_u's Sturm count the sign of one scalar (Haynsworth
+    inertia additivity), refused where rounding could flip it.
     Where the seeded solve is not tried or not certified, ARPACK finds the
     lowest levels of the full ring by shift-invert below min V, each solve
     O(M): a positive definite tridiagonal factorization and a
@@ -466,7 +488,8 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
     Eigenvectors are normalized under the grid measure and sign-fixed
     (largest-magnitude component positive).
 
-    Wall amplitudes above WALL_FRACTION of the peak raise BoxError.
+    Wall amplitudes above WALL_FRACTION of the peak, and a V that is not
+    finite on the grid, raise BoxError.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
@@ -483,15 +506,18 @@ def fd_eigensolve(potential: Potential, hbar: float = 1.0,
 
     grid, h, vals, vecs = _eigensolve(potential, hbar, box, M, k, boundary == "periodic")
 
-    norms = np.sqrt(np.sum(vecs**2, axis=0) * h)
-    vecs = vecs / norms
-    for j in range(vecs.shape[1]):
-        i_peak = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i_peak, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    # one pass per column, in place: normalize, sign-fix, and record the peak |psi|.
+    # np.sum adds a contiguous column pairwise, as np.sum(vecs**2, axis=0) adds each
+    # column of the Fortran-order arrays that every path returns: the same bits
+    peaks, work = np.empty(vecs.shape[1]), np.empty(M)
+    for j, col in enumerate(vecs.T):
+        col /= math.sqrt(float(np.sum(np.square(col, out=work))) * h)
+        i_peak = int(np.abs(col, out=work).argmax())
+        peaks[j] = work[i_peak]
+        if col[i_peak] < 0:
+            np.negative(col, out=col)
 
     if boundary == "dirichlet":
-        peaks = np.max(np.abs(vecs), axis=0)
         walls = np.maximum(np.abs(vecs[0, :]), np.abs(vecs[-1, :]))
         bad = np.nonzero(~(walls <= WALL_FRACTION * peaks))[0]  # a NaN fails
         if bad.size:

@@ -157,6 +157,22 @@ class TestArgumentHandling:
             "computation", "MemoryError", "grid-size")
         assert "'grid-size'" in error["message"]
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_a_potential_that_overflows_in_the_box_is_a_json_error(self, run, boundary):
+        # exp(-2 w q) overflows for q below about -354: the Dirichlet call ended in numpy's
+        # "array must not contain infs or NaNs" traceback after three overflow warnings,
+        # and the ring printed levels of a diagonal that held inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("oracle", "--potential",
+                                 '{"family":"morse","depth":10,"width":1}',
+                                 "--box=-1000:1000", "--grid-size", "1024", "--levels", "2",
+                                 "--boundary", boundary)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert (error["kind"], error["type"]) == ("computation", "BoxError")
+        assert "not finite" in error["message"] and "(-1000.0, 1000.0)" in error["message"]
+
     def test_malformed_grid(self, run):
         code, _, err = run("thermo", "--potential", HARMONIC,
                            "--ensemble", BETA_ONE, "--grid", "0:1")

@@ -82,6 +82,28 @@ def count_sweeps(monkeypatch):
     return sweeps
 
 
+def count_factorizations(monkeypatch):
+    """A one-item list that counts the `dgttrf` calls made from here on."""
+    calls = [0]
+    dgttrf = scipy.linalg.lapack.dgttrf
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
+    return calls
+
+
+def whole_array_normalization(vecs, h):
+    """Grid normalization and sign fix as whole-array operations, the column pass's reference."""
+    vecs = vecs / np.sqrt(np.sum(vecs**2, axis=0) * h)
+    for j in range(vecs.shape[1]):
+        if vecs[int(np.argmax(np.abs(vecs[:, j]))), j] < 0:
+            vecs[:, j] = -vecs[:, j]
+    return vecs
+
+
 def refuse_direct_solve(monkeypatch):
     """Make the full-grid `eigh_tridiagonal` call raise; the values-only coarse call still runs."""
     eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
@@ -233,6 +255,34 @@ class TestDirichletSolve:
         with pytest.raises(ValueError):
             fd_eigensolve(Harmonic(), boundary="periodic")
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_a_potential_that_overflows_in_the_box_raises(self, boundary):
+        # exp(-2 w q) overflows below q = -354: no solve sees the infinite diagonal
+        with pytest.raises(BoxError, match="not finite"):
+            fd_eigensolve(Morse(depth=10.0, width=1.0), box=(-1000.0, 1000.0), M=1024, k=2,
+                          boundary=boundary)
+
+    @pytest.mark.parametrize("potential, box, M, k, boundary", [
+        # the direct call (M // 8 < 64), the full-ring ARPACK fallback, and a seeded solve
+        (Harmonic(), (-8.0, 8.0), 256, 4, "dirichlet"),
+        (Rotor(), None, 504, 3, "periodic"),
+        (Harmonic(), (-8.0, 8.0), 8192, 4, "dirichlet"),
+    ], ids=["direct", "ring-fallback", "seeded"])
+    def test_the_column_pass_normalizes_as_the_whole_array_formula(self, monkeypatch, potential,
+                                                                    box, M, k, boundary):
+        raw = []
+        solve = schrodinger._eigensolve
+
+        def kept(*args):
+            grid, h, vals, vecs = solve(*args)
+            raw.append((h, vecs.copy(order="K")))
+            return grid, h, vals, vecs
+
+        monkeypatch.setattr(schrodinger, "_eigensolve", kept)
+        sol = fd_eigensolve(potential, box=box, M=M, k=k, boundary=boundary)
+        ((h, vecs),) = raw
+        assert np.array_equal(sol.eigenvectors, whole_array_normalization(vecs, h))
+
 
 SYMMETRIC_WELL = Polynomial(coeffs=(0, 0, -2, 0, 0.5))
 TILTED_WELL = Polynomial(coeffs=(0, 0.3, -2, 0, 0.5))
@@ -300,6 +350,27 @@ class TestSeededDirichletSolve:
         vals, _ = schrodinger._certified_pairs(diag, c, shifts, starts, 2)
         assert (vals is not None) == (case == "certified")
 
+    def test_a_tunnelling_pair_keeps_two_factorizations(self, monkeypatch):
+        # the symmetric well's lowest pair, bisected about 4e-8 apart, shifts T by two
+        # different diagonals
+        box = default_box(SYMMETRIC_WELL, 0.2, 3)
+        _, _, diag, c, _ = schrodinger._matrix(SYMMETRIC_WELL, 0.2, box, 1024, ring=False)
+        shifts = scipy.linalg.eigh_tridiagonal(diag, np.full(1023, c), eigvals_only=True,
+                                               select="i", select_range=(0, 3))
+        assert 0.0 < shifts[1] - shifts[0] < 1e-7
+        calls = count_factorizations(monkeypatch)
+        schrodinger._sweep(diag, c, shifts, np.random.default_rng(0).random((4, 1024)).T, 2)
+        assert calls == [4]
+
+    def test_shifts_apart_past_the_first_entry_keep_two_factorizations(self, monkeypatch):
+        # 1e8 - 1e-9 rounds to 1e8 (its spacing is 1.5e-8), but 2 - 1e-9 does not: the
+        # first entries agree and the matrices still differ
+        diag = np.full(256, 2.0)
+        diag[0] = 1e8
+        calls = count_factorizations(monkeypatch)
+        schrodinger._sweep(diag, -1.0, np.array([0.0, 1e-9]), np.ones((256, 2), order="F"), 1)
+        assert calls == [2]
+
     def test_repeat_solves_are_identical(self):
         a = fd_eigensolve(TILTED_WELL, hbar=0.2, M=4096, k=6)
         b = fd_eigensolve(TILTED_WELL, hbar=0.2, M=4096, k=6)
@@ -361,6 +432,20 @@ class TestProlong:
         tent = np.minimum(x_fine, 1.0 - x_fine)
         fine = schrodinger._prolong(np.minimum(x_coarse, 1.0 - x_coarse)[:, None], M)
         assert np.max(np.abs(fine[:, 0] - tent)) <= 1e-15
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["dirichlet", "ring"])
+    @pytest.mark.parametrize("M", [1029, 8195])
+    def test_columns_are_the_row_formula_bit_for_bit(self, M, ring):
+        # the interval and fraction of each fine point, and the rows gathered from
+        # them, as the whole-array formula forms them
+        first = 0 if ring else 1
+        coarse = np.random.default_rng(9).standard_normal((M // 8, 4))
+        ext = np.vstack([coarse, coarse[:1]]) if ring else np.pad(coarse, ((1, 1), (0, 0)))
+        i, r = np.divmod(np.arange(first, M + first) * (M // 8 + first), M + first)
+        f = (r / (M + first))[:, None]
+        fine = schrodinger._prolong(coarse, M, ring)
+        assert fine.flags.f_contiguous
+        assert np.array_equal(fine, ext[i] * (1.0 - f) + ext[i + 1] * f)
 
     @pytest.mark.parametrize("M", [1024, 1029, 2 * schrodinger._ROW_BLOCK + 13])
     def test_ring_interpolant_wraps(self, M):
@@ -540,6 +625,24 @@ class TestSeededPeriodicSolve:
         sweeps = count_sweeps(monkeypatch)
         sol = fd_eigensolve(potential, hbar=hbar, box=box, M=M, k=k, boundary="periodic")
         assert sol.eigenvalues.shape == (k,) and sweeps == [True]
+
+    def test_degenerate_shifts_share_one_factorization(self, monkeypatch):
+        # the coarse levels of each rotor pair differ in their last bits, but T_u - s
+        # rounds to one matrix for both: 8 shifts, 3 pairs, 5 factorizations
+        box = (0.0, 2.0 * math.pi)
+        _, _, coarse_diag, coarse_c, v_min = schrodinger._matrix(Rotor(), 1.0, box, 128, True)
+        shifts, coarse = schrodinger._ring_eigsh(coarse_diag, coarse_c, v_min, 8)
+        assert np.count_nonzero(np.diff(shifts) == 0.0) < 3
+        _, _, diag, c, _ = schrodinger._matrix(Rotor(), 1.0, box, 1024, True)
+        start = schrodinger._prolong(coarse, 1024, ring=True)
+        swept = start.copy(order="F")
+        calls = count_factorizations(monkeypatch)
+        schrodinger._sweep(diag, c, shifts, swept, 2, ring=True)
+        assert calls == [8 - 3]
+        for j, shift in enumerate(shifts):
+            alone = start[:, j:j + 1].copy(order="F")
+            schrodinger._sweep(diag, c, shifts[j:j + 1], alone, 2, ring=True)
+            assert np.array_equal(swept[:, j], alone[:, 0])
 
     def test_repeat_solves_are_identical(self):
         a = fd_eigensolve(Rotor(), boundary="periodic", M=8192, k=5)
