@@ -319,6 +319,24 @@ def test_flat_bottom_is_degenerate_on_and_off_the_grid(interval):
     assert pt.stability is Stability.DEGENERATE
 
 
+@pytest.mark.parametrize("potential", [Quartic(), Polynomial(coeffs=(0.0,) * 6 + (1.0 / 6.0,))],
+                         ids=["q^3", "q^5"])
+def test_an_odd_multiple_root_is_polished_in_a_few_calls(potential, monkeypatch):
+    # off the grid of (-1, 1.3) the polish starts about 7e-5 from 0; plain Newton
+    # shrinks that by (m - 1) / m per step and took 60 V' calls to reach 1e-15
+    derivative, scalar_calls = type(potential).derivative, []
+
+    def counted(self, q):
+        if isinstance(q, float):  # the grid scan is one array call
+            scalar_calls.append(q)
+        return derivative(self, q)
+
+    monkeypatch.setattr(type(potential), "derivative", counted)
+    (pt,) = find_equilibria(potential, (-1.0, 1.3))
+    assert abs(pt.q0) < 1e-14
+    assert len(scalar_calls) <= 15
+
+
 @pytest.mark.parametrize("potential,expected", [
     # |V'| <= 1e-12 on the 205 grid points from q = 8.0 on is a plateau, not equilibria
     (Morse(depth=10.0, width=4.0), [(0.0, Stability.MINIMUM)]),

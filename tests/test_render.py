@@ -104,6 +104,24 @@ def tables(draw, keyed=True):
     return Table(tuple(keys), rows, header)
 
 
+@st.composite
+def array_tables(draw):
+    """A table of 0 to 5 rows held as a float array, keyed or not.  Its cells come
+    from a pool of a few values (-0.0 and 0.0 among them), from all floats, or
+    both, so that both sides of the renderer's distinct-value rule are drawn."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    pool = st.sampled_from(draw(st.lists(FLOATS, max_size=3)) + [-0.0, 0.0])
+    cell = draw(st.sampled_from((pool, FLOATS, pool | FLOATS)))
+    cells = draw(st.lists(cell, min_size=nrows * ncols, max_size=nrows * ncols))
+    rows = np.array(cells, dtype=float).reshape(nrows, ncols)
+    if not draw(st.booleans()):
+        return Table(None, rows)
+    keys = draw(st.lists(st.text(alphabet='ab%"\\s ,', max_size=4), min_size=ncols,
+                         max_size=ncols, unique=True))
+    header = draw(st.none() | st.just(tuple(k.upper() for k in keys)))
+    return Table(tuple(keys), rows, header)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tables(), st.sampled_from(INDENTS))
 def test_keyed_table_json_matches_the_per_cell_renderer(table, indent):
@@ -145,6 +163,36 @@ def test_artifacts_match_at_every_table_depth(rows, vectors, fmt):
            *((rows, vectors) if fmt == "json" else (rows,)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(array_tables(), st.sampled_from(INDENTS))
+def test_array_table_json_matches_the_per_cell_renderer(table, indent):
+    _check(lambda: _json(table, indent), lambda: _ref_json(_ref_rows(table), indent), table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(array_tables())
+def test_array_table_csv_matches_the_per_cell_renderer(table):
+    table = Table(table.keys or tuple(f"c{j}" for j in range(table.rows.shape[1])),
+                  table.rows, table.header)
+    _check(lambda: _emit("t", {}, {}, [({}, table)], "csv"),
+           lambda: "\n".join(["# phasekit t", "# config: {}"] + _ref_csv(table)) + "\n", table)
+
+
+@pytest.mark.parametrize("distinct", [6, 7])
+def test_each_side_of_the_distinct_value_rule(distinct, monkeypatch):
+    # 12 cells: with at most 6 distinct values each is formatted once (and looked up
+    # by np.searchsorted), with 7 or more each cell has a %.17g slot; -0.0 fills the
+    # rest and counts as 0.0
+    cells = [x for x in EDGE_FLOATS if math.isfinite(x)][1:distinct + 1]
+    table = Table(("a", "b", "c"), np.array(cells + [-0.0] * (12 - distinct)).reshape(4, 3))
+    searchsorted, lookups = np.searchsorted, []
+    monkeypatch.setattr(np, "searchsorted", lambda *args: lookups.append(args)
+                        or searchsorted(*args))
+    assert _json(table, 1) == _ref_json(_ref_rows(table), 1)
+    assert "-0" not in _emit("t", {}, {}, [({}, table)], "csv")
+    assert len(lookups) == 2 * (distinct == 6)  # once for JSON, once for CSV
+
+
 def test_edge_floats_in_a_float_column():
     table = Table(("m",), [(x,) for x in EDGE_FLOATS if math.isfinite(x)])
     assert set(map(type, (x for (x,) in table.rows))) == {float}  # the %.17g slot path
@@ -169,6 +217,11 @@ def _non_finite_cases(bad):
         "overlap": ({"overlap": bad}, plain),
         "eigenvalues": ({"eigenvalues": [0.5, bad]}, plain),
         "box": ({"box": (-6.0, bad)}, plain),
+        # float arrays: the first bad column, not the first bad cell, and on either
+        # side of the distinct-value rule
+        "psi_sq": ({}, Table(("q", "psi_sq", "S"), np.array([[0.0, 1.0, bad],
+                                                             [1.0, bad, 2.0]]))),
+        "im_value": ({}, Table(("q", "im_value"), np.array([[0.5, 0.0]] * 3 + [[0.5, bad]]))),
     }
 
 
@@ -185,3 +238,10 @@ def test_a_non_finite_float_is_refused_by_name(name, bad, fmt):
 def test_a_table_without_keys_is_named_by_its_key(bad):
     with pytest.raises(FloatingPointError, match="eigenvectors"):
         _emit("t", {}, {"eigenvectors": Table(None, [[0.1, bad]])}, [], "json")
+
+
+@NON_FINITE
+def test_an_array_table_without_keys_is_named_by_its_key(bad):
+    with pytest.raises(FloatingPointError, match="eigenvectors"):
+        _emit("t", {}, {"eigenvectors": Table(None, np.array([[0.1, 0.2], [0.3, bad]]))},
+              [], "json")
