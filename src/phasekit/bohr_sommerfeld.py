@@ -80,15 +80,19 @@ def turning_points(potential: Potential, E: float) -> tuple[float, float] | None
     if E == v_min:
         return (q0, q0)
 
-    ends = []
-    for stops, peaks in land.walks:
-        i = peaks.searchsorted(E, side="right")
-        if i == len(peaks):
-            # a periodic orbit that clears every crest in the cell rotates
-            return None
-        ends.append(_cross(potential, E, float(stops[i]), float(stops[i + 1])))
-    b, a = ends
-    return (a, b)
+    # a periodic orbit that clears every crest in the cell rotates
+    b, a = (_wall(potential, walk, E) for walk in land.walks)
+    return None if a is None or b is None else (a, b)
+
+
+def _wall(potential: Potential, walk, E: float) -> float | None:
+    """The first crossing of V = E along a walk's (stops, peaks) (`Landscape.walks`), or
+    None where V stays at or below E."""
+    stops, peaks = walk
+    i = peaks.searchsorted(E, side="right")
+    if i == len(peaks):
+        return None
+    return _cross(potential, E, float(stops[i]), float(stops[i + 1]))
 
 
 def classify_motion(potential: Potential, E: float) -> MotionKind:
@@ -117,20 +121,47 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-@lru_cache(maxsize=16)
-def _rules(order: int, span: float):
-    """Nodes theta = span (t + 1) / 2, cos theta, sin theta and weights span w / 2
-    of the `order` and `2 order` Gauss-Legendre rules, laid end to end (read-only:
-    every caller shares them)."""
+def _nodes(order: int, lo: float, hi: float):
+    """Nodes x = lo + (hi - lo) (t + 1) / 2, cos x, sin x and weights (hi - lo) w / 2 of
+    the `order` and `2 order` Gauss-Legendre rules on [lo, hi], laid end to end."""
+    half = 0.5 * (hi - lo)
     parts = []
     for n in (order, 2 * order):
         t, w = _leggauss(n)
-        theta = 0.5 * span * (t + 1.0)
-        parts.append((theta, np.cos(theta), np.sin(theta), 0.5 * span * w))
-    tables = tuple(np.concatenate(column) for column in zip(*parts))
+        x = lo + half * (t + 1.0)
+        parts.append((x, np.cos(x), np.sin(x), half * w))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+@lru_cache(maxsize=16)
+def _rules(order: int, span: float):
+    """`_nodes` on [0, span], read-only: every caller shares them."""
+    tables = _nodes(order, 0.0, span)
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _integrals(potential: Potential, E: float, blocks, order: int) -> list[tuple]:
+    """Integrals of p dq at `order` and `2 order`, and of m dq / p at `2 order`, on each
+    block (q, dq) of nodes and weights laid out as `_nodes` lays them, at energy E.
+
+    One V call on every block's nodes.  A node with p = 0 (a rotation at the
+    crest of a flat potential) makes m dq / p infinite.
+    """
+    m = potential.mass
+    q = blocks[0][0] if len(blocks) == 1 else np.concatenate([q for q, _ in blocks])
+    gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
+    p = np.sqrt(2.0 * m * gap)
+    sums, start = [], 0
+    with np.errstate(divide="ignore"):
+        for _, dq in blocks:
+            end = start + len(dq)
+            wp = dq * p[start:end]
+            sums.append((float(wp[:order].sum()), float(wp[order:].sum()),
+                         m * float((dq[order:] / p[start + order:end]).sum())))
+            start = end
+    return sums
 
 
 def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
@@ -140,10 +171,9 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
     Librations substitute q = c + r cos(theta) between the turning points, so
     J's integrand p r sin(theta) is smooth and T's, m r sin(theta) / p, stays
     finite at both ends.  Rotations integrate over one coordinate period.
-    Both rules share one V call on their joined nodes (`_rules`).  T is None
+    Both rules share one V call on their joined nodes (`_integrals`).  T is None
     where the orbit is the bottom of the well.
     """
-    m = potential.mass
     libration = motion is MotionKind.LIBRATION
     if libration:
         pair = turning_points(potential, E)
@@ -155,13 +185,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
     q, cos, sin, w = _rules(order, math.pi if libration else potential.period)
     if libration:
         q, w = c + r * cos, 2.0 * r * sin * w
-    gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
-    p = np.sqrt(2.0 * m * gap)
-    wp = w * p
-    # a rotation at the crest of a flat potential has p = 0: T is infinite
-    with np.errstate(divide="ignore"):
-        period = m * float((w[order:] / p[order:]).sum())
-    return float(wp[:order].sum()), float(wp[order:].sum()), period
+    return _integrals(potential, E, [(q, w)], order)[0]
 
 
 def action(potential: Potential, E: float,

@@ -408,14 +408,16 @@ class Landscape:
 _DOUBLINGS = 1e-3 * 2.0 ** np.arange(80)
 
 
-def _walk(potential: Potential, equilibria, q0: float, direction: float):
-    """The (stops, peaks) of `Landscape.walks` on one side of the minimum q0."""
+def _walk(potential: Potential, equilibria, q0: float, direction: float,
+          periods: float = 0.5):
+    """The (stops, peaks) of a walk out of q0 in `direction`, as `Landscape.walks` walks
+    out of the minimum; on a periodic V the walk ends `periods` periods on."""
     ahead = [pt.q0 for pt in equilibria if direction * (pt.q0 - q0) > 1e-9]
     if direction < 0:
         ahead = ahead[::-1]
     if potential.period is not None:
-        half = q0 + direction * 0.5 * potential.period
-        stops = np.array([q0] + [x for x in ahead if direction * (x - half) <= 1e-9] + [half])
+        end = q0 + direction * periods * potential.period
+        stops = np.array([q0] + [x for x in ahead if direction * (x - end) <= 1e-9] + [end])
     else:  # from the last equilibrium on, each step is added to the stop before it
         stops = np.concatenate(([q0], ahead, direction * _DOUBLINGS))
         np.add.accumulate(stops[len(ahead):], out=stops[len(ahead):])

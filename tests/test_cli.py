@@ -827,6 +827,8 @@ SCIPY_PROBE = textwrap.dedent("""
                     "--grid", "0:1:2", "--normalization", "normalized"]),
         ("propagate", ["propagate", "--potential", h, "--from", "1", "--to", "0",
                        "--time", "1", "--slices", "64"]),
+        ("propagate-morse", ["propagate", "--potential", '{"family": "morse"}', "--from",
+                             "0.5", "--to", "-0.25", "--time", "0.5", "--slices", "64"]),
         ("equilibrium", ["equilibrium", "--potential", h]),
         ("oracle", ["oracle", "--potential", h, "--levels", "1", "--grid-size", "64"]),
     ]

@@ -85,6 +85,16 @@ COMMANDS = {
     # the oracle computed one state per level (test_render.py covers null cells)
     "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",
                               "--levels", "0..2", "--oracle", "on"], ("json",)),
+    # a Morse request whose straight-line shooting stalls: of its two paths, the limit
+    # takes the one that turns once (E = 6.9543137603), not the one that turns twice
+    "propagate-morse-branch": (["propagate", "--potential", '{"family": "morse", "depth": 10}',
+                                "--from", "0.5", "--to", "-0.25", "--time", "2",
+                                "--slices", "1024"], ("json", "csv")),
+    # a pendulum request in the benchmark's shape, whose V and V' are numpy's sin and cos
+    "propagate-pendulum": (["propagate", "--potential",
+                            '{"family": "pendulum", "m": 1.2, "amplitude": 2.0}', "--hbar",
+                            "0.9", "--from", "1.0", "--to", "-1.0", "--time", "0.7",
+                            "--slices", "3000,6000"], ("json", "csv")),
 }
 
 

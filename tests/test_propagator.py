@@ -3,8 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from phasekit import ConjugatePointError, Harmonic, Morse, Pendulum, Polynomial, Quartic, Rotor
+from phasekit import (
+    ConjugatePointError,
+    Harmonic,
+    Morse,
+    Pendulum,
+    Polynomial,
+    Quartic,
+    Rotor,
+    SeparatrixError,
+)
 from phasekit import propagator
 from phasekit.bohr_sommerfeld import action, quantize, turning_points
 from phasekit.cli import main
@@ -139,11 +149,19 @@ class TestKernelPhase:
         two = kernel_phase(Harmonic(), 0.2, 0.8, 1.0, E=0.0, hbar=2.0)
         assert one.total_phase == pytest.approx(2.0 * two.total_phase, rel=1e-12)
 
-    def test_quartic_kernel_uses_the_shot_trajectory(self):
+    def test_quartic_kernel_solves_the_energy_equation(self, monkeypatch):
+        passes = []
+        rk4 = propagator._rk4
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
         kp = kernel_phase(Quartic(), 0.0, 1.0, 1.0, N=4096)
-        traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
-        assert kp.S_cl == pytest.approx(classical_action(traj, Quartic()), rel=1e-12)
-        assert kp.energy == pytest.approx(float(traj.sampled_energy(Quartic())[0]), rel=1e-12)
+        assert passes == []  # the limit shoots no RK4 path
+        # the path shot from its start velocity lands on the first pass, at its energy
+        traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096, v_start=kp.v0)
+        assert passes == [4096]
+        assert np.ptp(traj.sampled_energy(Quartic()) - kp.energy) <= 1e-10
+        # the trapezoid sum over the path converges to S_cl at second order
+        assert classical_action(traj, Quartic()) == pytest.approx(kp.S_cl, abs=1e-7)
+        assert (kp.slices, kp.prefactor_log) == (4096, 0.0)
 
 
 # anharmonic two-point problems short of their first focal time, as `propagate` gets them
@@ -155,50 +173,28 @@ SHOOTINGS = [
 
 
 class TestSeededShooting:
-    @pytest.mark.parametrize("potential, q_a, q_b, t", SHOOTINGS,
-                             ids=["quartic", "morse", "pendulum"])
-    def test_slice_counts_start_from_the_limit_velocity(self, potential, q_a, q_b, t,
-                                                         monkeypatch, capsys):
-        passes, phases = [], []
-        rk4, sliced, kernel = propagator._rk4, propagator.sliced_phase, propagator.kernel_phase
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
-        kernel(potential, q_a, q_b, t, N=4096)
-        limit_passes = len(passes)
-        monkeypatch.setattr(propagator, "kernel_phase",
-                            lambda *a, **k: phases.append(kernel(*a, **k)) or phases[-1])
-        monkeypatch.setattr(propagator, "sliced_phase",
-                            lambda *a, **k: phases.append(sliced(*a, **k)) or phases[-1])
-        passes.clear()
-        code = main(["propagate", "--potential", json.dumps(potential.to_json()),
-                     "--from", str(q_a), "--to", str(q_b), "--time", repr(t),
-                     "--slices", "2000,4000"])
-        assert code == 0, capsys.readouterr().err
-        # the limit shoots from the straight line; each slice count then needs one pass
-        assert len(passes) <= limit_passes + 2
-        limit, *rows = phases
-        assert [row.slices for row in rows] == [2000, 4000]
-        for row in rows:
-            assert abs(row.v0 - limit.v0) <= 1e-8
-
-    @pytest.mark.parametrize("potential, q_a, q_b, t", SHOOTINGS,
-                             ids=["quartic", "morse", "pendulum"])
-    def test_the_limit_count_reuses_the_limit_path(self, potential, q_a, q_b, t,
-                                                    monkeypatch, capsys):
+    @pytest.mark.parametrize("potential, q_a, q_b, t, slices, steps", [
+        (*shooting, slices, steps) for shooting, slices, steps in zip(
+            SHOOTINGS, ("2000,4000", "1400,2800", "3000,6000"), (6000, 4200, 9000))
+    ], ids=["quartic", "morse", "pendulum"])
+    def test_each_slice_count_takes_one_rk4_pass(self, potential, q_a, q_b, t, slices, steps,
+                                                  monkeypatch, capsys):
+        # the limit shoots nothing; each slice count, the limit's own (4096 or more)
+        # included, lands on its first pass from the limit's start velocity
         argv = ["propagate", "--potential", json.dumps(potential.to_json()), "--from", str(q_a),
-                "--to", str(q_b), "--time", repr(t), "--slices", "2000,4096"]
+                "--to", str(q_b), "--time", repr(t), "--slices", slices]
         passes = []
         rk4 = propagator._rk4
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
-        limit = propagator.kernel_phase(potential, q_a, q_b, t, N=4096)
-        limit_passes = len(passes)
-        passes.clear()
-        assert main(argv) == 0
-        # the limit's passes and one for 2000 slices; none for the limit's own 4096
-        assert len(passes) == limit_passes + 1
-        fresh = sliced_phase(classical_trajectory(potential, q_a, q_b, t, 4096,
-                                                  v_start=limit.v0), potential, limit.energy)
-        row = json.loads(capsys.readouterr().out)["convergence"][-1]
-        assert (row["N"], row["sliced_phase"]) == (4096, fresh.total_phase)
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
+        assert main(argv) == 0, capsys.readouterr().err
+        counts = [int(n) for n in slices.split(",")]
+        assert passes == counts and sum(passes) == steps
+        payload = json.loads(capsys.readouterr().out)
+        limit = kernel_phase(potential, q_a, q_b, t, N=max(counts))
+        assert (payload["S_cl"], payload["E"]) == (limit.S_cl, limit.energy)
+        for n, row in zip(counts, payload["convergence"]):
+            traj = classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
+            assert row["sliced_phase"] == sliced_phase(traj, potential, limit.energy).total_phase
 
     def test_first_pass_within_tolerance_is_accepted(self, monkeypatch):
         converged = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000)
@@ -228,113 +224,127 @@ class TestSeededShooting:
         assert classical_action(traj, potential) + E * T == pytest.approx(J, rel=1e-10)
 
 
-def _two_point_draw(rng, family, slices=(1024, 1280)):
-    """A random anharmonic two-point problem, up to t = 4, on a slice count in range."""
-    m = rng.uniform(0.5, 2.0)
+def _benchmark_draw(rng, family):
+    """A two-point request in the ranges of the benchmark's anharmonic `propagate` ops:
+    (potential, q_a, q_b, t, the smaller of its two slice counts)."""
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
     if family == "quartic":
-        potential, ends = Quartic(m=m, lam=rng.uniform(0.5, 2.0)), rng.uniform(-1.5, 1.5, 2)
-    elif family == "morse":
-        potential = Morse(m=m, depth=rng.uniform(3.0, 15.0), width=rng.uniform(0.5, 1.5))
-        ends = rng.uniform(-0.5, 1.5, 2)
-    elif family == "pendulum":
-        potential, ends = Pendulum(m=m, amplitude=rng.uniform(1.0, 5.0)), rng.uniform(-2, 2, 2)
-    else:
-        potential = Polynomial(m=m, coeffs=(0.0, rng.uniform(-0.5, 0.5), -2.0, 0.0, 0.5))
-        ends = rng.uniform(-2.0, 2.0, 2)
-    return (potential, float(ends[0]), float(ends[1]), float(rng.uniform(0.1, 4.0)),
-            int(rng.integers(slices[0], slices[1] + 1)))
+        potential = Quartic(m=u(0.7, 1.5), lam=u(0.5, 2.0))
+        return potential, u(0.8, 1.2), u(-1.2, -0.8), u(0.5, 0.7), 2000
+    if family == "morse":
+        potential = Morse(m=u(0.8, 1.5), depth=u(8.0, 15.0), width=u(0.6, 1.0))
+        omega = potential.width * math.sqrt(2.0 * potential.depth / potential.m)
+        return potential, u(0.4, 0.6), u(-0.3, -0.2), u(0.3, 0.4) * math.pi / omega, 1400
+    potential = Pendulum(m=u(0.8, 1.5), amplitude=u(1.0, 3.0))
+    return potential, u(0.8, 1.2), u(-1.2, -0.8), u(0.6, 0.8), 3000
 
 
-def _shot(potential, q_a, q_b, t, N, **kwargs):
-    """(start velocity, None) of the path, or (None, the error's class)."""
-    try:
-        return float(classical_trajectory(potential, q_a, q_b, t, N, **kwargs).velocities[0]), None
-    except Exception as exc:  # the class is compared, whatever it is
-        return None, type(exc)
+def _reference_action(potential, q_a, q_b, t, E, crests=()):
+    """W - E t of the direct leg at E by adaptive quadrature, split at the crests."""
+    m = potential.mass
+
+    def p(q):
+        return math.sqrt(max(2.0 * m * (E - float(potential.value(q))), 0.0))
+
+    ends = [min(q_a, q_b), *sorted(crests), max(q_a, q_b)]
+    w = sum(quad(p, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(ends[:-1], ends[1:]))
+    return w - E * t
 
 
-class TestQuarterGridStage:
-    @pytest.mark.parametrize("slices", [(1024, 1280), (4, 1023)], ids=["staged", "small"])
-    def test_default_start_agrees_with_the_straight_line_start(self, slices):
-        # an explicit v_start skips the quarter-grid stage, so it reproduces
-        # the straight-line shooting; the stage may only change the work done
-        rng = np.random.default_rng(2024)
-        outcomes = []
-        for i in range(16):
-            potential, q_a, q_b, t, N = _two_point_draw(
-                rng, ("quartic", "morse", "pendulum", "double-well")[i % 4], slices)
-            staged, staged_error = _shot(potential, q_a, q_b, t, N)
-            line, line_error = _shot(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
-            assert staged_error is line_error
-            if line_error is None:
-                assert abs(staged - line) <= 1e-8 * abs(line)
-            outcomes.append(line_error)
-        # the sweep holds requests that solve and requests that fail
-        assert outcomes.count(None) not in (0, len(outcomes))
+#: the largest |S_cl - reference| / max(1, |reference|) over 360 draws of
+#: `_benchmark_draw` (seeds 1 to 6) was 3.1e-15; the reference is asked for 1e-13
+S_CL_TOL = 1e-13
 
-    def test_small_grids_skip_the_stage(self):
-        # on 64 slices the quarter grid lands within its cap (6 passes), but at
-        # a velocity from which the full grid converges to another path than
-        # from the straight line; below _STAGE_MIN_SLICES the stage never runs
-        potential = Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5))
-        q_a, q_b, t, N = 0.5, 1.5, 4.0, 64
-        line = classical_trajectory(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
-        with np.errstate(all="ignore"):
-            _, stage_velocities = propagator._shoot(potential, q_a, q_b, t, N // 4,
-                                                    (q_b - q_a) / t, propagator._STAGE_CAP)
-        from_stage = classical_trajectory(potential, q_a, q_b, t, N, v_start=stage_velocities[0])
-        assert abs(from_stage.velocities[0] - line.velocities[0]) > 1.0
-        default = classical_trajectory(potential, q_a, q_b, t, N)
-        assert np.array_equal(default.positions, line.positions)
-        assert np.array_equal(default.velocities, line.velocities)
 
-    def test_stage_past_its_cap_is_dropped(self, monkeypatch):
-        potential = Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5))
-        q_a, q_b, t, N = -1.0, 1.0, 3.0, 1024
-        # left to run on, the quarter grid lands on another branch than the full grid
-        line = classical_trajectory(potential, q_a, q_b, t, N, v_start=(q_b - q_a) / t)
-        _, stage_velocities = propagator._shoot(potential, q_a, q_b, t, N // 4,
-                                                (q_b - q_a) / t, propagator.SHOOTING_CAP)
-        assert abs(stage_velocities[0] - line.velocities[0]) > 1.0
+class TestEnergyEquation:
+    def test_benchmark_shaped_draws(self, monkeypatch):
+        # 60 draws: the straight line's shooting finds the limit's path, S_cl matches an
+        # adaptive W - E t, and each slice count lands on its first RK4 pass
+        rng = np.random.default_rng(26)
         passes = []
         rk4 = propagator._rk4
         monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
-        staged = classical_trajectory(potential, q_a, q_b, t, N)
-        assert passes.count(N // 4) == 8
-        assert np.array_equal(staged.positions, line.positions)
-        assert np.array_equal(staged.velocities, line.velocities)
+        for i in range(60):
+            family = ("quartic", "morse", "pendulum")[i % 3]
+            potential, q_a, q_b, t, s = _benchmark_draw(rng, family)
+            passes.clear()
+            limit = kernel_phase(potential, q_a, q_b, t, N=4096)
+            assert passes == []
+            line = classical_trajectory(potential, q_a, q_b, t, s, v_start=(q_b - q_a) / t)
+            assert abs(limit.v0 - line.velocities[0]) <= 1e-8 * abs(line.velocities[0])
+            reference = _reference_action(potential, q_a, q_b, t, limit.energy)
+            assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
+            passes.clear()
+            for n in (s, 2 * s):
+                classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
+            assert passes == [s, 2 * s]
 
-    @pytest.mark.parametrize("potential, q_a, q_b, t, slices", [
-        (*shooting, slices) for shooting, slices in zip(SHOOTINGS, ("2000,4000", "1400,2800",
-                                                                    "3000,6000"))
-    ], ids=["quartic", "morse", "pendulum"])
-    def test_propagate_takes_fewer_rk4_steps(self, potential, q_a, q_b, t, slices,
-                                             monkeypatch, capsys):
-        argv = ["propagate", "--potential", json.dumps(potential.to_json()), "--from", str(q_a),
-                "--to", str(q_b), "--time", repr(t), "--slices", slices]
-        steps = []
+    @pytest.mark.parametrize("potential, q_a, q_b, t", [
+        (Morse(depth=10.0), 0.5, -0.25, 0.5),
+        (Quartic(), 1.0, -1.0, 0.6),
+        (Pendulum(amplitude=5.0), 1.0, -1.0, 0.7),
+        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), -1.0, 1.0, 3.0),
+        (Pendulum(), 0.0, 2.0 * math.pi, 15.0),
+    ], ids=["morse", "quartic", "pendulum", "tilted-double-well", "pendulum-over-a-crest"])
+    def test_action_matches_an_adaptive_reference(self, potential, q_a, q_b, t):
+        # the double well's path and the pendulum's cross a crest, which E clears by
+        # 0.023 and 9.8e-6: their legs are graded towards it
+        limit = kernel_phase(potential, q_a, q_b, t)
+        crests = [pt.q0 for pt in potential.landscape.equilibria
+                  if pt.stability.value == "maximum" and min(q_a, q_b) < pt.q0 < max(q_a, q_b)]
+        reference = _reference_action(potential, q_a, q_b, t, limit.energy, crests)
+        assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
+        # E solves the energy equation: shooting from v0 keeps it
+        path = classical_trajectory(potential, q_a, q_b, t, 8192, v_start=limit.v0)
+        assert path.velocities[0] == pytest.approx(limit.v0, rel=1e-9)
+
+    def test_a_path_over_a_crest_at_its_energy_raises(self):
+        # from 0 over the crest at pi to 2 pi in t = 40 the path's E clears the crest
+        # by about 1e-16; its time diverges at the crest
+        with pytest.raises(SeparatrixError, match="crosses the crest 1 within 1e-09"):
+            kernel_phase(Pendulum(), 0.0, 2.0 * math.pi, 40.0)
+
+    def test_a_request_without_a_path_fails_before_any_rk4_pass(self, monkeypatch, capsys):
+        # from the bottom of the pendulum back to it takes at least half a period, pi
+        passes = []
         rk4 = propagator._rk4
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: steps.append(a[4]) or rk4(*a))
-        assert main(argv) == 0, capsys.readouterr().err
-        staged = sum(steps)
-
-        shoot = propagator.classical_trajectory
-
-        def from_the_line(potential, q_a, q_b, t, N, v_start=None):
-            return shoot(potential, q_a, q_b, t, N,
-                         v_start=(q_b - q_a) / t if v_start is None else v_start)
-
-        monkeypatch.setattr(propagator, "classical_trajectory", from_the_line)
-        steps.clear()
-        assert main(argv) == 0, capsys.readouterr().err
-        assert staged <= 0.6 * sum(steps)
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
+        code = main(["propagate", "--potential", '{"family": "pendulum"}', "--from", "0",
+                     "--to", "0", "--time", "1", "--slices", "1024"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "TrajectoryError" and "no classical path" in error["message"]
+        assert passes == []
 
 
-class TestUnreachableEndpoint:
+class TestMorseBranches:
+    """Morse depth 10 from 0.5 to -0.25 in t = 2: the direct leg is too fast, and two
+    paths below dissociation turn at the right wall first."""
+
+    def test_both_branches(self):
+        paths = propagator._Paths(Morse(depth=10.0), 0.5, -0.25)
+        branches = list(paths.bounced_branches(2.0))
+        assert [(k, s0) for k, _, s0 in branches] == [(1, 1.0), (2, 1.0)]
+        assert [round(E, 10) for _, E, _ in branches] == [6.9543137603, 6.0157065772]
+        for _, E, s0 in branches:
+            v0 = s0 * math.sqrt(2.0 * (E - float(paths.potential.value(0.5))))
+            path = initial_value_trajectory(paths.potential, 0.5, v0, 2.0, 4096)
+            assert path.positions[-1] == pytest.approx(-0.25, abs=1e-8)
+
+    def test_propagate_takes_the_path_with_the_fewest_turning_points(self, capsys):
+        code = main(["propagate", "--potential", '{"family": "morse", "depth": 10}',
+                     "--from", "0.5", "--to", "-0.25", "--time", "2", "--slices", "1024"])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        assert round(payload["E"], 10) == 6.9543137603
+        assert kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0 == pytest.approx(3.28820089)
+
     def test_shooting_stops_once_its_best_residual_stalls(self, monkeypatch):
-        # Morse paths from 0.5 in t = 2 end no lower than about -0.244, so -0.25
-        # is out of reach; on 256 slices the secant's best residual (5.69e-3)
-        # comes at pass 16 and no later pass beats it
+        # from the straight line's velocity the secant finds neither path: on 256
+        # slices its best residual (5.69e-3) comes at pass 16 and no later pass beats it
         residuals = []
         rk4 = propagator._rk4
 
@@ -346,7 +356,8 @@ class TestUnreachableEndpoint:
         monkeypatch.setattr(propagator, "_rk4", traced)
         with pytest.raises(propagator.TrajectoryError, match=r"^shooting failed to hit "
                            r"q_b=-0.25 within 80 iterations \(last residual \d\.\d{3}e-0\d\)$"):
-            classical_trajectory(Morse(depth=10.0, width=1.0), 0.5, -0.25, 2.0, 256)
+            classical_trajectory(Morse(depth=10.0, width=1.0), 0.5, -0.25, 2.0, 256,
+                                 v_start=-0.375)
         best = residuals.index(min(residuals)) + 1
         assert best == 16 and len(residuals) == best + propagator.SHOOTING_STALL
         assert len(residuals) < propagator.SHOOTING_CAP
