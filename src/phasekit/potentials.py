@@ -389,7 +389,7 @@ class Landscape:
 
     ``walks`` holds the outward walks from the minimum, right then left, as
     read-only ``(stops, peaks)`` arrays.  The stops are the minimum, the
-    equilibria ahead in order, then half a period on, or 80 doubling steps
+    equilibria ahead in order, then one period on, or 80 doubling steps
     from 1e-3 on the line (V is monotone between adjacent equilibria, so
     walking them in order never steps over a thin barrier).  ``peaks[i]``
     is the running maximum of V over ``stops[1:i + 2]``, a NaN counting as
@@ -408,15 +408,14 @@ class Landscape:
 _DOUBLINGS = 1e-3 * 2.0 ** np.arange(80)
 
 
-def _walk(potential: Potential, equilibria, q0: float, direction: float,
-          periods: float = 0.5):
+def _walk(potential: Potential, equilibria, q0: float, direction: float):
     """The (stops, peaks) of a walk out of q0 in `direction`, as `Landscape.walks` walks
-    out of the minimum; on a periodic V the walk ends `periods` periods on."""
+    out of the minimum; on a periodic V the walk ends one period on."""
     ahead = [pt.q0 for pt in equilibria if direction * (pt.q0 - q0) > 1e-9]
     if direction < 0:
         ahead = ahead[::-1]
     if potential.period is not None:
-        end = q0 + direction * periods * potential.period
+        end = q0 + direction * potential.period
         stops = np.array([q0] + [x for x in ahead if direction * (x - end) <= 1e-9] + [end])
     else:  # from the last equilibrium on, each step is added to the stop before it
         stops = np.concatenate(([q0], ahead, direction * _DOUBLINGS))

@@ -26,10 +26,6 @@ from .potentials import Harmonic, Polynomial, Potential, Rotor, Stability, _walk
 #: boundary-value residual |q(t_b) - q_b| accepted by the shooting solver
 SHOOTING_TOL = 1e-10
 SHOOTING_CAP = 100
-#: a shooting gives up after this many passes in a row without a new best residual; of
-#: 1,200 random requests (quartic, Morse, pendulum, double well; t 0.1 to 4; N 1024 to
-#: 8000), none that converged went 60 passes without one
-SHOOTING_STALL = 64
 #: Gauss-Legendre order of a path's t(E) and W(E), checked against twice this order
 PATH_ORDER = 32
 #: largest order-doubling estimate of W(E), relative to max(|W|, 1), that certifies S_cl
@@ -75,6 +71,19 @@ def _phase(s_cl: float, E: float, t: float, slices: int, mass: float, v0: float,
     return KernelPhase(S_cl=s_cl, energy=E, energy_phase=energy_phase,
                        total_phase=(s_cl - energy_phase) / hbar,
                        prefactor_log=slices * math.log(mass), slices=slices, v0=v0)
+
+
+def _checked(name: str, compute) -> float:
+    """compute(), or OverflowError naming `name` where it overflows: Python's ** raises
+    one, float arithmetic gives inf or NaN, and numpy's warnings are held back."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflows")
+    return value
 
 
 def _constant_value(potential: Potential) -> float | None:
@@ -130,11 +139,13 @@ def classical_trajectory(potential: Potential, q_a: float, q_b: float,
 
     Force-free and harmonic families use their analytic two-point
     solutions; other potentials shoot on the initial velocity with secant
-    updates, from v_start (default the straight line's (q_b - q_a) / t),
-    until a pass ends with |q(t_b) - q_b| <= SHOOTING_TOL.  The start
-    picks the branch the secant converges to.  Harmonic focal times
-    (omega t a multiple of pi) raise ConjugatePointError: the two-point
-    problem is there either unsolvable or degenerate.
+    updates, from v_start (default the v0 of `kernel_phase`'s path, found as
+    it finds it but with no certificate on S_cl: TrajectoryError or
+    SeparatrixError where it finds none), until a pass ends with
+    |q(t_b) - q_b| <= SHOOTING_TOL, or TrajectoryError after SHOOTING_CAP
+    passes.  The start picks the branch the secant converges to.  Harmonic
+    focal times (omega t = n pi, n >= 1) raise ConjugatePointError: the
+    two-point problem is there either unsolvable or degenerate.
     """
     if t <= 0 or N < 1:
         raise ValueError("need t > 0 and N >= 1")
@@ -142,41 +153,39 @@ def classical_trajectory(potential: Potential, q_a: float, q_b: float,
 
     if _constant_value(potential) is not None:
         vel = (q_b - q_a) / t
-        return Trajectory(times=times, positions=q_a + vel * times,
-                          velocities=np.full(N + 1, vel), mass=potential.mass)
-
-    if isinstance(potential, Harmonic):
+        qs, vs = q_a + vel * times, np.full(N + 1, vel)
+    elif isinstance(potential, Harmonic):
         w = potential.omega
-        s = math.sin(w * t)
-        if abs(s) < 1e-12:
-            raise ConjugatePointError(
-                f"omega*t = {w * t:g} is a focal time; endpoints conjugate"
-            )
+        s = _focal_sin(w, t)
         b = (q_b - q_a * math.cos(w * t)) / s
         qs = q_a * np.cos(w * times) + b * np.sin(w * times)
         vs = w * (-q_a * np.sin(w * times) + b * np.cos(w * times))
-        return Trajectory(times=times, positions=qs, velocities=vs, mass=potential.mass)
-
-    v = (q_b - q_a) / t if v_start is None else float(v_start)
-    qs, vs = _shoot(potential, q_a, q_b, t, N, v)
+    else:
+        v = _Paths(potential, q_a, q_b).path(t)[1] if v_start is None else float(v_start)
+        qs, vs = _shoot(potential, q_a, q_b, t, N, v)
     return Trajectory(times=times, positions=qs, velocities=vs, mass=potential.mass)
+
+
+def _focal_sin(omega: float, t: float) -> float:
+    """sin(omega t); ConjugatePointError at a focal time, |sin(omega t)| < 1e-12 near
+    n pi with n >= 1 (a short time, near n = 0, is none)."""
+    s = math.sin(_checked("omega*t", lambda: omega * t))
+    if abs(s) < 1e-12 and round(omega * t / math.pi) >= 1:
+        raise ConjugatePointError(f"omega*t = {omega * t:g} is a focal time; "
+                                  "endpoints conjugate")
+    return s
 
 
 def _shoot(potential: Potential, q_a: float, q_b: float, t: float, N: int,
            v: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 path (qs, vs) of the first secant pass on v that ends within SHOOTING_TOL of
-    q_b; TrajectoryError after SHOOTING_CAP passes, or SHOOTING_STALL without a new best
-    residual."""
+    q_b; TrajectoryError after SHOOTING_CAP passes."""
     v_prev = r_prev = None
-    best, stall = math.inf, 0
     for passes in range(1, SHOOTING_CAP + 1):
         qs, vs = _rk4(potential, q_a, v, t, N)
         r = qs[-1] - q_b
         if abs(r) <= SHOOTING_TOL:
             return qs, vs
-        best, stall = (abs(r), 0) if abs(r) < best else (best, stall + 1)
-        if stall == SHOOTING_STALL:
-            break
         if r_prev is None:  # the first pass: step aside to start the secant
             v_prev, r_prev, v = v, r, v + max(1e-3, 1e-3 * abs(v))
         elif r == r_prev:
@@ -192,9 +201,7 @@ def _shoot(potential: Potential, q_a: float, q_b: float, t: float, N: int,
 def harmonic_two_point_action(m: float, omega: float, q_a: float, q_b: float,
                               t: float) -> float:
     """Closed-form action of the harmonic two-point path."""
-    s = math.sin(omega * t)
-    if abs(s) < 1e-12:
-        raise ConjugatePointError(f"omega*t = {omega * t:g} is a focal time")
+    s = _focal_sin(omega, t)
     return (m * omega / (2.0 * s)) * ((q_a**2 + q_b**2) * math.cos(omega * t)
                                       - 2.0 * q_a * q_b)
 
@@ -268,27 +275,28 @@ class _Paths:
             q_a, q_b = q_a - shift, q_b - shift
         self.potential, self.q_a, self.q_b = potential, q_a, q_b
         land = potential.landscape
-        self.walks = tuple(_walk(potential, land.equilibria, q_a, direction, periods=1.0)
-                           for direction in (+1.0, -1.0))
+        self.walks = tuple(_walk(potential, land.equilibria, q_a, d) for d in (+1.0, -1.0))
         #: (q, V, -V'') of each maximum, where p dips
         self.tops = [(pt.q0, float(potential.value(pt.q0)), -pt.curvature)
                      for pt in land.equilibria if pt.stability is Stability.MAXIMUM]
         lo, hi = min(q_a, q_b), max(q_a, q_b)
-        ends = max(float(potential.value(q_a)), float(potential.value(q_b)))
         top = max((float(potential.value(pt.q0)) for pt in land.equilibria
                    if pt.stability is not Stability.MINIMUM and lo - 1e-9 <= pt.q0 <= hi + 1e-9),
                   default=-math.inf)
         #: every path has E above V's highest point between q_a and q_b; where that is an
         #: equilibrium, a crest, no path has E within `floor` of it
-        self.e_lo, self.crest = max(ends, top), top >= ends
+        self.e_lo = _checked("V at q_a or q_b", lambda: max(
+            float(potential.value(q_a)), float(potential.value(q_b)), top))
+        self.crest = top >= self.e_lo
         self.floor = SEPARATRIX_TOL * max(1.0, abs(self.e_lo))
 
     def _frame(self, E: float):
-        """The walls (a, b) at E, None where open, and the ends (lo, hi) of the theta map."""
+        """The walls (a, b) at E, None where open, the ends (lo, hi) of the theta map, and
+        the angles of q_a and q_b on it."""
         b, a = (_wall(self.potential, walk, E) for walk in self.walks)
         lo = min(self.q_a, self.q_b) if a is None else a
         hi = max(self.q_a, self.q_b) if b is None else b
-        return a, b, lo, hi
+        return a, b, lo, hi, _angle(self.q_a, lo, hi), _angle(self.q_b, lo, hi)
 
     def _sums(self, E: float, lo: float, hi: float, segments) -> np.ndarray:
         """`_integrals` over each theta segment of the map from hi to lo, one column per
@@ -296,7 +304,8 @@ class _Paths:
 
         p dips to sqrt(2 m delta) at a crest that E clears by delta, over a
         theta width eps; each segment is split at its crests, and each part's
-        rule is graded towards its crest end (`_graded_nodes`).
+        rule is graded towards each crest end (`_graded_nodes`), from the
+        part's middle where both ends are crests.
         """
         c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         eps = {}
@@ -308,15 +317,13 @@ class _Paths:
         for j, (th0, th1) in enumerate(segments):
             cuts = sorted({th0, th1, *(th for th in eps if th0 <= th <= th1)})
             for start, end in zip(cuts[:-1], cuts[1:]):
-                if start in eps and end in eps:  # a crest at each end: grade each half
-                    mid = 0.5 * (start + end)
-                    parts = [_graded_nodes(start, mid, eps[start]),
-                             _graded_nodes(end, mid, eps[end])]
-                elif start in eps or end in eps:
-                    crest, far = (start, end) if start in eps else (end, start)
-                    parts = [_graded_nodes(crest, far, eps[crest])]
-                else:
-                    parts = [_nodes(PATH_ORDER, start, end)]
+                parts = []
+                for crest, far in ((start, end), (end, start)):
+                    if crest in eps:  # graded from the middle where far is a crest too
+                        mid = 0.5 * (start + end)
+                        parts.append(_graded_nodes(crest, mid if far in eps else far, eps[crest]))
+                if not parts:
+                    parts.append(_nodes(PATH_ORDER, start, end))
                 for _, cos, sin, w in parts:
                     blocks.append((c + r * cos, r * sin * w))
                     owners.append(j)
@@ -327,25 +334,25 @@ class _Paths:
 
     def direct(self, E: float) -> np.ndarray:
         """`_integrals` of the leg straight from q_a to q_b at E."""
-        _, _, lo, hi = self._frame(E)
-        th_a, th_b = _angle(self.q_a, lo, hi), _angle(self.q_b, lo, hi)
+        _, _, lo, hi, th_a, th_b = self._frame(E)
         return self._sums(E, lo, hi, [(min(th_a, th_b), max(th_a, th_b))])[:, 0]
 
     def pieces(self, E: float):
         """Whether a and b are walls at E, and `_integrals` of the pieces from q_a to b,
         from q_a to a, from q_b to b and from q_b to a."""
-        a, b, lo, hi = self._frame(E)
-        th_a, th_b = _angle(self.q_a, lo, hi), _angle(self.q_b, lo, hi)
+        a, b, lo, hi, th_a, th_b = self._frame(E)
         sums = self._sums(E, lo, hi, [(0.0, th_a), (th_a, math.pi), (0.0, th_b), (th_b, math.pi)])
         return a is not None, b is not None, sums
 
     def direct_energy(self, t: float) -> float | None:
         """E of the path straight from q_a to q_b in time t, or None.
 
-        Its time falls as E rises, so the first root bracket is the last
-        one: a factor of 8 in E - e_lo from the straight line's kinetic
-        energy, up, or down to e_lo (to `floor` above a crest, where the
-        time diverges: SeparatrixError when t is still too long there).
+        V <= e_lo on the leg, so at e_lo + x, x the straight line's kinetic
+        energy, the leg is nowhere slower than the line and takes at most t
+        (TrajectoryError beyond the rounding of the theta map: a maximum the
+        landscape missed).  Its time falls as E rises: the root is bracketed
+        by factors of 8 in E - e_lo down to e_lo (to `floor` above a crest,
+        where the time diverges: SeparatrixError when t is still too long there).
         """
         if self.q_a == self.q_b:
             return None
@@ -354,35 +361,33 @@ class _Paths:
             return self.direct(E)[2] - t
 
         bottom = self.floor if self.crest else 0.0
-        x = max(0.5 * self.potential.mass * ((self.q_b - self.q_a) / t) ** 2, self.floor)
+        x = _checked("the straight line's kinetic energy", lambda: max(
+            0.5 * self.potential.mass * ((self.q_b - self.q_a) / t) ** 2, self.floor))
         gx = excess(self.e_lo + x)
-        if gx >= 0.0:
-            while gx >= 0.0:  # too slow: raise the energy
-                lo, g_lo, x = x, gx, 8.0 * x
-                if not x < 1e300:
-                    return None
-                gx = excess(self.e_lo + x)
+        if not gx < 0.0:
+            q_lo, q_hi = self._frame(self.e_lo + x)[2:4]  # the theta map's ends
+            if gx <= 2.0 ** -50 * t * (q_hi - q_lo) / abs(self.q_b - self.q_a):
+                return self.e_lo + x
+            raise TrajectoryError(f"V exceeds e_lo={self.e_lo:g} between q_a={self.q_a:g} and "
+                                  f"q_b={self.q_b:g}, at a maximum the landscape missed")
+        while gx < 0.0:
             hi, g_hi = x, gx
-        else:
-            while gx < 0.0:  # too fast: lower it
-                hi, g_hi = x, gx
-                if x == bottom:
-                    if self.crest:
-                        raise SeparatrixError(
-                            f"the path from q_a={self.q_a:g} to q_b={self.q_b:g} in t={t:g} "
-                            f"crosses the crest {self.e_lo:g} within {self.floor:g} of its "
-                            "energy; its time diverges there")
-                    return None
-                x = x / 8.0 if x / 8.0 > self.floor else bottom
-                gx = excess(self.e_lo + x)
-            lo, g_lo = x, gx
-        return _root(excess, self.e_lo + lo, g_lo, self.e_lo + hi, g_hi, t)
+            if x == bottom:
+                if self.crest:
+                    raise SeparatrixError(
+                        f"the path from q_a={self.q_a:g} to q_b={self.q_b:g} in t={t:g} "
+                        f"crosses the crest {self.e_lo:g} within {self.floor:g} of its "
+                        "energy; its time diverges there")
+                return None
+            x = x / 8.0 if x / 8.0 > self.floor else bottom
+            gx = excess(self.e_lo + x)
+        return _root(excess, self.e_lo + x, gx, self.e_lo + hi, g_hi, t)
 
     def _grid(self) -> np.ndarray:
         """Energies of the branch scan: e_lo + floor 2^(j/2) up to 2^50 max(1, |e_lo|),
         and 60 steps of 2^(-1/2) towards each energy where a wall opens."""
         scale = max(1.0, abs(self.e_lo))
-        top = self.e_lo + 2.0 ** 50 * scale
+        top = _checked("the branch scan's top E", lambda: self.e_lo + 2.0 ** 50 * scale)
         steps = int(2.0 * math.log2((top - self.e_lo) / self.floor))
         energies = [self.e_lo + self.floor * 2.0 ** (0.5 * np.arange(steps + 1))]
         opens = [float(peaks[-1]) for _, peaks in self.walks]
@@ -427,9 +432,9 @@ class _Paths:
                                            float(grid[i + 1]), float(excess[i + 1]), t), s0))
             yield from sorted(found)
 
-    def limit(self, t: float) -> tuple[float, float, float]:
-        """(E, v0, S_cl) of the default path in time t, S_cl = W(E) - E t certified by
-        order doubling of W: the fewest turning points, then the lowest E."""
+    def path(self, t: float) -> tuple[float, float, np.ndarray]:
+        """(E, v0, `_integrals`) of the default path in time t: the fewest turning points,
+        then the lowest E."""
         E = self.direct_energy(t)
         if E is not None:
             s0, sums = math.copysign(1.0, self.q_b - self.q_a), self.direct(E)
@@ -443,15 +448,9 @@ class _Paths:
             k, E, s0 = branch
             covered, counts = _coefficients(s0, k)
             sums = self.pieces(E)[2][:, covered] @ counts
-        w_coarse, w = sums[0], sums[1]
-        estimate = abs(w - w_coarse)
-        if not estimate <= PATH_TOL * max(abs(w), 1.0):  # a NaN fails
-            raise AccuracyError(
-                f"path action quadrature not converged at order {2 * PATH_ORDER}",
-                estimate=estimate)
         m = self.potential.mass
         v0 = s0 * math.sqrt(2.0 * max(E - float(self.potential.value(self.q_a)), 0.0) / m)
-        return E, v0, w - E * t
+        return E, v0, sums
 
 
 def _root(f, a: float, fa: float, b: float, fb: float, t: float) -> float:
@@ -489,19 +488,35 @@ def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
     otherwise).  With no direct leg and no turning path with E up to
     e_lo + 2^50 max(1, |e_lo|), e_lo the highest V between q_a and q_b, it
     raises TrajectoryError; a direct leg over a crest at its energy raises
-    SeparatrixError.  E defaults to the path's energy, and `v0` is its start
+    SeparatrixError.  A quantity that overflows a float raises OverflowError
+    naming it.  E defaults to the path's energy, and `v0` is its start
     velocity.  The Jacobian prefactor is N ln m.
     """
     if t <= 0 or N < 1:
         raise ValueError("need t > 0 and N >= 1")
-    v_const = _constant_value(potential)
-    if v_const is not None or isinstance(potential, Harmonic):
-        start = classical_trajectory(potential, q_a, q_b, t, 1)
-        e_path, v0 = float(start.sampled_energy(potential)[0]), float(start.velocities[0])
-        if v_const is not None:
-            s_cl = potential.mass * (q_b - q_a) ** 2 / (2.0 * t) - v_const * t
+    m, v_const = potential.mass, _constant_value(potential)
+    if v_const is None and not isinstance(potential, Harmonic):
+        e_path, v0, (w_coarse, w, _) = _Paths(potential, q_a, q_b).path(t)
+        estimate = abs(w - w_coarse)
+        if not estimate <= PATH_TOL * max(abs(w), 1.0):  # a NaN fails
+            raise AccuracyError(
+                f"path action quadrature not converged at order {2 * PATH_ORDER}",
+                estimate=estimate)
+        s_cl = w - e_path * t
+    else:  # closed forms; an overflowing v0 makes E overflow
+        if v_const is None:
+            omega = potential.omega
+            s = _focal_sin(omega, t)  # before cos(omega t), which raises where it overflows
+            v0 = omega * ((q_b - q_a * math.cos(omega * t)) / s)
+
+            def action():
+                return harmonic_two_point_action(m, omega, q_a, q_b, t)
         else:
-            s_cl = harmonic_two_point_action(potential.mass, potential.omega, q_a, q_b, t)
-    else:
-        e_path, v0, s_cl = _Paths(potential, q_a, q_b).limit(t)
-    return _phase(s_cl, e_path if E == "auto" else E, t, N, potential.mass, v0, hbar)
+            v0 = (q_b - q_a) / t
+
+            def action():
+                return m * (q_b - q_a) ** 2 / (2.0 * t) - v_const * t
+        e_path = _checked("the path's energy E",
+                          lambda: 0.5 * m * (v0 * v0) + float(potential.value(q_a)))
+        s_cl = _checked("the action S_cl", action)
+    return _phase(s_cl, e_path if E == "auto" else E, t, N, m, v0, hbar)

@@ -342,15 +342,8 @@ def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     M = len(diag)
-
-    def ring(x):
-        # every site couples to both neighbours, site 0 to site M - 1 included.
-        # In shift-invert eigsh reads only A's shape and dtype; this is the
-        # operator that `solve` inverts
-        x = np.ravel(x)
-        return diag * x + c * (np.roll(x, 1) + np.roll(x, -1))
-
-    # shift-invert below the spectrum.  With u = e_0 + e_{M-1}, H - sigma is
+    # shift-invert below the spectrum of H, the ring in which every site couples to
+    # both neighbours, site 0 to site M - 1 included.  With u = e_0 + e_{M-1}, H - sigma is
     # T_u + c u u^T, where T_u is its tridiagonal part with -c added to the two end
     # diagonals.  T_u's diagonal (>= kin + 1) dominates its off-diagonal (kin / 2),
     # so T_u is positive definite: factor it once, and solve H - sigma by one
@@ -373,7 +366,8 @@ def _ring_eigsh(diag: np.ndarray, c: float, v_min: float, k: int):
     # unlike a constant one, has no parity, so odd states of a symmetric box
     # are not missed
     v0 = np.random.default_rng(0).standard_normal(M)
-    vals, vecs = eigsh(LinearOperator((M, M), matvec=ring, dtype=float), k=k, sigma=sigma,
+    # in shift-invert mode eigsh reads only A's shape and dtype: H enters through `solve`
+    vals, vecs = eigsh(LinearOperator((M, M), matvec=None, dtype=float), k=k, sigma=sigma,
                        which="LM", v0=v0,
                        OPinv=LinearOperator((M, M), matvec=solve, dtype=float))
     order = np.argsort(vals)

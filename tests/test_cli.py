@@ -20,6 +20,7 @@ from phasekit.cli import _fmt, main
 HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
 QUARTIC = '{"family": "quartic", "m": 1.0, "lam": 1.0}'
 ROTOR = '{"family": "rotor", "inertia": 1.0}'
+TILTED = '{"family": "polynomial", "coeffs": [0, 0.3, -2, 0, 0.5]}'
 BETA_ONE = '{"beta": 1.0}'
 
 
@@ -738,6 +739,50 @@ class TestPropagateCommand:
                            "--time", repr(math.pi), "--slices", "100")
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ConjugatePointError"
+
+    def test_a_short_harmonic_time_is_not_a_focal_time(self, run):
+        # omega t = 1e-13 lies near 0, not near a focal time n pi with n >= 1
+        code, out, err = run("propagate", "--potential", HARMONIC, "--from", "0",
+                             "--to", "1", "--time", "1e-13", "--slices", "16")
+        assert code == 0, err
+        assert json.loads(out)["S_cl"] == pytest.approx(0.5e13, rel=1e-12)
+
+    @pytest.mark.parametrize("potential, q_b, t, quantity", [
+        (HARMONIC, "1e200", "1", "the path's energy E"),
+        (HARMONIC, "1", "1e-300", "the path's energy E"),
+        (ROTOR, "1e200", "1", "the path's energy E"),
+        (ROTOR, "1", "1e-300", "the path's energy E"),
+        (QUARTIC, "1e200", "1", "V at q_a or q_b"),
+        (QUARTIC, "1", "1e-300", "the straight line's kinetic energy"),
+        ('{"family": "morse"}', "1e200", "1", "the straight line's kinetic energy"),
+        ('{"family": "morse"}', "1", "1e-300", "the straight line's kinetic energy"),
+        ('{"family": "pendulum"}', "1e200", "1", "the straight line's kinetic energy"),
+        ('{"family": "pendulum"}', "1", "1e-300", "the straight line's kinetic energy"),
+        (TILTED, "1e200", "1", "V at q_a or q_b"),
+        (TILTED, "1", "1e-300", "the straight line's kinetic energy"),
+        # m v^2 / 2 = inf with v^2 finite: the bracket on E started at inf and never ended
+        ('{"family": "quartic", "m": 1e300}', "1e10", "1", "the straight line's kinetic energy"),
+        ('{"family": "harmonic", "omega": 1e-20}', "1e160", "1e10", "the action S_cl"),
+        ('{"family": "harmonic", "m": 1e-300, "omega": 1e150}', "1", "1e200", "omega*t"),
+        # no direct leg from 0 to 0: the branch scan's window reaches 2^50 e_lo = inf
+        ('{"family": "polynomial", "coeffs": [1e300, 0, 1]}', "0", "1",
+         "the branch scan's top E"),
+    ], ids=["harmonic-far", "harmonic-short", "rotor-far", "rotor-short", "quartic-far",
+            "quartic-short", "morse-far", "morse-short", "pendulum-far", "pendulum-short",
+            "tilted-far", "tilted-short", "heavy-quartic", "slow-harmonic", "long-harmonic",
+            "high-scan"])
+    def test_an_overflowing_two_point_request_is_one_named_error(self, run, potential, q_b,
+                                                                  t, quantity):
+        # each ended in a RuntimeWarning traceback, in an OverflowError that named no
+        # quantity, or in no end at all
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("propagate", "--potential", potential, "--from", "0",
+                                 "--to", q_b, "--time", t, "--slices", "16")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]  # the one JSON document on stderr
+        assert (error["kind"], error["type"]) == ("computation", "OverflowError")
+        assert error["message"] == f"{quantity} overflows"
 
     def test_nonpositive_time_rejected(self, run):
         code, _, err = run("propagate", "--potential", HARMONIC,

@@ -85,8 +85,8 @@ COMMANDS = {
     # the oracle computed one state per level (test_render.py covers null cells)
     "quantize-null-oracle": (["quantize", "--potential", TILTED, "--hbar", "0.2",
                               "--levels", "0..2", "--oracle", "on"], ("json",)),
-    # a Morse request whose straight-line shooting stalls: of its two paths, the limit
-    # takes the one that turns once (E = 6.9543137603), not the one that turns twice
+    # a Morse request where shooting from the straight line finds neither path: of the
+    # two, the limit takes the one that turns once (E = 6.9543137603), not twice
     "propagate-morse-branch": (["propagate", "--potential", '{"family": "morse", "depth": 10}',
                                 "--from", "0.5", "--to", "-0.25", "--time", "2",
                                 "--slices", "1024"], ("json", "csv")),

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from phasekit import (
+    AccuracyError,
     ConjugatePointError,
     Harmonic,
     Morse,
@@ -29,6 +31,7 @@ from phasekit.propagator import (
 )
 
 FREE = Polynomial(m=1.0, coeffs=(0.0,))
+_SCALE = st.floats(0.5, 2.0)
 
 
 class TestClassicalTrajectory:
@@ -319,6 +322,77 @@ class TestEnergyEquation:
         assert error["type"] == "TrajectoryError" and "no classical path" in error["message"]
         assert passes == []
 
+    def test_a_leg_over_five_crests(self, monkeypatch):
+        # the pendulum from 0 to 30 in t = 3 clears the crests at pi, 3 pi, ..., 9 pi;
+        # the landscape's window holds the first two, and the part between them is
+        # graded towards both from its middle
+        graded = []
+        nodes = propagator._graded_nodes
+        monkeypatch.setattr(propagator, "_graded_nodes",
+                            lambda *a: graded.append(a) or nodes(*a))
+        limit = kernel_phase(Pendulum(), 0.0, 30.0, 3.0)
+        assert any(one[1] == other[1] == 0.5 * (one[0] + other[0])
+                   for one, other in zip(graded, graded[1:]))
+        crests = [k * math.pi for k in (1, 3, 5, 7, 9)]
+        reference = _reference_action(Pendulum(), 0.0, 30.0, 3.0, limit.energy, crests)
+        assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
+        assert limit.S_cl == pytest.approx(149.8937553694091, rel=1e-15)
+
+    def test_a_leg_that_ends_beside_a_crest_fails_the_certificate(self):
+        # q_a lies 0.003 right of the crest at 0.119, where E clears V(q_a) by 0.0015:
+        # p is small at the leg's end, where its rule is not graded
+        well = Polynomial(m=0.852081700578327, coeffs=(0, 0.47367418929831206, -2, 0, 0.5))
+        request = (0.12234023075576861, 1.538382706534474, 2.2544850721092473)
+        with pytest.raises(AccuracyError) as info:
+            kernel_phase(well, *request)
+        assert info.value.estimate == pytest.approx(3.6e-10, rel=0.01)
+        # the certificate is on S_cl alone: the path itself is found, at E = 0.0296
+        path = classical_trajectory(well, *request, 4096)
+        assert path.sampled_energy(well)[0] == pytest.approx(0.0296094348, rel=1e-9)
+        assert abs(path.positions[-1] - request[1]) <= propagator.SHOOTING_TOL
+
+    def test_a_direct_leg_over_t_by_rounding_takes_that_energy(self):
+        # a leg of 1e-5 in a theta map of 0.034 reads 1.6e-13 over t at e_lo plus the
+        # straight line's kinetic energy, within the map's rounding: that E is the root
+        paths = propagator._Paths(Quartic(), 0.0, 1e-5)
+        e_top = paths.e_lo + 0.5 * (1e-5 / 0.05) ** 2
+        assert paths.direct(e_top)[2] > 0.05
+        assert kernel_phase(Quartic(), 0.0, 1e-5, 0.05).energy == e_top
+
+    @pytest.mark.parametrize("t", [1.58, 0.5])
+    def test_a_maximum_the_landscape_missed_is_an_error(self, t):
+        # the landscape scans (-10, 10), where V(+-10) = 47 > V(0), so it never sees the
+        # barrier at 30.8 (V = 225).  From 20 (V = 156) to 40 the direct leg at e_lo plus
+        # the straight line's kinetic energy clears the barrier but takes longer than
+        # t: that energy is no root, and no E is certified
+        sextic = Polynomial(coeffs=(0, 0, 0.5, 0, -1 / 3600, 0, 1e-8))
+        assert [pt.q0 for pt in sextic.landscape.equilibria] == [0.0]
+        with pytest.raises(propagator.TrajectoryError,
+                           match=r"^V exceeds e_lo=156\.196 between q_a=20 and q_b=40, at "
+                                 "a maximum the landscape missed$"):
+            kernel_phase(sextic, 20.0, 40.0, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(potential=st.one_of(
+               st.builds(Quartic, m=_SCALE, lam=_SCALE),
+               st.builds(Morse, m=_SCALE, depth=st.floats(5.0, 40.0), width=_SCALE),
+               st.builds(Pendulum, m=_SCALE, amplitude=_SCALE),
+               st.builds(lambda tilt, a: Polynomial(coeffs=(0.0, tilt, -a, 0.0, 0.5)),
+                         st.floats(-0.5, 0.5), _SCALE)),
+           q_a=st.floats(-7.0, 7.0), q_b=st.floats(-7.0, 7.0), t=st.floats(0.05, 5.0))
+    def test_the_direct_leg_is_no_slower_than_the_straight_line(self, potential, q_a,
+                                                                 q_b, t):
+        # V <= e_lo on the leg, so at e_lo plus the straight line's kinetic energy the
+        # speed is at least the line's everywhere: `direct_energy` brackets downwards.
+        # The leg's nodes q = c + r cos(theta) round on the scale of the map's width
+        # 2 r, not of the leg's: a leg of 1e-5 in a map of 0.034 reads 1.6e-13 over t
+        assume(q_a != q_b)
+        paths = propagator._Paths(potential, q_a, q_b)
+        x = max(0.5 * potential.mass * ((q_b - q_a) / t) ** 2, paths.floor)
+        lo, hi = paths._frame(paths.e_lo + x)[2:4]
+        rounding = 2.0 ** -50 * (hi - lo) / abs(q_b - q_a)
+        assert paths.direct(paths.e_lo + x)[2] <= t * (1.0 + rounding)
+
 
 class TestMorseBranches:
     """Morse depth 10 from 0.5 to -0.25 in t = 2: the direct leg is too fast, and two
@@ -342,22 +416,21 @@ class TestMorseBranches:
         assert round(payload["E"], 10) == 6.9543137603
         assert kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0 == pytest.approx(3.28820089)
 
-    def test_shooting_stops_once_its_best_residual_stalls(self, monkeypatch):
-        # from the straight line's velocity the secant finds neither path: on 256
-        # slices its best residual (5.69e-3) comes at pass 16 and no later pass beats it
-        residuals = []
+    def test_classical_trajectory_starts_on_the_kernel_phase_branch(self):
+        # without v_start the secant starts from the limit's v0 and lands on its branch
+        path = classical_trajectory(Morse(depth=10.0), 0.5, -0.25, 2.0, 4096)
+        assert path.velocities[0] == kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0
+        assert path.velocities[0] == pytest.approx(3.28820089)
+        assert abs(path.positions[-1] + 0.25) <= propagator.SHOOTING_TOL
+
+    def test_a_hopeless_start_stops_at_the_shooting_cap(self, monkeypatch):
+        # from the straight line's velocity, -0.375, the secant on 256 slices finds
+        # neither path
+        passes = []
         rk4 = propagator._rk4
-
-        def traced(*args):
-            qs, vs = rk4(*args)
-            residuals.append(abs(qs[-1] + 0.25))
-            return qs, vs
-
-        monkeypatch.setattr(propagator, "_rk4", traced)
+        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
         with pytest.raises(propagator.TrajectoryError, match=r"^shooting failed to hit "
-                           r"q_b=-0.25 within 80 iterations \(last residual \d\.\d{3}e-0\d\)$"):
-            classical_trajectory(Morse(depth=10.0, width=1.0), 0.5, -0.25, 2.0, 256,
-                                 v_start=-0.375)
-        best = residuals.index(min(residuals)) + 1
-        assert best == 16 and len(residuals) == best + propagator.SHOOTING_STALL
-        assert len(residuals) < propagator.SHOOTING_CAP
+                           rf"q_b=-0.25 within {propagator.SHOOTING_CAP} iterations "
+                           r"\(last residual \d\.\d{3}e[-+]\d\d\)$"):
+            classical_trajectory(Morse(depth=10.0), 0.5, -0.25, 2.0, 256, v_start=-0.375)
+        assert passes == [256] * propagator.SHOOTING_CAP

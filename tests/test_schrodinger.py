@@ -479,21 +479,21 @@ class TestPeriodicSolve:
         (Pendulum(m=1.3, amplitude=2.0), 0.7, (-math.pi, math.pi), 64),
         (Rotor(), 1.0, None, 504),
     ], ids=["pendulum", "rotor"])
-    def test_operator_and_its_shift_inverse_are_the_dense_ring(self, monkeypatch,
-                                                                potential, hbar, box, M):
-        # the operator and shift-inverse handed to eigsh, against the ring built entry by
-        # entry; M // 8 < 64, so the one eigsh call is the full-grid one
+    def test_the_shift_inverse_inverts_the_dense_ring(self, monkeypatch, potential, hbar,
+                                                      box, M):
+        # the shift-inverse handed to eigsh, against the ring built entry by entry; in
+        # shift-invert mode eigsh reads only the operator's shape and dtype, so the ring
+        # enters through the shift-inverse alone.  M // 8 < 64, so the one eigsh call is
+        # the full-grid one
         seen = []
         eigsh = scipy.sparse.linalg.eigsh
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                             lambda op, **kw: seen.append((op, kw)) or eigsh(op, **kw))
         sol = fd_eigensolve(potential, hbar=hbar, box=box, boundary="periodic", M=M, k=3)
         ((op, kw),) = seen
+        assert (op.shape, op.dtype) == ((M, M), np.dtype(float))
         ring, _ = dense_ring(potential, hbar, sol)
         x = np.random.default_rng(1).standard_normal(M)
-        eps = np.finfo(float).eps
-        assert np.max(np.abs(op.matvec(x) - ring @ x)) <= (
-            4.0 * eps * np.max(np.abs(ring).sum(axis=1)) * np.max(np.abs(x)))
         y = kw["OPinv"].matvec(x)
         residual = (ring - kw["sigma"] * np.eye(M)) @ y - x
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(x)
