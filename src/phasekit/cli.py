@@ -543,8 +543,8 @@ def _run_propagate(opts: dict):
                               N=max(max(slice_counts), 4096))
     rows = []
     for n in slice_counts:
-        # shot from the limit's start velocity, a slice count's path stays on its branch
-        traj = prop.classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
+        # the limit's own path, solved once and sampled at each slice count
+        traj = prop.classical_trajectory(potential, q_a, q_b, t, n)
         ph = prop.sliced_phase(traj, potential, limit.energy, hbar=hbar)
         rows.append((n, ph.total_phase, abs(ph.total_phase - limit.total_phase)))
     summary = {"S_cl": limit.S_cl, "E": limit.energy, "total_phase": limit.total_phase,

@@ -7,8 +7,11 @@ two-point paths and actions.  Every other family takes its limit from the
 energy equation: a path of energy E from q_a to q_b takes the time
 t(E) = integral of m dq / p along its legs and has the abbreviated action
 W(E) = integral of p dq, so the path of t(E) = t has the action
-S_cl = W(E) - E t (`kernel_phase`).  Slice chains are RK4 paths on their own
-grid, shot from a start velocity.  The Jacobian prefactor of the slice
+S_cl = W(E) - E t (`kernel_phase`).  Slice chains sample that same path,
+solved once per request, at their own times: q(tau) is a certified piecewise
+Chebyshev interpolant of the energy equation's tau(theta) (`_Path`).  RK4
+integrates only an initial-value path (`initial_value_trajectory`), the
+independent check of those samples.  The Jacobian prefactor of the slice
 product is m per slice and is reported only as N ln m, never exponentiated.
 """
 
@@ -16,20 +19,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .bohr_sommerfeld import SEPARATRIX_TOL, _integrals, _nodes, _wall
+from .bohr_sommerfeld import SEPARATRIX_TOL, _integrals, _leggauss, _nodes, _wall
 from .errors import AccuracyError, ConjugatePointError, SeparatrixError, TrajectoryError
 from .potentials import Harmonic, Polynomial, Potential, Rotor, Stability, _walk
 
-#: boundary-value residual |q(t_b) - q_b| accepted by the shooting solver
-SHOOTING_TOL = 1e-10
-SHOOTING_CAP = 100
 #: Gauss-Legendre order of a path's t(E) and W(E), checked against twice this order
 PATH_ORDER = 32
 #: largest order-doubling estimate of W(E), relative to max(|W|, 1), that certifies S_cl
 PATH_TOL = 1e-10
+#: Chebyshev degree n of a sampled path's panel, checked against degree 2n
+PANEL_DEGREE = 16
+#: largest order-doubling estimate of q on a panel, relative to max(1, |q|) on the theta
+#: map, and of a segment's time, relative to t, that certifies a sampled path
+PANEL_TOL = 1e-12
+#: halvings of a segment, or of a segment's panel, before AccuracyError
+PANEL_CAP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +143,20 @@ def initial_value_trajectory(potential: Potential, q0: float, v0: float,
 
 
 def classical_trajectory(potential: Potential, q_a: float, q_b: float,
-                         t: float, N: int, v_start: float | None = None) -> Trajectory:
-    """Path from q_a to q_b in time t solving the Euler-Lagrange dynamics.
+                         t: float, N: int) -> Trajectory:
+    """Path from q_a to q_b in time t solving the Euler-Lagrange dynamics, sampled at
+    N + 1 evenly spaced times.
 
     Force-free and harmonic families use their analytic two-point
-    solutions; other potentials shoot on the initial velocity with secant
-    updates, from v_start (default the v0 of `kernel_phase`'s path, found as
-    it finds it but with no certificate on S_cl: TrajectoryError or
-    SeparatrixError where it finds none), until a pass ends with
-    |q(t_b) - q_b| <= SHOOTING_TOL, or TrajectoryError after SHOOTING_CAP
-    passes.  The start picks the branch the secant converges to.  Harmonic
-    focal times (omega t = n pi, n >= 1) raise ConjugatePointError: the
-    two-point problem is there either unsolvable or degenerate.
+    solutions.  Every other family samples `kernel_phase`'s path, the same
+    branch by the same rule and solved once per request (`_path`): positions
+    from its certified interpolant of the energy equation (`_Path`), and
+    velocities sqrt(2 (E - V) / m) at the path's own E, signed as the motion.
+    It raises what `kernel_phase` raises where there is no such path, but
+    does not check the S_cl certificate; AccuracyError where the interpolant
+    is not certified.  Harmonic focal times (omega t = n pi, n >= 1) raise
+    ConjugatePointError: the two-point problem is there either unsolvable or
+    degenerate.
     """
     if t <= 0 or N < 1:
         raise ValueError("need t > 0 and N >= 1")
@@ -161,8 +172,7 @@ def classical_trajectory(potential: Potential, q_a: float, q_b: float,
         qs = q_a * np.cos(w * times) + b * np.sin(w * times)
         vs = w * (-q_a * np.sin(w * times) + b * np.cos(w * times))
     else:
-        v = _Paths(potential, q_a, q_b).path(t)[1] if v_start is None else float(v_start)
-        qs, vs = _shoot(potential, q_a, q_b, t, N, v)
+        qs, vs = _path(potential, q_a, q_b, t).sample(N)
     return Trajectory(times=times, positions=qs, velocities=vs, mass=potential.mass)
 
 
@@ -174,28 +184,6 @@ def _focal_sin(omega: float, t: float) -> float:
         raise ConjugatePointError(f"omega*t = {omega * t:g} is a focal time; "
                                   "endpoints conjugate")
     return s
-
-
-def _shoot(potential: Potential, q_a: float, q_b: float, t: float, N: int,
-           v: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 path (qs, vs) of the first secant pass on v that ends within SHOOTING_TOL of
-    q_b; TrajectoryError after SHOOTING_CAP passes."""
-    v_prev = r_prev = None
-    for passes in range(1, SHOOTING_CAP + 1):
-        qs, vs = _rk4(potential, q_a, v, t, N)
-        r = qs[-1] - q_b
-        if abs(r) <= SHOOTING_TOL:
-            return qs, vs
-        if r_prev is None:  # the first pass: step aside to start the secant
-            v_prev, r_prev, v = v, r, v + max(1e-3, 1e-3 * abs(v))
-        elif r == r_prev:
-            v += max(1e-6, 1e-6 * abs(v))
-        else:
-            v_prev, r_prev, v = v, r, v - r * (v - v_prev) / (r - r_prev)
-    raise TrajectoryError(
-        f"shooting failed to hit q_b={q_b:g} within {passes} iterations "
-        f"(last residual {r:.3e})"
-    )
 
 
 def harmonic_two_point_action(m: float, omega: float, q_a: float, q_b: float,
@@ -270,9 +258,10 @@ class _Paths:
     """
 
     def __init__(self, potential: Potential, q_a: float, q_b: float):
-        if potential.period is not None:  # the same paths a whole number of periods on
-            shift = potential.period * round(q_a / potential.period)
-            q_a, q_b = q_a - shift, q_b - shift
+        #: the same paths a whole number of periods on: q_a and q_b less `shift`
+        self.shift = 0.0 if potential.period is None else (
+            potential.period * round(q_a / potential.period))
+        q_a, q_b = q_a - self.shift, q_b - self.shift
         self.potential, self.q_a, self.q_b = potential, q_a, q_b
         land = potential.landscape
         self.walks = tuple(_walk(potential, land.equilibria, q_a, d) for d in (+1.0, -1.0))
@@ -368,8 +357,7 @@ class _Paths:
             q_lo, q_hi = self._frame(self.e_lo + x)[2:4]  # the theta map's ends
             if gx <= 2.0 ** -50 * t * (q_hi - q_lo) / abs(self.q_b - self.q_a):
                 return self.e_lo + x
-            raise TrajectoryError(f"V exceeds e_lo={self.e_lo:g} between q_a={self.q_a:g} and "
-                                  f"q_b={self.q_b:g}, at a maximum the landscape missed")
+            raise self._missed_maximum()
         while gx < 0.0:
             hi, g_hi = x, gx
             if x == bottom:
@@ -381,7 +369,39 @@ class _Paths:
                 return None
             x = x / 8.0 if x / 8.0 > self.floor else bottom
             gx = excess(self.e_lo + x)
-        return _root(excess, self.e_lo + x, gx, self.e_lo + hi, g_hi, t)
+        return self._root(excess, self.e_lo + x, gx, self.e_lo + hi, g_hi, t)
+
+    def _missed_maximum(self) -> TrajectoryError:
+        """The error of a path time that only a maximum the landscape missed explains."""
+        return TrajectoryError(f"V exceeds e_lo={self.e_lo:g} between q_a={self.q_a:g} and "
+                               f"q_b={self.q_b:g}, at a maximum the landscape missed")
+
+    def _root(self, f, a: float, fa: float, b: float, fb: float, t: float) -> float:
+        """A root of the time excess f between a and b, where fa and fb differ in sign:
+        Anderson-Bjoerck false position, bisecting where a step leaves the bracket.  Stops
+        once |f| <= 2^-50 t, the rounding of a path's time, or the bracket is 4 ulp wide.
+
+        Between energies of finite time a time that is not finite means a wall
+        between q_a and q_b, V above e_lo there: TrajectoryError.
+        """
+        for _ in range(100):
+            c = b - fb * (b - a) / (fb - fa)
+            if not min(a, b) < c < max(a, b):
+                c = 0.5 * (a + b)
+            fc = f(c)
+            if not math.isfinite(fc):
+                raise self._missed_maximum()
+            if abs(fc) <= 2.0 ** -50 * t:
+                return c
+            if (fc > 0.0) == (fb > 0.0):  # a stays, its value scaled down
+                scale = 1.0 - fc / fb
+                fa *= scale if scale > 0.0 else 0.5
+            else:
+                a, fa = b, fb
+            b, fb = c, fc
+            if abs(b - a) <= 4.0 * math.ulp(max(abs(a), abs(b))):
+                break
+        return b
 
     def _grid(self) -> np.ndarray:
         """Energies of the branch scan: e_lo + floor 2^(j/2) up to 2^50 max(1, |e_lo|),
@@ -428,52 +448,230 @@ class _Paths:
                     def branch_excess(E, covered=covered, counts=counts):
                         return self.pieces(E)[2][2, covered] @ counts - t
 
-                    found.append((k, _root(branch_excess, float(grid[i]), float(excess[i]),
-                                           float(grid[i + 1]), float(excess[i + 1]), t), s0))
+                    found.append((k, self._root(branch_excess, float(grid[i]), float(excess[i]),
+                                                float(grid[i + 1]), float(excess[i + 1]), t),
+                                  s0))
             yield from sorted(found)
 
-    def path(self, t: float) -> tuple[float, float, np.ndarray]:
-        """(E, v0, `_integrals`) of the default path in time t: the fewest turning points,
-        then the lowest E."""
+    def path(self, t: float) -> tuple[int, float, float, np.ndarray]:
+        """(k, E, s0, `_integrals`) of the default path in time t, as `bounced_branches`
+        yields them (k = 0 for the direct leg): the fewest turning points, then the
+        lowest E."""
         E = self.direct_energy(t)
         if E is not None:
-            s0, sums = math.copysign(1.0, self.q_b - self.q_a), self.direct(E)
-        else:
-            branch = next(self.bounced_branches(t), None)
-            if branch is None:
-                raise TrajectoryError(
-                    f"no classical path from q_a={self.q_a:g} to q_b={self.q_b:g} in t={t:g} "
-                    f"with energy from {self.e_lo:g} to "
-                    f"{self.e_lo + 2.0 ** 50 * max(1.0, abs(self.e_lo)):g}")
-            k, E, s0 = branch
-            covered, counts = _coefficients(s0, k)
-            sums = self.pieces(E)[2][:, covered] @ counts
-        m = self.potential.mass
-        v0 = s0 * math.sqrt(2.0 * max(E - float(self.potential.value(self.q_a)), 0.0) / m)
-        return E, v0, sums
+            return 0, E, math.copysign(1.0, self.q_b - self.q_a), self.direct(E)
+        branch = next(self.bounced_branches(t), None)
+        if branch is None:
+            raise TrajectoryError(
+                f"no classical path from q_a={self.q_a:g} to q_b={self.q_b:g} in t={t:g} "
+                f"with energy from {self.e_lo:g} to "
+                f"{self.e_lo + 2.0 ** 50 * max(1.0, abs(self.e_lo)):g}")
+        k, E, s0 = branch
+        covered, counts = _coefficients(s0, k)
+        return k, E, s0, self.pieces(E)[2][:, covered] @ counts
 
 
-def _root(f, a: float, fa: float, b: float, fb: float, t: float) -> float:
-    """A root of the time excess f between a and b, where fa and fb differ in sign:
-    Anderson-Bjoerck false position, bisecting where a step leaves the bracket.  Stops
-    once |f| <= 2^-50 t, the rounding of a path's time, or the bracket is 4 ulp wide."""
-    for _ in range(100):
-        c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)
-        fc = f(c)
-        if abs(fc) <= 2.0 ** -50 * t:
-            return c
-        if (fc > 0.0) == (fb > 0.0):  # a stays, its value scaled down
-            scale = 1.0 - fc / fb
-            fa *= scale if scale > 0.0 else 0.5
-        else:
-            a, fa = b, fb
-        b, fb = c, fc
-        if abs(b - a) <= 4.0 * math.ulp(max(abs(a), abs(b))):
-            break
-    return b
+@lru_cache(maxsize=4)
+def _path(potential: Potential, q_a: float, q_b: float, t: float) -> _Path:
+    """The default path from q_a to q_b in time t, solved once for `kernel_phase` and
+    every `classical_trajectory` of a request."""
+    paths = _Paths(potential, q_a, q_b)
+    return _Path(paths, q_a, q_b, t, *paths.path(t))
 
+
+@lru_cache(maxsize=4)
+def _lobatto(n: int) -> np.ndarray:
+    """The matrix from values at the n + 1 Chebyshev-Lobatto points -cos(j pi / n),
+    ascending, to the coefficients of their interpolant in T_0 ... T_n."""
+    j = np.arange(n + 1)
+    cosines = np.cos(np.outer(j, n - j) * (math.pi / n)) * (2.0 / n)
+    cosines[:, [0, n]] *= 0.5
+    cosines[[0, n]] *= 0.5
+    cosines.flags.writeable = False
+    return cosines
+
+
+class _Path:
+    """A solved two-point path: its branch (k, E, s0) and `_integrals` (`_Paths.path`),
+    its start velocity v0, and its samples at any slice count (`sample`).
+
+    On the unfolded loop angle phi of E's theta map, q = c + r cos(phi) and
+    phi rises along the motion: from -theta_a (moving right) or theta_a,
+    through a multiple of pi at each turning point, to an angle of q_b.  The
+    time tau(phi) is the integral of m r |sin(phi)| / p, by Gauss-Legendre
+    rules from a segment's anchor: its crest end, graded towards it as
+    `_Paths._sums` grades, else an end that is no turning point, where V's
+    rounding against E would make every rule's time noisy.
+
+    - Segments.  The path is cut at its turning points and crest passages,
+      and between two of these also at the middle.  A segment whose time at
+      PATH_ORDER and twice it differ by more than PANEL_TOL t is halved in
+      phi, up to PANEL_CAP times; the total must then match t to PATH_TOL,
+      the rounding of the energy equation's own t(E).
+    - Panels.  Each segment is a panel in tau, halved up to PANEL_CAP times.
+      A panel holds the Chebyshev interpolant of q through 2n + 1 Lobatto
+      points in tau (n = PANEL_DEGREE), where safeguarded Newton on tau(phi)
+      at PATH_ORDER finds phi, one V call per step for every point of every
+      panel.  It is kept where the degree-n interpolant through every other
+      point agrees with it to PANEL_TOL: the sum of their coefficients'
+      differences, relative to max(1, |q|) on the map.
+
+    Past either cap, AccuracyError with the largest estimate left.
+    """
+
+    def __init__(self, paths: _Paths, q_a: float, q_b: float, t: float, k: int, E: float,
+                 s0: float, sums: np.ndarray | None):
+        self.paths, self.ends, self.t = paths, (q_a, q_b), t
+        self.k, self.E, self.s0, self.sums = k, E, s0, sums
+        potential = paths.potential
+        self.v0 = self.s0 * math.sqrt(
+            2.0 * max(self.E - float(potential.value(paths.q_a)), 0.0) / potential.mass)
+
+    def sample(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities at N + 1 evenly spaced times from 0 to t, the ends
+        q_a and q_b: one series evaluation per panel and one V call."""
+        edges, coefs, signs = self._panels
+        tau = np.linspace(0.0, edges[-1], N + 1)
+        cuts = [0, *np.searchsorted(tau, edges[1:-1]), N + 1]
+        q, sign = np.empty(N + 1), np.empty(N + 1)
+        for i, c in enumerate(coefs):
+            part, a, b = slice(cuts[i], cuts[i + 1]), edges[i], edges[i + 1]
+            q[part] = chebyshev.chebval((2.0 * tau[part] - (a + b)) / (b - a), c)
+            sign[part] = signs[i]
+        q += self.paths.shift
+        q[0], q[-1] = self.ends
+        potential = self.paths.potential
+        gap = np.maximum(self.E - potential.value(q), 0.0)
+        return q, sign * np.sqrt(2.0 * gap / potential.mass)
+
+    def _integrand(self, phi: np.ndarray) -> np.ndarray:
+        """m r |sin(phi)| / p at each phi; infinite where p rounds to 0."""
+        potential = self.paths.potential
+        m = potential.mass
+        gap = np.maximum(self.E - potential.value(self.c + self.r * np.cos(phi)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return m * self.r * np.abs(np.sin(phi)) / np.sqrt(2.0 * m * gap)
+
+    def _times(self, anchor: np.ndarray, eps: np.ndarray, phi: np.ndarray,
+               order: int = PATH_ORDER):
+        """tau from each anchor to phi by the Gauss-Legendre rule of `order`, on
+        anchor + eps sinh(u) where eps > 0 (`_graded_nodes`), and the integrand at phi:
+        one V call."""
+        x, w = _leggauss(order)
+        d = phi - anchor
+        graded = eps > 0.0
+        e = np.where(graded, eps, 1.0)[:, None]
+        span = np.where(graded, np.arcsinh(np.abs(d) / e[:, 0]), np.abs(d))[:, None]
+        u = span * (0.5 * (x + 1.0))
+        step = np.where(graded[:, None], e * np.sinh(u), u)
+        weight = np.where(graded[:, None], e * np.cosh(u), 1.0) * span * (0.5 * w)
+        g = self._integrand(np.column_stack([anchor[:, None] + np.sign(d)[:, None] * step, phi]))
+        return np.sign(d) * (weight * g[:, :-1]).sum(axis=1), g[:, -1]
+
+    def _solve(self, seg: np.ndarray, tau: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               phi: np.ndarray) -> np.ndarray:
+        """phi at each time tau of segment seg in the bracket (lo, hi), from phi: Newton on
+        tau(phi), bisecting where a step leaves the bracket, until |tau(phi) - tau| <=
+        2^-50 t or the bracket is 4 ulp wide."""
+        anchor, eps, tau_anchor = (column[seg] for column in self._anchors)
+        done = np.zeros(len(phi), dtype=bool)
+        for _ in range(100):
+            got, slope = self._times(anchor, eps, phi)
+            f = tau_anchor + got - tau
+            lo, hi = np.where(f < 0.0, phi, lo), np.where(f > 0.0, phi, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = phi - f / slope
+            newton = (lo <= step) & (step <= hi)
+            phi = np.where(done, phi, np.where(newton, step, 0.5 * (lo + hi)))
+            # a Newton step from within 2^-40 t of tau lands on it to rounding
+            done |= (newton & (np.abs(f) <= 2.0 ** -40 * self.t)) | (f == 0.0) | (
+                hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+            if done.all():
+                return phi
+        raise AccuracyError("path angle not found in 100 Newton steps",
+                            estimate=float(np.max(np.abs(f))))
+
+    def _segments(self):
+        """The certified segments' starts and ends in phi and their edges in tau; sets the
+        map's centre c and half-width r, and each segment's anchor, grading and tau there."""
+        paths, E, pi = self.paths, self.E, math.pi
+        _, _, lo, hi, th_a, th_b = paths._frame(E)
+        self.c, self.r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        last = self.k - 1 + (self.s0 < 0)  # phi / pi at the last turning point
+        phi0 = -th_a if self.s0 > 0 else th_a
+        phi1 = last * pi + th_b if last % 2 == 0 else (last + 1) * pi - th_b
+        laps = range(math.floor(phi0 / pi) - 1, math.ceil(phi1 / pi) + 1)
+        eps = {}  # the grading scale of each crest passage
+        for q, v, kappa in paths.tops:
+            if lo < q < hi and E > v:
+                th = _angle(q, lo, hi)
+                for j in laps:
+                    eps[j * pi + th if j % 2 == 0 else (j + 1) * pi - th] = (
+                        math.sqrt(2.0 * (E - v) / kappa) / (self.r * math.sin(th)))
+        turns = {j * pi for j in laps if phi0 < j * pi < phi1}
+        cuts = sorted({phi0, phi1, *turns, *(phi for phi in eps if phi0 < phi < phi1)})
+        cuts += [0.5 * (x + y) for x, y in zip(cuts, cuts[1:])
+                 if x in turns | eps.keys() and y in turns | eps.keys()]
+        for depth in range(PANEL_CAP + 1):
+            cuts.sort()
+            starts, ends = np.array(cuts[:-1]), np.array(cuts[1:])
+            at_end = np.array([x not in eps and (y in eps or x in turns)
+                               for x, y in zip(cuts, cuts[1:])])
+            anchor, far = np.where(at_end, ends, starts), np.where(at_end, starts, ends)
+            grading = np.array([eps.get(a, 0.0) for a in anchor])
+            coarse, width = (np.abs(self._times(anchor, grading, far, order)[0])
+                             for order in (PATH_ORDER, 2 * PATH_ORDER))
+            estimate = np.abs(width - coarse)
+            good = estimate <= PANEL_TOL * self.t  # a NaN fails
+            if good.all():
+                break
+            if depth == PANEL_CAP:
+                raise AccuracyError(f"path time quadrature not converged in {2 ** PANEL_CAP} "
+                                    "segments of a leg", estimate=float(np.max(estimate[~good])))
+            cuts += [0.5 * (x + y) for x, y, ok in zip(cuts, cuts[1:], good) if not ok]
+        if not abs(width.sum() - self.t) <= PATH_TOL * self.t:
+            raise AccuracyError(f"the sampled path's time misses t={self.t:g}",
+                                estimate=abs(width.sum() - self.t))
+        tau = np.concatenate([[0.0], np.cumsum(width)])
+        self._anchors = (anchor, grading, np.where(at_end, tau[1:], tau[:-1]))
+        return starts, ends, tau
+
+    @cached_property
+    def _panels(self):
+        """(edges in tau, Chebyshev coefficients, velocity signs) of the certified panels."""
+        starts, ends, tau = self._segments()
+        n = PANEL_DEGREE
+        x = np.sin((np.arange(2 * n + 1) - n) * (0.5 * math.pi / n))  # Lobatto, ascending
+        tol = PANEL_TOL * max(1.0, abs(self.c) + self.r)
+        pending = list(zip(range(len(starts)), tau[:-1], tau[1:], starts, ends))
+        kept = []
+        for depth in range(PANEL_CAP + 1):
+            seg, t0, t1, f0, f1 = (np.array(column) for column in zip(*pending))
+            times = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * x
+            phi = f0[:, None] + (f1 - f0)[:, None] * (0.5 * (x + 1.0))
+            inner = 2 * n - 1  # Lobatto points strictly inside each panel
+            phi[:, 1:-1] = self._solve(
+                np.repeat(seg, inner), times[:, 1:-1].ravel(), np.repeat(f0, inner),
+                np.repeat(f1, inner), phi[:, 1:-1].ravel()).reshape(-1, inner)
+            q = self.c + self.r * np.cos(phi)
+            fine = q @ _lobatto(2 * n).T
+            coarse = q[:, ::2] @ _lobatto(n).T
+            estimate = (np.abs(fine[:, :n + 1] - coarse).sum(axis=1)
+                        + np.abs(fine[:, n + 1:]).sum(axis=1))
+            good = estimate <= tol
+            kept += [(t0[i], fine[i], seg[i]) for i in np.flatnonzero(good)]
+            if good.all():
+                break
+            if depth == PANEL_CAP:
+                raise AccuracyError(f"path samples not converged in {2 ** PANEL_CAP} panels "
+                                    "of a segment", estimate=float(np.max(estimate[~good])))
+            pending = [half for i in np.flatnonzero(~good) for half in (
+                (seg[i], t0[i], times[i, n], f0[i], phi[i, n]),
+                (seg[i], times[i, n], t1[i], phi[i, n], f1[i]))]
+        kept.sort(key=lambda panel: panel[0])
+        signs = -np.sign(np.sin(0.5 * (starts + ends)))
+        return (np.array([panel[0] for panel in kept] + [tau[-1]]),
+                [panel[1] for panel in kept], [signs[panel[2]] for panel in kept])
 
 def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
                  E: float | str = "auto", hbar: float = 1.0,
@@ -496,7 +694,8 @@ def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
         raise ValueError("need t > 0 and N >= 1")
     m, v_const = potential.mass, _constant_value(potential)
     if v_const is None and not isinstance(potential, Harmonic):
-        e_path, v0, (w_coarse, w, _) = _Paths(potential, q_a, q_b).path(t)
+        path = _path(potential, q_a, q_b, t)
+        e_path, v0, (w_coarse, w, _) = path.E, path.v0, path.sums
         estimate = abs(w - w_coarse)
         if not estimate <= PATH_TOL * max(abs(w), 1.0):  # a NaN fails
             raise AccuracyError(

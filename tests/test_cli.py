@@ -784,6 +784,23 @@ class TestPropagateCommand:
         assert (error["kind"], error["type"]) == ("computation", "OverflowError")
         assert error["message"] == f"{quantity} overflows"
 
+    @pytest.mark.parametrize("t", ["3", "1.58"])
+    def test_a_maximum_the_landscape_missed_is_one_named_error(self, run, t):
+        # q^2/2 - q^4/3600 + 1e-8 q^6 has a barrier at 30.8 that the landscape's scan of
+        # (-10, 10) misses.  In t = 3 the branch scan's root-finder met infinite times at
+        # it: a RuntimeWarning traceback under -W error, else AccuracyError
+        sextic = ('{"family": "polynomial", '
+                  '"coeffs": [0, 0, 0.5, 0, -0.0002777777777777778, 0, 1e-8]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("propagate", "--potential", sextic, "--from", "20",
+                                 "--to", "40", "--time", t)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]  # the one JSON document on stderr
+        assert (error["kind"], error["type"]) == ("computation", "TrajectoryError")
+        assert error["message"] == ("V exceeds e_lo=156.196 between q_a=20 and q_b=40, at a "
+                                    "maximum the landscape missed")
+
     def test_nonpositive_time_rejected(self, run):
         code, _, err = run("propagate", "--potential", HARMONIC,
                            "--from", "0", "--to", "1", "--time", "-1",

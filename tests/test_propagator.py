@@ -57,11 +57,11 @@ class TestClassicalTrajectory:
         with pytest.raises(ConjugatePointError):
             classical_trajectory(Harmonic(), 0.0, 1.0, math.pi, 64)
 
-    def test_shooting_hits_the_far_endpoint(self):
+    def test_the_sampled_path_hits_the_far_endpoint(self):
         traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
-        assert abs(traj.positions[-1] - 1.0) <= 1e-10
+        assert (traj.positions[0], traj.positions[-1]) == (0.0, 1.0)
 
-    def test_shooting_path_conserves_energy(self):
+    def test_the_sampled_path_conserves_energy(self):
         traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
         assert np.ptp(traj.sampled_energy(Quartic())) <= 1e-10
 
@@ -157,10 +157,11 @@ class TestKernelPhase:
         rk4 = propagator._rk4
         monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
         kp = kernel_phase(Quartic(), 0.0, 1.0, 1.0, N=4096)
-        assert passes == []  # the limit shoots no RK4 path
-        # the path shot from its start velocity lands on the first pass, at its energy
-        traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096, v_start=kp.v0)
-        assert passes == [4096]
+        # neither the limit nor its samples run an RK4 pass; the samples start at v0, at
+        # the limit's energy
+        traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
+        assert passes == []
+        assert traj.velocities[0] == kp.v0
         assert np.ptp(traj.sampled_energy(Quartic()) - kp.energy) <= 1e-10
         # the trapezoid sum over the path converges to S_cl at second order
         assert classical_action(traj, Quartic()) == pytest.approx(kp.S_cl, abs=1e-7)
@@ -168,46 +169,82 @@ class TestKernelPhase:
 
 
 # anharmonic two-point problems short of their first focal time, as `propagate` gets them
-SHOOTINGS = [
+BENCHMARK_SHAPES = [
     (Quartic(), 1.0, -1.0, 0.6),
     (Morse(depth=10.0), 0.5, -0.25, 0.35 * math.pi / math.sqrt(20.0)),
     (Pendulum(amplitude=2.0), 1.0, -1.0, 0.7),
 ]
+TILTED_WELL = Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5))
 
 
-class TestSeededShooting:
-    @pytest.mark.parametrize("potential, q_a, q_b, t, slices, steps", [
-        (*shooting, slices, steps) for shooting, slices, steps in zip(
-            SHOOTINGS, ("2000,4000", "1400,2800", "3000,6000"), (6000, 4200, 9000))
+def _morse_branch(k):
+    """The `_Path` of the Morse depth 10 request from 0.5 to -0.25 in t = 2 that passes k
+    turning points (both pinned in TestMorseBranches)."""
+    paths = propagator._Paths(Morse(depth=10.0), 0.5, -0.25)
+    branch = next(b for b in paths.bounced_branches(2.0) if b[0] == k)
+    return propagator._Path(paths, 0.5, -0.25, 2.0, *branch, None)
+
+
+#: the largest |q - RK4| / max(1, |q|) over the paths below, RK4 on 8192 steps, was
+#: 3.1e-12 (Morse, one turning point: 5.6e-12 at |q| up to 1.8), and 5.1e-13 on the others
+DYNAMICS_TOL = 1e-11
+
+
+class TestSampledPaths:
+    @pytest.mark.parametrize("potential, q_a, q_b, t, slices", [
+        (*shape, slices) for shape, slices in zip(
+            BENCHMARK_SHAPES, ("2000,4000", "1400,2800", "3000,6000"))
     ], ids=["quartic", "morse", "pendulum"])
-    def test_each_slice_count_takes_one_rk4_pass(self, potential, q_a, q_b, t, slices, steps,
-                                                  monkeypatch, capsys):
-        # the limit shoots nothing; each slice count, the limit's own (4096 or more)
-        # included, lands on its first pass from the limit's start velocity
+    def test_a_request_runs_no_rk4_and_one_energy_equation_solve(
+            self, potential, q_a, q_b, t, slices, monkeypatch, capsys):
+        # the limit and every slice count share one solve of the energy equation, and
+        # each row samples its path with no RK4 pass
         argv = ["propagate", "--potential", json.dumps(potential.to_json()), "--from", str(q_a),
                 "--to", str(q_b), "--time", repr(t), "--slices", slices]
-        passes = []
-        rk4 = propagator._rk4
+        passes, solves = [], []
+        rk4, path = propagator._rk4, propagator._Paths.path
         monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
+        monkeypatch.setattr(propagator._Paths, "path",
+                            lambda self, t: solves.append(t) or path(self, t))
+        propagator._path.cache_clear()
         assert main(argv) == 0, capsys.readouterr().err
-        counts = [int(n) for n in slices.split(",")]
-        assert passes == counts and sum(passes) == steps
+        assert (passes, solves) == ([], [t])
         payload = json.loads(capsys.readouterr().out)
+        counts = [int(n) for n in slices.split(",")]
         limit = kernel_phase(potential, q_a, q_b, t, N=max(counts))
         assert (payload["S_cl"], payload["E"]) == (limit.S_cl, limit.energy)
         for n, row in zip(counts, payload["convergence"]):
-            traj = classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
+            traj = classical_trajectory(potential, q_a, q_b, t, n)
             assert row["sliced_phase"] == sliced_phase(traj, potential, limit.energy).total_phase
 
-    def test_first_pass_within_tolerance_is_accepted(self, monkeypatch):
-        converged = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000)
-        passes = []
-        rk4 = propagator._rk4
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a) or rk4(*a))
-        again = classical_trajectory(Quartic(), 1.0, -1.0, 0.6, 2000,
-                                     v_start=converged.velocities[0])
-        assert len(passes) == 1
-        assert np.array_equal(again.positions, converged.positions)
+    @pytest.mark.parametrize("path", [
+        *(lambda shape=shape: propagator._path(*shape) for shape in BENCHMARK_SHAPES),
+        lambda: _morse_branch(1), lambda: _morse_branch(2),
+        lambda: propagator._path(Pendulum(), 0.0, 30.0, 3.0),
+        lambda: propagator._path(TILTED_WELL, -1.0, 1.0, 3.0),
+    ], ids=["quartic", "morse", "pendulum", "morse-one-turn", "morse-two-turns",
+            "pendulum-over-five-crests", "tilted-double-well-over-its-crest"])
+    def test_samples_follow_the_equations_of_motion(self, path):
+        # RK4 from the path's v0, no code shared with the energy equation or the sampler
+        path = path()
+        q_a, _ = path.ends
+        positions, _ = path.sample(8192)
+        rk4 = initial_value_trajectory(path.paths.potential, q_a, path.v0, path.t, 8192)
+        scale = max(1.0, np.max(np.abs(positions)))
+        assert np.max(np.abs(positions - rk4.positions)) <= DYNAMICS_TOL * scale
+
+    @pytest.mark.parametrize("path, message", [
+        (lambda: _morse_branch(1), r"^path samples not converged in 1 panels of a segment$"),
+        (lambda: propagator._path.__wrapped__(Pendulum(), 0.0, 30.0, 3.0),
+         r"^path time quadrature not converged in 1 segments of a leg$"),
+    ], ids=["panel", "segment"])
+    def test_a_panel_past_its_cap_is_an_accuracy_error(self, path, message, monkeypatch):
+        # the Morse path that turns once needs two halvings of its panels, the pendulum
+        # over five crests one of its segments
+        monkeypatch.setattr(propagator, "PANEL_CAP", 0)
+        with pytest.raises(AccuracyError, match=message) as info:
+            path()._panels
+        assert info.value.estimate > propagator.PANEL_TOL
 
     @pytest.mark.parametrize("potential, n, hbar", [
         (Quartic(), 1, 1.0), (Quartic(), 3, 1.0), (Quartic(), 6, 1.0),
@@ -223,7 +260,8 @@ class TestSeededShooting:
         E, T, J = level.energy, level.period, level.action
         q_a = 0.0  # every well here has its minimum at the origin
         p = math.sqrt(2.0 * potential.mass * (E - float(potential.value(q_a))))
-        traj = classical_trajectory(potential, q_a, q_a, T, 16000, v_start=p / potential.mass)
+        traj = initial_value_trajectory(potential, q_a, p / potential.mass, T, 16000)
+        assert traj.positions[-1] == pytest.approx(q_a, abs=1e-9)
         assert classical_action(traj, potential) + E * T == pytest.approx(J, rel=1e-10)
 
 
@@ -263,27 +301,19 @@ S_CL_TOL = 1e-13
 
 
 class TestEnergyEquation:
-    def test_benchmark_shaped_draws(self, monkeypatch):
-        # 60 draws: the straight line's shooting finds the limit's path, S_cl matches an
-        # adaptive W - E t, and each slice count lands on its first RK4 pass
+    def test_benchmark_shaped_draws(self):
+        # 60 draws: S_cl matches an adaptive W - E t, and RK4 from the limit's v0 on the
+        # smaller slice count lands on q_b and on the samples
         rng = np.random.default_rng(26)
-        passes = []
-        rk4 = propagator._rk4
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
         for i in range(60):
             family = ("quartic", "morse", "pendulum")[i % 3]
             potential, q_a, q_b, t, s = _benchmark_draw(rng, family)
-            passes.clear()
             limit = kernel_phase(potential, q_a, q_b, t, N=4096)
-            assert passes == []
-            line = classical_trajectory(potential, q_a, q_b, t, s, v_start=(q_b - q_a) / t)
-            assert abs(limit.v0 - line.velocities[0]) <= 1e-8 * abs(line.velocities[0])
             reference = _reference_action(potential, q_a, q_b, t, limit.energy)
             assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
-            passes.clear()
-            for n in (s, 2 * s):
-                classical_trajectory(potential, q_a, q_b, t, n, v_start=limit.v0)
-            assert passes == [s, 2 * s]
+            rk4 = initial_value_trajectory(potential, q_a, limit.v0, t, s)
+            sampled = classical_trajectory(potential, q_a, q_b, t, s)
+            assert np.max(np.abs(sampled.positions - rk4.positions)) <= DYNAMICS_TOL
 
     @pytest.mark.parametrize("potential, q_a, q_b, t", [
         (Morse(depth=10.0), 0.5, -0.25, 0.5),
@@ -300,9 +330,10 @@ class TestEnergyEquation:
                   if pt.stability.value == "maximum" and min(q_a, q_b) < pt.q0 < max(q_a, q_b)]
         reference = _reference_action(potential, q_a, q_b, t, limit.energy, crests)
         assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
-        # E solves the energy equation: shooting from v0 keeps it
-        path = classical_trajectory(potential, q_a, q_b, t, 8192, v_start=limit.v0)
-        assert path.velocities[0] == pytest.approx(limit.v0, rel=1e-9)
+        # E solves the energy equation: RK4 from v0 lands on q_b (the pendulum's slow
+        # crest passage amplifies RK4's error: 1.9e-8 on 8192 steps, 2.8e-10 on 16384)
+        path = initial_value_trajectory(potential, q_a, limit.v0, t, 16384)
+        assert path.positions[-1] == pytest.approx(q_b, abs=1e-9)
 
     def test_a_path_over_a_crest_at_its_energy_raises(self):
         # from 0 over the crest at pi to 2 pi in t = 40 the path's E clears the crest
@@ -346,10 +377,13 @@ class TestEnergyEquation:
         with pytest.raises(AccuracyError) as info:
             kernel_phase(well, *request)
         assert info.value.estimate == pytest.approx(3.6e-10, rel=0.01)
-        # the certificate is on S_cl alone: the path itself is found, at E = 0.0296
+        # the certificate is on S_cl alone: the path itself is found, at E = 0.0296, and
+        # its samples certify once the segment's time is halved twice; RK4 from its v0
+        # follows them
         path = classical_trajectory(well, *request, 4096)
         assert path.sampled_energy(well)[0] == pytest.approx(0.0296094348, rel=1e-9)
-        assert abs(path.positions[-1] - request[1]) <= propagator.SHOOTING_TOL
+        rk4 = initial_value_trajectory(well, request[0], path.velocities[0], request[2], 4096)
+        assert np.max(np.abs(path.positions - rk4.positions)) <= DYNAMICS_TOL
 
     def test_a_direct_leg_over_t_by_rounding_takes_that_energy(self):
         # a leg of 1e-5 in a theta map of 0.034 reads 1.6e-13 over t at e_lo plus the
@@ -359,12 +393,14 @@ class TestEnergyEquation:
         assert paths.direct(e_top)[2] > 0.05
         assert kernel_phase(Quartic(), 0.0, 1e-5, 0.05).energy == e_top
 
-    @pytest.mark.parametrize("t", [1.58, 0.5])
+    @pytest.mark.parametrize("t", [1.58, 0.5, 3.0])
     def test_a_maximum_the_landscape_missed_is_an_error(self, t):
         # the landscape scans (-10, 10), where V(+-10) = 47 > V(0), so it never sees the
         # barrier at 30.8 (V = 225).  From 20 (V = 156) to 40 the direct leg at e_lo plus
         # the straight line's kinetic energy clears the barrier but takes longer than
-        # t: that energy is no root, and no E is certified
+        # t: that energy is no root, and no E is certified.  In t = 3 the branch scan
+        # brackets a root where a wall at the barrier jumps, and its refinement meets
+        # an infinite time there
         sextic = Polynomial(coeffs=(0, 0, 0.5, 0, -1 / 3600, 0, 1e-8))
         assert [pt.q0 for pt in sextic.landscape.equilibria] == [0.0]
         with pytest.raises(propagator.TrajectoryError,
@@ -416,21 +452,8 @@ class TestMorseBranches:
         assert round(payload["E"], 10) == 6.9543137603
         assert kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0 == pytest.approx(3.28820089)
 
-    def test_classical_trajectory_starts_on_the_kernel_phase_branch(self):
-        # without v_start the secant starts from the limit's v0 and lands on its branch
+    def test_classical_trajectory_samples_the_kernel_phase_branch(self):
         path = classical_trajectory(Morse(depth=10.0), 0.5, -0.25, 2.0, 4096)
         assert path.velocities[0] == kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0
         assert path.velocities[0] == pytest.approx(3.28820089)
-        assert abs(path.positions[-1] + 0.25) <= propagator.SHOOTING_TOL
-
-    def test_a_hopeless_start_stops_at_the_shooting_cap(self, monkeypatch):
-        # from the straight line's velocity, -0.375, the secant on 256 slices finds
-        # neither path
-        passes = []
-        rk4 = propagator._rk4
-        monkeypatch.setattr(propagator, "_rk4", lambda *a: passes.append(a[4]) or rk4(*a))
-        with pytest.raises(propagator.TrajectoryError, match=r"^shooting failed to hit "
-                           rf"q_b=-0.25 within {propagator.SHOOTING_CAP} iterations "
-                           r"\(last residual \d\.\d{3}e[-+]\d\d\)$"):
-            classical_trajectory(Morse(depth=10.0), 0.5, -0.25, 2.0, 256, v_start=-0.375)
-        assert passes == [256] * propagator.SHOOTING_CAP
+        assert (path.positions[0], path.positions[-1]) == (0.5, -0.25)
