@@ -35,9 +35,9 @@ PATH_TOL = 1e-10
 #: Chebyshev degree n of a sampled path's panel, checked against degree 2n
 PANEL_DEGREE = 16
 #: largest order-doubling estimate of q on a panel, relative to max(1, |q|) on the theta
-#: map, and of a segment's time, relative to t, that certifies a sampled path
+#: map, and of a panel's time, relative to t, that certifies a sampled path
 PANEL_TOL = 1e-12
-#: halvings of a segment, or of a segment's panel, before AccuracyError
+#: halvings of a panel before AccuracyError, in phi and at its tau midpoint together
 PANEL_CAP = 8
 
 
@@ -287,21 +287,27 @@ class _Paths:
         hi = max(self.q_a, self.q_b) if b is None else b
         return a, b, lo, hi, _angle(self.q_a, lo, hi), _angle(self.q_b, lo, hi)
 
+    def _crests(self, E: float, lo: float, hi: float) -> dict[float, float]:
+        """The theta of each crest inside the map from hi to lo that E clears, and the
+        theta width eps = sqrt(2 (E - V) / kappa) / (r sin(theta)) over which p dips there."""
+        eps = {}
+        for q, v, kappa in self.tops:
+            if lo < q < hi and E > v:
+                th = _angle(q, lo, hi)
+                eps[th] = math.sqrt(2.0 * (E - v) / kappa) / (0.5 * (hi - lo) * math.sin(th))
+        return eps
+
     def _sums(self, E: float, lo: float, hi: float, segments) -> np.ndarray:
         """`_integrals` over each theta segment of the map from hi to lo, one column per
         segment (0 where empty): rows p dq at PATH_ORDER and twice it, m dq / p at twice it.
 
         p dips to sqrt(2 m delta) at a crest that E clears by delta, over a
-        theta width eps; each segment is split at its crests, and each part's
-        rule is graded towards each crest end (`_graded_nodes`), from the
-        part's middle where both ends are crests.
+        theta width eps (`_crests`); each segment is split at its crests, and
+        each part's rule is graded towards each crest end (`_graded_nodes`),
+        from the part's middle where both ends are crests.
         """
         c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        eps = {}
-        for q, v, kappa in self.tops:
-            if lo < q < hi and E > v:
-                th = _angle(q, lo, hi)
-                eps[th] = math.sqrt(2.0 * (E - v) / kappa) / (r * math.sin(th))
+        eps = self._crests(E, lo, hi)
         blocks, owners = [], []
         for j, (th0, th1) in enumerate(segments):
             cuts = sorted({th0, th1, *(th for th in eps if th0 <= th <= th1)})
@@ -498,25 +504,25 @@ class _Path:
     On the unfolded loop angle phi of E's theta map, q = c + r cos(phi) and
     phi rises along the motion: from -theta_a (moving right) or theta_a,
     through a multiple of pi at each turning point, to an angle of q_b.  The
-    time tau(phi) is the integral of m r |sin(phi)| / p, by Gauss-Legendre
-    rules from a segment's anchor: its crest end, graded towards it as
-    `_Paths._sums` grades, else an end that is no turning point, where V's
-    rounding against E would make every rule's time noisy.
+    path is cut into panels in phi at its turning points and crest passages,
+    and between two of these also at the middle.  A panel's time tau(phi),
+    the integral of m r |sin(phi)| / p, is a Gauss-Legendre rule from one
+    of its own ends, its anchor: a crest end, graded as `_Paths._sums`
+    grades, else an end that is no turning point, where V's rounding
+    against E makes a rule noisy.  One loop certifies each panel or halves
+    it, PANEL_CAP times in all before AccuracyError with its estimate:
 
-    - Segments.  The path is cut at its turning points and crest passages,
-      and between two of these also at the middle.  A segment whose time at
-      PATH_ORDER and twice it differ by more than PANEL_TOL t is halved in
-      phi, up to PANEL_CAP times; the total must then match t to PATH_TOL,
-      the rounding of the energy equation's own t(E).
-    - Panels.  Each segment is a panel in tau, halved up to PANEL_CAP times.
-      A panel holds the Chebyshev interpolant of q through 2n + 1 Lobatto
-      points in tau (n = PANEL_DEGREE), where safeguarded Newton on tau(phi)
-      at PATH_ORDER finds phi, one V call per step for every point of every
-      panel.  It is kept where the degree-n interpolant through every other
-      point agrees with it to PANEL_TOL: the sum of their coefficients'
-      differences, relative to max(1, |q|) on the map.
+    - in phi, where its times at PATH_ORDER and twice it differ by more
+      than PANEL_TOL t; no panel is sampled until no time fails;
+    - else at the phi of its tau midpoint, where the Chebyshev interpolant
+      of q through 2n + 1 Lobatto points in tau (n = PANEL_DEGREE, each
+      point's phi by safeguarded Newton on tau(phi), one V call per step for
+      all points) and the degree-n one through every other point differ by
+      more than PANEL_TOL: the sum of their coefficients' differences,
+      relative to max(1, |q|) on the map.
 
-    Past either cap, AccuracyError with the largest estimate left.
+    The kept panels' times, summed along phi, are its edges in tau and must
+    match t to PATH_TOL.
     """
 
     def __init__(self, paths: _Paths, q_a: float, q_b: float, t: float, k: int, E: float,
@@ -568,12 +574,11 @@ class _Path:
         g = self._integrand(np.column_stack([anchor[:, None] + np.sign(d)[:, None] * step, phi]))
         return np.sign(d) * (weight * g[:, :-1]).sum(axis=1), g[:, -1]
 
-    def _solve(self, seg: np.ndarray, tau: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               phi: np.ndarray) -> np.ndarray:
-        """phi at each time tau of segment seg in the bracket (lo, hi), from phi: Newton on
-        tau(phi), bisecting where a step leaves the bracket, until |tau(phi) - tau| <=
-        2^-50 t or the bracket is 4 ulp wide."""
-        anchor, eps, tau_anchor = (column[seg] for column in self._anchors)
+    def _solve(self, anchor: np.ndarray, eps: np.ndarray, tau_anchor: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray, tau: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """phi in (lo, hi) at each time tau, from phi: Newton on tau(phi) = tau_anchor +
+        `_times` from anchor, graded by eps, bisecting where a step leaves the bracket,
+        until |tau(phi) - tau| <= 2^-50 t or the bracket is 4 ulp wide."""
         done = np.zeros(len(phi), dtype=bool)
         for _ in range(100):
             got, slope = self._times(anchor, eps, phi)
@@ -591,9 +596,10 @@ class _Path:
         raise AccuracyError("path angle not found in 100 Newton steps",
                             estimate=float(np.max(np.abs(f))))
 
-    def _segments(self):
-        """The certified segments' starts and ends in phi and their edges in tau; sets the
-        map's centre c and half-width r, and each segment's anchor, grading and tau there."""
+    @cached_property
+    def _panels(self):
+        """(edges in tau, Chebyshev coefficients, velocity signs) of the certified panels;
+        sets the map's centre c and half-width r."""
         paths, E, pi = self.paths, self.E, math.pi
         _, _, lo, hi, th_a, th_b = paths._frame(E)
         self.c, self.r = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -601,77 +607,56 @@ class _Path:
         phi0 = -th_a if self.s0 > 0 else th_a
         phi1 = last * pi + th_b if last % 2 == 0 else (last + 1) * pi - th_b
         laps = range(math.floor(phi0 / pi) - 1, math.ceil(phi1 / pi) + 1)
-        eps = {}  # the grading scale of each crest passage
-        for q, v, kappa in paths.tops:
-            if lo < q < hi and E > v:
-                th = _angle(q, lo, hi)
-                for j in laps:
-                    eps[j * pi + th if j % 2 == 0 else (j + 1) * pi - th] = (
-                        math.sqrt(2.0 * (E - v) / kappa) / (self.r * math.sin(th)))
+        eps = {j * pi + th if j % 2 == 0 else (j + 1) * pi - th: scale  # each crest passage
+               for th, scale in paths._crests(E, lo, hi).items() for j in laps}
         turns = {j * pi for j in laps if phi0 < j * pi < phi1}
         cuts = sorted({phi0, phi1, *turns, *(phi for phi in eps if phi0 < phi < phi1)})
-        cuts += [0.5 * (x + y) for x, y in zip(cuts, cuts[1:])
-                 if x in turns | eps.keys() and y in turns | eps.keys()]
-        for depth in range(PANEL_CAP + 1):
-            cuts.sort()
-            starts, ends = np.array(cuts[:-1]), np.array(cuts[1:])
-            at_end = np.array([x not in eps and (y in eps or x in turns)
-                               for x, y in zip(cuts, cuts[1:])])
-            anchor, far = np.where(at_end, ends, starts), np.where(at_end, starts, ends)
+        cuts += [0.5 * (x + y) for x, y in zip(cuts, cuts[1:]) if {x, y} <= turns | eps.keys()]
+        cuts.sort()
+        n = PANEL_DEGREE
+        x = np.sin((np.arange(2 * n + 1) - n) * (0.5 * math.pi / n))  # Lobatto, ascending
+        inner = 2 * n - 1  # Lobatto points strictly inside each panel
+        pending, kept = [(a, b, 0) for a, b in zip(cuts, cuts[1:])], []
+        while pending:
+            f0, f1, depth = (np.array(column) for column in zip(*pending))
+            at_end = np.array([a not in eps and (b in eps or a in turns) for a, b, _ in pending])
+            anchor, far = np.where(at_end, f1, f0), np.where(at_end, f0, f1)
             grading = np.array([eps.get(a, 0.0) for a in anchor])
             coarse, width = (np.abs(self._times(anchor, grading, far, order)[0])
                              for order in (PATH_ORDER, 2 * PATH_ORDER))
             estimate = np.abs(width - coarse)
             good = estimate <= PANEL_TOL * self.t  # a NaN fails
-            if good.all():
-                break
-            if depth == PANEL_CAP:
-                raise AccuracyError(f"path time quadrature not converged in {2 ** PANEL_CAP} "
-                                    "segments of a leg", estimate=float(np.max(estimate[~good])))
-            cuts += [0.5 * (x + y) for x, y, ok in zip(cuts, cuts[1:], good) if not ok]
-        if not abs(width.sum() - self.t) <= PATH_TOL * self.t:
+            if good.all():  # every panel's time certifies: its samples are checked
+                times = (0.5 * width)[:, None] + (0.5 * width)[:, None] * x
+                phi = f0[:, None] + (f1 - f0)[:, None] * (0.5 * (x + 1.0))
+                per_point = (np.repeat(column, inner) for column in (
+                    anchor, grading, np.where(at_end, width, 0.0), f0, f1))
+                phi[:, 1:-1] = self._solve(*per_point, times[:, 1:-1].ravel(),
+                                           phi[:, 1:-1].ravel()).reshape(-1, inner)
+                q = self.c + self.r * np.cos(phi)
+                fine = q @ _lobatto(2 * n).T
+                coarse = q[:, ::2] @ _lobatto(n).T
+                estimate = (np.abs(fine[:, :n + 1] - coarse).sum(axis=1)
+                            + np.abs(fine[:, n + 1:]).sum(axis=1))
+                good = estimate <= PANEL_TOL * max(1.0, abs(self.c) + self.r)
+                kept += [(f0[i], width[i], fine[i], -np.sign(np.sin(0.5 * (f0[i] + f1[i]))))
+                         for i in np.flatnonzero(good)]
+                pending, mid = [], phi[:, n]
+                error = f"path samples not converged in {2 ** PANEL_CAP} panels of a segment"
+            else:  # the others wait, to be timed again with the halves
+                pending, mid = [pending[i] for i in np.flatnonzero(good)], 0.5 * (f0 + f1)
+                error = f"path time quadrature not converged in {2 ** PANEL_CAP} segments of a leg"
+            if (depth[~good] == PANEL_CAP).any():
+                raise AccuracyError(error, estimate=float(np.max(estimate[~good])))
+            pending += [half for i in np.flatnonzero(~good) for half in (
+                (f0[i], mid[i], depth[i] + 1), (mid[i], f1[i], depth[i] + 1))]
+        _, widths, coefs, signs = zip(*sorted(kept, key=lambda panel: panel[0]))
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        if not abs(edges[-1] - self.t) <= PATH_TOL * self.t:
             raise AccuracyError(f"the sampled path's time misses t={self.t:g}",
-                                estimate=abs(width.sum() - self.t))
-        tau = np.concatenate([[0.0], np.cumsum(width)])
-        self._anchors = (anchor, grading, np.where(at_end, tau[1:], tau[:-1]))
-        return starts, ends, tau
+                                estimate=abs(edges[-1] - self.t))
+        return edges, coefs, signs
 
-    @cached_property
-    def _panels(self):
-        """(edges in tau, Chebyshev coefficients, velocity signs) of the certified panels."""
-        starts, ends, tau = self._segments()
-        n = PANEL_DEGREE
-        x = np.sin((np.arange(2 * n + 1) - n) * (0.5 * math.pi / n))  # Lobatto, ascending
-        tol = PANEL_TOL * max(1.0, abs(self.c) + self.r)
-        pending = list(zip(range(len(starts)), tau[:-1], tau[1:], starts, ends))
-        kept = []
-        for depth in range(PANEL_CAP + 1):
-            seg, t0, t1, f0, f1 = (np.array(column) for column in zip(*pending))
-            times = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * x
-            phi = f0[:, None] + (f1 - f0)[:, None] * (0.5 * (x + 1.0))
-            inner = 2 * n - 1  # Lobatto points strictly inside each panel
-            phi[:, 1:-1] = self._solve(
-                np.repeat(seg, inner), times[:, 1:-1].ravel(), np.repeat(f0, inner),
-                np.repeat(f1, inner), phi[:, 1:-1].ravel()).reshape(-1, inner)
-            q = self.c + self.r * np.cos(phi)
-            fine = q @ _lobatto(2 * n).T
-            coarse = q[:, ::2] @ _lobatto(n).T
-            estimate = (np.abs(fine[:, :n + 1] - coarse).sum(axis=1)
-                        + np.abs(fine[:, n + 1:]).sum(axis=1))
-            good = estimate <= tol
-            kept += [(t0[i], fine[i], seg[i]) for i in np.flatnonzero(good)]
-            if good.all():
-                break
-            if depth == PANEL_CAP:
-                raise AccuracyError(f"path samples not converged in {2 ** PANEL_CAP} panels "
-                                    "of a segment", estimate=float(np.max(estimate[~good])))
-            pending = [half for i in np.flatnonzero(~good) for half in (
-                (seg[i], t0[i], times[i, n], f0[i], phi[i, n]),
-                (seg[i], times[i, n], t1[i], phi[i, n], f1[i]))]
-        kept.sort(key=lambda panel: panel[0])
-        signs = -np.sign(np.sin(0.5 * (starts + ends)))
-        return (np.array([panel[0] for panel in kept] + [tau[-1]]),
-                [panel[1] for panel in kept], [signs[panel[2]] for panel in kept])
 
 def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
                  E: float | str = "auto", hbar: float = 1.0,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def _morse_branch(k):
 
 
 #: the largest |q - RK4| / max(1, |q|) over the paths below, RK4 on 8192 steps, was
-#: 3.1e-12 (Morse, one turning point: 5.6e-12 at |q| up to 1.8), and 5.1e-13 on the others
+#: 3.1e-12 (Morse, one turning point: 5.6e-12 at |q| up to 1.8), and 4.2e-13 on the others
 DYNAMICS_TOL = 1e-11
 
 
@@ -239,12 +240,30 @@ class TestSampledPaths:
          r"^path time quadrature not converged in 1 segments of a leg$"),
     ], ids=["panel", "segment"])
     def test_a_panel_past_its_cap_is_an_accuracy_error(self, path, message, monkeypatch):
-        # the Morse path that turns once needs two halvings of its panels, the pendulum
-        # over five crests one of its segments
+        # the Morse path that turns once needs two rounds of halvings at tau midpoints, the
+        # pendulum over five crests a halving in phi first: each fails at depth 0
         monkeypatch.setattr(propagator, "PANEL_CAP", 0)
         with pytest.raises(AccuracyError, match=message) as info:
             path()._panels
         assert info.value.estimate > propagator.PANEL_TOL
+
+    @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
+        "the piece that ends at the turning point fails its time check: each halving crowds "
+        "its Gauss nodes nearer the wall, where E - V(q) cancels, and the estimate grows"))
+    def test_a_one_turn_pendulum_path_the_sampler_refuses(self):
+        # one of 13 in 200 requests of the seeded sweep below, all with one turning point:
+        # S_cl certifies, RK4 from v0 on 8192 steps lands on q_b within 1e-11, and the RK4
+        # shooting that made the rows before the sampler printed them.  The sampler's time
+        # estimate of the piece grows from 7.2e-11 to 5.3e-8 over its 8 halvings
+        pendulum = Pendulum(m=1.797167443101161, amplitude=0.7675886822015231)
+        q_a, q_b, t = -0.47691796675644227, -0.28090375528569345, 1.5176636858170465
+        limit = kernel_phase(pendulum, q_a, q_b, t)
+        assert limit.S_cl == pytest.approx(1.0961270659582942, rel=1e-14)
+        rk4 = initial_value_trajectory(pendulum, q_a, limit.v0, t, 8192)
+        assert rk4.positions[-1] == pytest.approx(q_b, abs=1e-11)
+        positions = classical_trajectory(pendulum, q_a, q_b, t, 8192).positions
+        scale = max(1.0, np.max(np.abs(positions)))
+        assert np.max(np.abs(positions - rk4.positions)) <= DYNAMICS_TOL * scale
 
     @pytest.mark.parametrize("potential, n, hbar", [
         (Quartic(), 1, 1.0), (Quartic(), 3, 1.0), (Quartic(), 6, 1.0),
@@ -378,8 +397,8 @@ class TestEnergyEquation:
             kernel_phase(well, *request)
         assert info.value.estimate == pytest.approx(3.6e-10, rel=0.01)
         # the certificate is on S_cl alone: the path itself is found, at E = 0.0296, and
-        # its samples certify once the segment's time is halved twice; RK4 from its v0
-        # follows them
+        # its samples certify once its panel is halved twice in phi and once at a tau
+        # midpoint; RK4 from its v0 follows them
         path = classical_trajectory(well, *request, 4096)
         assert path.sampled_energy(well)[0] == pytest.approx(0.0296094348, rel=1e-9)
         rk4 = initial_value_trajectory(well, request[0], path.velocities[0], request[2], 4096)
@@ -457,3 +476,49 @@ class TestMorseBranches:
         assert path.velocities[0] == kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0
         assert path.velocities[0] == pytest.approx(3.28820089)
         assert (path.positions[0], path.positions[-1]) == (0.5, -0.25)
+
+
+def _sweep_requests(count):
+    """`propagate` argv of `count` seeded requests, cycling over a quartic, a Morse well, a
+    pendulum and a tilted double well, each from q_a to q_b in [-2, 2] in t in [0.1, 3]."""
+    rng = np.random.default_rng(0)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    families = (lambda: Quartic(m=u(0.5, 2.0), lam=u(0.5, 2.0)),
+                lambda: Morse(m=u(0.5, 2.0), depth=u(5.0, 20.0), width=u(0.5, 2.0)),
+                lambda: Pendulum(m=u(0.5, 2.0), amplitude=u(0.5, 5.0)),
+                lambda: Polynomial(m=u(0.5, 2.0), coeffs=(0.0, u(-0.5, 0.5), -2.0, 0.0, 0.5)))
+    for i in range(count):
+        potential = families[i % 4]()
+        yield ["propagate", "--potential", json.dumps(potential.to_json()), "--from",
+               repr(u(-2.0, 2.0)), "--to", repr(u(-2.0, 2.0)), "--time", repr(u(0.1, 3.0)),
+               "--slices", "256"]
+
+
+def _finite(text):
+    """A JSON number of `text`, refused unless finite."""
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+class TestSeededSweep:
+    def test_a_seeded_propagate_sweep_exits_cleanly(self, capsys):
+        # 100 requests: each prints finite JSON, or exits 1 with one JSON error of a path
+        # that does not exist or does not certify; no other exception and no warning.  They
+        # give 74 exits 0, 16 TrajectoryError ("no classical path") and 10 AccuracyError,
+        # the false failure pinned in TestSampledPaths (200 give 153, 34 and 13)
+        for argv in _sweep_requests(100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert err == ""
+                json.loads(out, parse_float=_finite, parse_constant=_finite)
+            else:
+                assert (code, out) == (1, ""), argv
+                error = json.loads(err)["error"]  # the one JSON document on stderr
+                assert error["type"] in {"TrajectoryError", "AccuracyError", "SeparatrixError"}
