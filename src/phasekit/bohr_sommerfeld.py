@@ -121,47 +121,31 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _nodes(order: int, lo: float, hi: float):
-    """Nodes x = lo + (hi - lo) (t + 1) / 2, cos x, sin x and weights (hi - lo) w / 2 of
-    the `order` and `2 order` Gauss-Legendre rules on [lo, hi], laid end to end."""
-    half = 0.5 * (hi - lo)
-    parts = []
-    for n in (order, 2 * order):
-        t, w = _leggauss(n)
-        x = lo + half * (t + 1.0)
-        parts.append((x, np.cos(x), np.sin(x), half * w))
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 @lru_cache(maxsize=16)
 def _rules(order: int, span: float):
-    """`_nodes` on [0, span], read-only: every caller shares them."""
-    tables = _nodes(order, 0.0, span)
+    """Nodes x, cos x, sin x and weights of the `order` and `2 order` Gauss-Legendre rules
+    on [0, span], laid end to end and read-only: every caller shares them."""
+    t, w = (np.concatenate(pair) for pair in zip(_leggauss(order), _leggauss(2 * order)))
+    x = 0.5 * span * (t + 1.0)
+    tables = x, np.cos(x), np.sin(x), 0.5 * span * w
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _integrals(potential: Potential, E: float, blocks, order: int) -> list[tuple]:
-    """Integrals of p dq at `order` and `2 order`, and of m dq / p at `2 order`, on each
-    block (q, dq) of nodes and weights laid out as `_nodes` lays them, at energy E.
+def _integrals(potential: Potential, E: float, q, dq, order: int) -> tuple:
+    """Integrals of p dq at `order` and `2 order`, and of m dq / p at `2 order`, on nodes q
+    and weights dq laid out as `_rules` lays them, at energy E: one V call.
 
-    One V call on every block's nodes.  A node with p = 0 (a rotation at the
-    crest of a flat potential) makes m dq / p infinite.
+    A node with p = 0 (a rotation at the crest of a flat potential) makes m dq / p infinite.
     """
     m = potential.mass
-    q = blocks[0][0] if len(blocks) == 1 else np.concatenate([q for q, _ in blocks])
     gap = np.maximum(E - np.asarray(potential.value(q), dtype=float), 0.0)
     p = np.sqrt(2.0 * m * gap)
-    sums, start = [], 0
+    wp = dq * p
     with np.errstate(divide="ignore"):
-        for _, dq in blocks:
-            end = start + len(dq)
-            wp = dq * p[start:end]
-            sums.append((float(wp[:order].sum()), float(wp[order:].sum()),
-                         m * float((dq[order:] / p[start + order:end]).sum())))
-            start = end
-    return sums
+        return (float(wp[:order].sum()), float(wp[order:].sum()),
+                m * float((dq[order:] / p[order:]).sum()))
 
 
 def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
@@ -185,7 +169,7 @@ def _loop_integrals(potential: Potential, E: float, motion: MotionKind,
     q, cos, sin, w = _rules(order, math.pi if libration else potential.period)
     if libration:
         q, w = c + r * cos, 2.0 * r * sin * w
-    return _integrals(potential, E, [(q, w)], order)[0]
+    return _integrals(potential, E, q, w, order)
 
 
 def action(potential: Potential, E: float,

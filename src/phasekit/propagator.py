@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .bohr_sommerfeld import SEPARATRIX_TOL, _integrals, _leggauss, _nodes, _wall
+from .bohr_sommerfeld import SEPARATRIX_TOL, _leggauss, _wall
 from .errors import AccuracyError, ConjugatePointError, SeparatrixError, TrajectoryError
 from .potentials import Harmonic, Polynomial, Potential, Rotor, Stability, _walk
 
@@ -221,13 +221,35 @@ def _angle(q: float, lo: float, hi: float) -> float:
     return math.pi - 2.0 * math.asin(math.sqrt(min(max((q - lo) / (hi - lo), 0.0), 1.0)))
 
 
-def _graded_nodes(crest: float, far: float, eps: float):
-    """`_nodes` from a crest to `far` on theta = crest + eps sinh(u), u from 0 to
-    asinh(|far - crest| / eps).  Where p^2 is delta + (a (theta - crest))^2 near the
-    crest, eps = sqrt(delta) / a and dtheta / p is flat in u."""
-    u, _, _, w = _nodes(PATH_ORDER, 0.0, math.asinh(abs(far - crest) / eps))
-    theta = crest + math.copysign(eps, far - crest) * np.sinh(u)
-    return theta, np.cos(theta), np.sin(theta), eps * np.cosh(u) * w
+def _leg(potential: Potential, rows, order: int = PATH_ORDER):
+    """tau, W and the time integrand at `far` of each row (E, c, r, anchor, eps, far) on
+    q = c + r cos(theta): the integrals of m r |sin(theta)| / p and p r |sin(theta)| from
+    anchor to far (negative where far < anchor) by the Gauss-Legendre rule of `order`, and
+    m r |sin(far)| / p; one V call for every row.
+
+    Where eps > 0 the rule runs on theta = anchor + eps sinh(u), graded towards a crest at
+    the anchor: where p^2 is delta + (a (theta - anchor))^2 near it, eps = sqrt(delta) / a
+    and dtheta / p is flat in u.  A node where p rounds to 0 makes tau infinite.
+    """
+    E, c, r, anchor, eps, far = np.asarray(rows, dtype=float).T[:, :, None]
+    x, w = _leggauss(order)
+    d, graded = far - anchor, eps > 0.0
+    if graded.any():  # theta = anchor + eps sinh(u) on the graded rows, anchor + u elsewhere
+        e = np.copysign(np.where(graded, eps, 1.0), d)
+        half = 0.5 * np.where(graded, np.arcsinh(d / e), d)
+        u = half * (x + 1.0)
+        step, stretch = np.where(graded, e * np.sinh(u), u), np.where(graded, e * np.cosh(u), 1.0)
+    else:  # the same nodes, without the graded rows' work
+        half, stretch = 0.5 * d, 1.0
+        u = step = half * (x + 1.0)
+    theta = np.concatenate([anchor + step, far], axis=1)
+    arm = r * np.abs(np.sin(theta))
+    m = potential.mass
+    p = np.sqrt(2.0 * m * np.maximum(E - potential.value(c + r * np.cos(theta)), 0.0))
+    dq = arm[:, :-1] * (stretch * (half * w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (m * (dq / p[:, :-1]).sum(axis=1), (dq * p[:, :-1]).sum(axis=1),
+                m * arm[:, -1] / p[:, -1])
 
 
 def _coefficients(s0: float, k: int) -> tuple[list[int], np.ndarray]:
@@ -279,9 +301,10 @@ class _Paths:
         self.crest = top >= self.e_lo
         self.floor = SEPARATRIX_TOL * max(1.0, abs(self.e_lo))
 
+    @lru_cache(maxsize=8)
     def _frame(self, E: float):
-        """The walls (a, b) at E, None where open, the ends (lo, hi) of the theta map, and
-        the angles of q_a and q_b on it."""
+        """The walls (a, b) at E, None where open, the ends (lo, hi) of the theta map and the
+        angles of q_a and q_b on it, kept for the root, action and sampler of a path."""
         b, a = (_wall(self.potential, walk, E) for walk in self.walks)
         lo = min(self.q_a, self.q_b) if a is None else a
         hi = max(self.q_a, self.q_b) if b is None else b
@@ -297,50 +320,47 @@ class _Paths:
                 eps[th] = math.sqrt(2.0 * (E - v) / kappa) / (0.5 * (hi - lo) * math.sin(th))
         return eps
 
-    def _sums(self, E: float, lo: float, hi: float, segments) -> np.ndarray:
-        """`_integrals` over each theta segment of the map from hi to lo, one column per
-        segment (0 where empty): rows p dq at PATH_ORDER and twice it, m dq / p at twice it.
+    def _sums(self, energies, pieces: bool, order: int):
+        """Whether a and b are walls at each energy, and tau and W of the leg straight from
+        q_a to q_b, or of the `pieces` from q_a to b, from q_a to a, from q_b to b and from
+        q_b to a, by one `_leg` call at `order`: an array (tau or W, energy, leg), 0 where
+        a leg is empty.
 
-        p dips to sqrt(2 m delta) at a crest that E clears by delta, over a
-        theta width eps (`_crests`); each segment is split at its crests, and
-        each part's rule is graded towards each crest end (`_graded_nodes`),
-        from the part's middle where both ends are crests.
+        Each leg is split at the crests that E clears, where p dips (`_crests`), and each
+        part's rule is graded towards each crest end, from its middle where both are crests.
         """
-        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        eps = self._crests(E, lo, hi)
-        blocks, owners = [], []
-        for j, (th0, th1) in enumerate(segments):
-            cuts = sorted({th0, th1, *(th for th in eps if th0 <= th <= th1)})
-            for start, end in zip(cuts[:-1], cuts[1:]):
-                parts = []
-                for crest, far in ((start, end), (end, start)):
-                    if crest in eps:  # graded from the middle where far is a crest too
-                        mid = 0.5 * (start + end)
-                        parts.append(_graded_nodes(crest, mid if far in eps else far, eps[crest]))
-                if not parts:
-                    parts.append(_nodes(PATH_ORDER, start, end))
-                for _, cos, sin, w in parts:
-                    blocks.append((c + r * cos, r * sin * w))
-                    owners.append(j)
-        sums = np.zeros((len(segments), 3))
-        if blocks:
-            np.add.at(sums, owners, _integrals(self.potential, E, blocks, PATH_ORDER))
-        return sums.T
+        walls, rows, owners = [], [], []
+        for i, E in enumerate(energies):
+            a, b, lo, hi, th_a, th_b = self._frame(E)
+            walls.append((a is not None, b is not None))
+            eps = self._crests(E, lo, hi)
+            legs = ([(0.0, th_a), (th_a, math.pi), (0.0, th_b), (th_b, math.pi)] if pieces
+                    else [(min(th_a, th_b), max(th_a, th_b))])
+            for j, (th0, th1) in enumerate(legs):
+                cuts = sorted({th0, th1, *(th for th in eps if th0 <= th <= th1)})
+                for start, end in zip(cuts[:-1], cuts[1:]):
+                    parts = [(crest, eps[crest], 0.5 * (start + end) if far in eps else far)
+                             for crest, far in ((start, end), (end, start)) if crest in eps]
+                    for anchor, grading, far in parts or [(start, 0.0, end)]:
+                        rows.append((E, 0.5 * (lo + hi), 0.5 * (hi - lo), anchor, grading, far))
+                        owners.append((i, j))
+        sums = np.zeros((len(energies), 4 if pieces else 1, 2))
+        if rows:
+            tau, w, _ = _leg(self.potential, rows, order)
+            np.add.at(sums, tuple(np.array(owners).T), np.abs(np.column_stack([tau, w])))
+        has_a, has_b = np.array(walls, dtype=bool).reshape(-1, 2).T
+        return has_a, has_b, sums.transpose(2, 0, 1)
 
-    def direct(self, E: float) -> np.ndarray:
-        """`_integrals` of the leg straight from q_a to q_b at E."""
-        _, _, lo, hi, th_a, th_b = self._frame(E)
-        return self._sums(E, lo, hi, [(min(th_a, th_b), max(th_a, th_b))])[:, 0]
+    def direct(self, E: float, order: int = 2 * PATH_ORDER) -> np.ndarray:
+        """tau and W of the leg straight from q_a to q_b at E (`_sums`)."""
+        return self._sums([E], False, order)[2][:, 0, 0]
 
-    def pieces(self, E: float):
-        """Whether a and b are walls at E, and `_integrals` of the pieces from q_a to b,
-        from q_a to a, from q_b to b and from q_b to a."""
-        a, b, lo, hi, th_a, th_b = self._frame(E)
-        sums = self._sums(E, lo, hi, [(0.0, th_a), (th_a, math.pi), (0.0, th_b), (th_b, math.pi)])
-        return a is not None, b is not None, sums
+    def pieces(self, energies, order: int = 2 * PATH_ORDER):
+        """The walls, and tau and W of the four pieces, at each energy (`_sums`)."""
+        return self._sums(energies, True, order)
 
-    def direct_energy(self, t: float) -> float | None:
-        """E of the path straight from q_a to q_b in time t, or None.
+    def direct_energy(self, t: float) -> tuple[float, np.ndarray] | None:
+        """E of the path straight from q_a to q_b in time t and its `direct` sums, or None.
 
         V <= e_lo on the leg, so at e_lo + x, x the straight line's kinetic
         energy, the leg is nowhere slower than the line and takes at most t
@@ -351,9 +371,11 @@ class _Paths:
         """
         if self.q_a == self.q_b:
             return None
+        sums = {}
 
         def excess(E):
-            return self.direct(E)[2] - t
+            sums[E] = self.direct(E)
+            return sums[E][0] - t
 
         bottom = self.floor if self.crest else 0.0
         x = _checked("the straight line's kinetic energy", lambda: max(
@@ -362,7 +384,7 @@ class _Paths:
         if not gx < 0.0:
             q_lo, q_hi = self._frame(self.e_lo + x)[2:4]  # the theta map's ends
             if gx <= 2.0 ** -50 * t * (q_hi - q_lo) / abs(self.q_b - self.q_a):
-                return self.e_lo + x
+                return self.e_lo + x, sums[self.e_lo + x]
             raise self._missed_maximum()
         while gx < 0.0:
             hi, g_hi = x, gx
@@ -375,7 +397,8 @@ class _Paths:
                 return None
             x = x / 8.0 if x / 8.0 > self.floor else bottom
             gx = excess(self.e_lo + x)
-        return self._root(excess, self.e_lo + x, gx, self.e_lo + hi, g_hi, t)
+        E = self._root(excess, self.e_lo + x, gx, self.e_lo + hi, g_hi, t)
+        return E, sums[E]
 
     def _missed_maximum(self) -> TrajectoryError:
         """The error of a path time that only a maximum the landscape missed explains."""
@@ -432,10 +455,7 @@ class _Paths:
         ends; two roots in one cell are not seen.
         """
         grid = self._grid()
-        samples = [self.pieces(E) for E in grid]
-        has_a = np.array([s[0] for s in samples], dtype=bool)
-        has_b = np.array([s[1] for s in samples], dtype=bool)
-        times = np.array([s[2][2] for s in samples]).reshape(len(grid), 4)
+        has_a, has_b, (times, _) = self.pieces(grid)
         both = has_a & has_b
         # a path past k walls covers k - 1 half loops, none shorter than the shortest
         half = times[both, 0] + times[both, 1]
@@ -452,7 +472,7 @@ class _Paths:
                 for i in np.flatnonzero(sign[:-1] * sign[1:] <= 0.0):
 
                     def branch_excess(E, covered=covered, counts=counts):
-                        return self.pieces(E)[2][2, covered] @ counts - t
+                        return self.pieces([E])[2][0, 0, covered] @ counts - t
 
                     found.append((k, self._root(branch_excess, float(grid[i]), float(excess[i]),
                                                 float(grid[i + 1]), float(excess[i + 1]), t),
@@ -460,12 +480,14 @@ class _Paths:
             yield from sorted(found)
 
     def path(self, t: float) -> tuple[int, float, float, np.ndarray]:
-        """(k, E, s0, `_integrals`) of the default path in time t, as `bounced_branches`
-        yields them (k = 0 for the direct leg): the fewest turning points, then the
-        lowest E."""
-        E = self.direct_energy(t)
-        if E is not None:
-            return 0, E, math.copysign(1.0, self.q_b - self.q_a), self.direct(E)
+        """(k, E, s0, W) of the default path in time t, as `bounced_branches` yields them
+        (k = 0 for the direct leg): the fewest turning points, then the lowest E.  W is
+        its action at PATH_ORDER and at twice it, where a direct leg keeps its root's."""
+        direct = self.direct_energy(t)
+        if direct is not None:
+            E, (_, w) = direct
+            return 0, E, math.copysign(1.0, self.q_b - self.q_a), np.array(
+                [self.direct(E, PATH_ORDER)[1], w])
         branch = next(self.bounced_branches(t), None)
         if branch is None:
             raise TrajectoryError(
@@ -474,7 +496,8 @@ class _Paths:
                 f"{self.e_lo + 2.0 ** 50 * max(1.0, abs(self.e_lo)):g}")
         k, E, s0 = branch
         covered, counts = _coefficients(s0, k)
-        return k, E, s0, self.pieces(E)[2][:, covered] @ counts
+        w = np.array([self.pieces([E], order)[2][1, 0] for order in (PATH_ORDER, 2 * PATH_ORDER)])
+        return k, E, s0, w[:, covered] @ counts
 
 
 @lru_cache(maxsize=4)
@@ -498,19 +521,19 @@ def _lobatto(n: int) -> np.ndarray:
 
 
 class _Path:
-    """A solved two-point path: its branch (k, E, s0) and `_integrals` (`_Paths.path`),
-    its start velocity v0, and its samples at any slice count (`sample`).
+    """A solved two-point path: its branch (k, E, s0) and action W (`_Paths.path`), its
+    start velocity v0, and its samples at any slice count (`sample`).
 
     On the unfolded loop angle phi of E's theta map, q = c + r cos(phi) and
     phi rises along the motion: from -theta_a (moving right) or theta_a,
     through a multiple of pi at each turning point, to an angle of q_b.  The
     path is cut into panels in phi at its turning points and crest passages,
     and between two of these also at the middle.  A panel's time tau(phi),
-    the integral of m r |sin(phi)| / p, is a Gauss-Legendre rule from one
-    of its own ends, its anchor: a crest end, graded as `_Paths._sums`
-    grades, else an end that is no turning point, where V's rounding
-    against E makes a rule noisy.  One loop certifies each panel or halves
-    it, PANEL_CAP times in all before AccuracyError with its estimate:
+    the integral of m r |sin(phi)| / p, is `_leg` from one of its own ends,
+    its anchor: a crest end, graded, else an end that is no turning point,
+    where V's rounding against E makes a rule noisy.  One loop certifies each
+    panel or halves it, PANEL_CAP times in all before AccuracyError with its
+    estimate:
 
     - in phi, where its times at PATH_ORDER and twice it differ by more
       than PANEL_TOL t; no panel is sampled until no time fails;
@@ -550,38 +573,15 @@ class _Path:
         gap = np.maximum(self.E - potential.value(q), 0.0)
         return q, sign * np.sqrt(2.0 * gap / potential.mass)
 
-    def _integrand(self, phi: np.ndarray) -> np.ndarray:
-        """m r |sin(phi)| / p at each phi; infinite where p rounds to 0."""
-        potential = self.paths.potential
-        m = potential.mass
-        gap = np.maximum(self.E - potential.value(self.c + self.r * np.cos(phi)), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return m * self.r * np.abs(np.sin(phi)) / np.sqrt(2.0 * m * gap)
-
-    def _times(self, anchor: np.ndarray, eps: np.ndarray, phi: np.ndarray,
-               order: int = PATH_ORDER):
-        """tau from each anchor to phi by the Gauss-Legendre rule of `order`, on
-        anchor + eps sinh(u) where eps > 0 (`_graded_nodes`), and the integrand at phi:
-        one V call."""
-        x, w = _leggauss(order)
-        d = phi - anchor
-        graded = eps > 0.0
-        e = np.where(graded, eps, 1.0)[:, None]
-        span = np.where(graded, np.arcsinh(np.abs(d) / e[:, 0]), np.abs(d))[:, None]
-        u = span * (0.5 * (x + 1.0))
-        step = np.where(graded[:, None], e * np.sinh(u), u)
-        weight = np.where(graded[:, None], e * np.cosh(u), 1.0) * span * (0.5 * w)
-        g = self._integrand(np.column_stack([anchor[:, None] + np.sign(d)[:, None] * step, phi]))
-        return np.sign(d) * (weight * g[:, :-1]).sum(axis=1), g[:, -1]
-
-    def _solve(self, anchor: np.ndarray, eps: np.ndarray, tau_anchor: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray, tau: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def _solve(self, rows: np.ndarray, tau_anchor: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, tau: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """phi in (lo, hi) at each time tau, from phi: Newton on tau(phi) = tau_anchor +
-        `_times` from anchor, graded by eps, bisecting where a step leaves the bracket,
-        until |tau(phi) - tau| <= 2^-50 t or the bracket is 4 ulp wide."""
+        `_leg` of each row, its far end set to phi, bisecting where a step leaves the
+        bracket, until |tau(phi) - tau| <= 2^-50 t or the bracket is 4 ulp wide."""
         done = np.zeros(len(phi), dtype=bool)
         for _ in range(100):
-            got, slope = self._times(anchor, eps, phi)
+            rows[:, 5] = phi
+            got, _, slope = _leg(self.paths.potential, rows)
             f = tau_anchor + got - tau
             lo, hi = np.where(f < 0.0, phi, lo), np.where(f > 0.0, phi, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -598,11 +598,10 @@ class _Path:
 
     @cached_property
     def _panels(self):
-        """(edges in tau, Chebyshev coefficients, velocity signs) of the certified panels;
-        sets the map's centre c and half-width r."""
+        """(edges in tau, Chebyshev coefficients, velocity signs) of the certified panels."""
         paths, E, pi = self.paths, self.E, math.pi
         _, _, lo, hi, th_a, th_b = paths._frame(E)
-        self.c, self.r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         last = self.k - 1 + (self.s0 < 0)  # phi / pi at the last turning point
         phi0 = -th_a if self.s0 > 0 else th_a
         phi1 = last * pi + th_b if last % 2 == 0 else (last + 1) * pi - th_b
@@ -622,30 +621,31 @@ class _Path:
             at_end = np.array([a not in eps and (b in eps or a in turns) for a, b, _ in pending])
             anchor, far = np.where(at_end, f1, f0), np.where(at_end, f0, f1)
             grading = np.array([eps.get(a, 0.0) for a in anchor])
-            coarse, width = (np.abs(self._times(anchor, grading, far, order)[0])
+            rows = np.column_stack(np.broadcast_arrays(E, c, r, anchor, grading, far))
+            coarse, width = (np.abs(_leg(paths.potential, rows, order)[0])
                              for order in (PATH_ORDER, 2 * PATH_ORDER))
             estimate = np.abs(width - coarse)
             good = estimate <= PANEL_TOL * self.t  # a NaN fails
             if good.all():  # every panel's time certifies: its samples are checked
                 times = (0.5 * width)[:, None] + (0.5 * width)[:, None] * x
                 phi = f0[:, None] + (f1 - f0)[:, None] * (0.5 * (x + 1.0))
-                per_point = (np.repeat(column, inner) for column in (
-                    anchor, grading, np.where(at_end, width, 0.0), f0, f1))
+                per_point = (np.repeat(column, inner, axis=0) for column in (
+                    rows, np.where(at_end, width, 0.0), f0, f1))
                 phi[:, 1:-1] = self._solve(*per_point, times[:, 1:-1].ravel(),
                                            phi[:, 1:-1].ravel()).reshape(-1, inner)
-                q = self.c + self.r * np.cos(phi)
+                q = c + r * np.cos(phi)
                 fine = q @ _lobatto(2 * n).T
                 coarse = q[:, ::2] @ _lobatto(n).T
                 estimate = (np.abs(fine[:, :n + 1] - coarse).sum(axis=1)
                             + np.abs(fine[:, n + 1:]).sum(axis=1))
-                good = estimate <= PANEL_TOL * max(1.0, abs(self.c) + self.r)
+                good = estimate <= PANEL_TOL * max(1.0, abs(c) + r)
                 kept += [(f0[i], width[i], fine[i], -np.sign(np.sin(0.5 * (f0[i] + f1[i]))))
                          for i in np.flatnonzero(good)]
                 pending, mid = [], phi[:, n]
-                error = f"path samples not converged in {2 ** PANEL_CAP} panels of a segment"
+                error = f"path samples not converged in {2 ** PANEL_CAP} panels of a leg"
             else:  # the others wait, to be timed again with the halves
                 pending, mid = [pending[i] for i in np.flatnonzero(good)], 0.5 * (f0 + f1)
-                error = f"path time quadrature not converged in {2 ** PANEL_CAP} segments of a leg"
+                error = f"path time quadrature not converged in {2 ** PANEL_CAP} panels of a leg"
             if (depth[~good] == PANEL_CAP).any():
                 raise AccuracyError(error, estimate=float(np.max(estimate[~good])))
             pending += [half for i in np.flatnonzero(~good) for half in (
@@ -680,7 +680,7 @@ def kernel_phase(potential: Potential, q_a: float, q_b: float, t: float,
     m, v_const = potential.mass, _constant_value(potential)
     if v_const is None and not isinstance(potential, Harmonic):
         path = _path(potential, q_a, q_b, t)
-        e_path, v0, (w_coarse, w, _) = path.E, path.v0, path.sums
+        e_path, v0, (w_coarse, w) = path.E, path.v0, path.sums
         estimate = abs(w - w_coarse)
         if not estimate <= PATH_TOL * max(abs(w), 1.0):  # a NaN fails
             raise AccuracyError(

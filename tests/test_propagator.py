@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+import test_bohr_sommerfeld
 from phasekit import (
     AccuracyError,
     ConjugatePointError,
@@ -183,7 +184,7 @@ def _morse_branch(k):
     turning points (both pinned in TestMorseBranches)."""
     paths = propagator._Paths(Morse(depth=10.0), 0.5, -0.25)
     branch = next(b for b in paths.bounced_branches(2.0) if b[0] == k)
-    return propagator._Path(paths, 0.5, -0.25, 2.0, *branch, None)
+    return propagator._Path(paths, 0.5, -0.25, 2.0, *branch, sums=None)
 
 
 #: the largest |q - RK4| / max(1, |q|) over the paths below, RK4 on 8192 steps, was
@@ -235,9 +236,9 @@ class TestSampledPaths:
         assert np.max(np.abs(positions - rk4.positions)) <= DYNAMICS_TOL * scale
 
     @pytest.mark.parametrize("path, message", [
-        (lambda: _morse_branch(1), r"^path samples not converged in 1 panels of a segment$"),
+        (lambda: _morse_branch(1), r"^path samples not converged in 1 panels of a leg$"),
         (lambda: propagator._path.__wrapped__(Pendulum(), 0.0, 30.0, 3.0),
-         r"^path time quadrature not converged in 1 segments of a leg$"),
+         r"^path time quadrature not converged in 1 panels of a leg$"),
     ], ids=["panel", "segment"])
     def test_a_panel_past_its_cap_is_an_accuracy_error(self, path, message, monkeypatch):
         # the Morse path that turns once needs two rounds of halvings at tau midpoints, the
@@ -375,14 +376,16 @@ class TestEnergyEquation:
     def test_a_leg_over_five_crests(self, monkeypatch):
         # the pendulum from 0 to 30 in t = 3 clears the crests at pi, 3 pi, ..., 9 pi;
         # the landscape's window holds the first two, and the part between them is
-        # graded towards both from its middle
-        graded = []
-        nodes = propagator._graded_nodes
-        monkeypatch.setattr(propagator, "_graded_nodes",
-                            lambda *a: graded.append(a) or nodes(*a))
+        # graded towards both from its middle: two rows (E, c, r, anchor, eps, far)
+        rows = []
+        leg = propagator._leg
+        monkeypatch.setattr(propagator, "_leg", lambda potential, some, *order: (
+            rows.extend(map(tuple, np.asarray(some))) or leg(potential, some, *order)))
+        propagator._path.cache_clear()
         limit = kernel_phase(Pendulum(), 0.0, 30.0, 3.0)
-        assert any(one[1] == other[1] == 0.5 * (one[0] + other[0])
-                   for one, other in zip(graded, graded[1:]))
+        assert any(one[4] > 0.0 and other[4] > 0.0
+                   and one[5] == other[5] == 0.5 * (one[3] + other[3])
+                   for one, other in zip(rows, rows[1:]))
         crests = [k * math.pi for k in (1, 3, 5, 7, 9)]
         reference = _reference_action(Pendulum(), 0.0, 30.0, 3.0, limit.energy, crests)
         assert abs(limit.S_cl - reference) <= S_CL_TOL * max(1.0, abs(reference))
@@ -409,7 +412,7 @@ class TestEnergyEquation:
         # straight line's kinetic energy, within the map's rounding: that E is the root
         paths = propagator._Paths(Quartic(), 0.0, 1e-5)
         e_top = paths.e_lo + 0.5 * (1e-5 / 0.05) ** 2
-        assert paths.direct(e_top)[2] > 0.05
+        assert paths.direct(e_top)[0] > 0.05
         assert kernel_phase(Quartic(), 0.0, 1e-5, 0.05).energy == e_top
 
     @pytest.mark.parametrize("t", [1.58, 0.5, 3.0])
@@ -446,7 +449,7 @@ class TestEnergyEquation:
         x = max(0.5 * potential.mass * ((q_b - q_a) / t) ** 2, paths.floor)
         lo, hi = paths._frame(paths.e_lo + x)[2:4]
         rounding = 2.0 ** -50 * (hi - lo) / abs(q_b - q_a)
-        assert paths.direct(paths.e_lo + x)[2] <= t * (1.0 + rounding)
+        assert paths.direct(paths.e_lo + x)[0] <= t * (1.0 + rounding)
 
 
 class TestMorseBranches:
@@ -476,6 +479,28 @@ class TestMorseBranches:
         assert path.velocities[0] == kernel_phase(Morse(depth=10.0), 0.5, -0.25, 2.0).v0
         assert path.velocities[0] == pytest.approx(3.28820089)
         assert (path.positions[0], path.positions[-1]) == (0.5, -0.25)
+
+    @pytest.mark.parametrize("potential, q_a, q_b, t", [
+        (Morse(depth=10.0), 0.5, -0.25, 2.0), (TILTED_WELL, -1.0, 1.0, 3.0),
+    ], ids=["morse", "tilted-double-well"])
+    def test_one_pass_over_the_scan_grid(self, potential, q_a, q_b, t, monkeypatch):
+        # the scan's energies are rows of one rule call, with the bits of one energy at a
+        # time; the tilted well's rows are graded at its crest
+        paths = propagator._Paths(potential, q_a, q_b)
+        grid = paths._grid()
+        has_a, has_b, sums = paths.pieces(grid)
+        for i, E in enumerate(grid):
+            one_a, one_b, one = paths.pieces([E])
+            assert (one_a[0], one_b[0]) == (has_a[i], has_b[i])
+            assert one[:, 0].tobytes() == sums[:, i].tobytes()
+        # up to the first branches, one array V call for the grid and one per refinement step
+        sizes, pieces = [], paths.pieces
+        monkeypatch.setattr(paths, "pieces", lambda energies: (
+            sizes.append(len(energies)) or pieces(energies)))
+        calls = test_bohr_sommerfeld.TestKeptWork.count_value_calls(potential, monkeypatch)
+        next(paths.bounced_branches(t))
+        assert sizes[0] == len(grid) and set(sizes[1:]) <= {1}
+        assert [call for call in calls if not call[1]] == [(True, False)] * len(sizes)
 
 
 def _sweep_requests(count):
