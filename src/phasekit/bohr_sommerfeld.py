@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .errors import (
     SeparatrixError,
 )
 from .potentials import Potential, _solve
-from .schrodinger import EigenSolution
+
+if TYPE_CHECKING:  # quantize without an oracle never loads the eigensolver
+    from .schrodinger import EigenSolution
 
 #: |E - crest| below this (relative) is treated as a separatrix energy
 SEPARATRIX_TOL = 1e-9

@@ -20,13 +20,11 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
 
-from . import bohr_sommerfeld as bs
-from . import propagator as prop
-from . import schrodinger, thermo, wigner
 from .ensemble import CanonicalEnsemble, ensemble_from_json
 from .errors import ConfigError, PhasekitError
 from .potentials import Stability, find_equilibria, potential_from_json
@@ -135,11 +133,13 @@ def _json(value, indent: int | None = None, name: str = "value") -> str:
             items = _rows(value.rows, _json, repeat(""), repeat(name), ", ", "[", "]")
         else:
             lead = "\n" + "  " * deeper + "  "
-            items = _rows(value.rows, _json, [json.dumps(k) + ": " for k in value.keys],
+            items = _rows(value.rows, _json, [encode_basestring_ascii(k) + ": "
+                                              for k in value.keys],
                           value.keys, "," + lead, "{" + lead, lead[:-2] + "}")
     elif isinstance(value, dict):
         brackets = "{}"
-        items = [f"{json.dumps(str(k))}: {_json(v, deeper, str(k))}" for k, v in value.items()]
+        items = [f"{encode_basestring_ascii(str(k))}: {_json(v, deeper, str(k))}"
+                 for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         brackets = "[]"
         items = [_json(v, deeper, name) for v in value]
@@ -147,6 +147,14 @@ def _json(value, indent: int | None = None, name: str = "value") -> str:
             indent = None
     elif isinstance(value, float):
         return _fmt(value, name)
+    elif value is None:  # each scalar as json.dumps writes it
+        return "null"
+    elif isinstance(value, bool):
+        return "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
     else:
         return json.dumps(value)
     if indent is None or not items:
@@ -453,9 +461,11 @@ def _split_argv(argv: list[str]) -> tuple[str | None, dict, str | None]:
 
 # ------------------------------------------------------------- subcommands
 #
-# A runner takes the parsed options and returns (JSON body, CSV sections).
+# A runner takes the parsed options and returns (JSON body, CSV sections).  Each imports
+# the layers it runs, so that a process loads only those of its subcommand.
 
 def _run_wigner(opts: dict):
+    from . import wigner
     potentials, ens = opts["potential"], opts["ensemble"]
     columns = ("q", "delta_q", "re_value", "im_value", "closed_form", "residual",
                "product_form")
@@ -477,6 +487,7 @@ def _run_wigner(opts: dict):
 
 
 def _run_equilibrium(opts: dict):
+    from . import thermo
     potential = opts["potential"]
     rows = []
     # --window is the user's own query, so it is scanned as given, not via the landscape
@@ -490,6 +501,7 @@ def _run_equilibrium(opts: dict):
 
 
 def _run_thermo(opts: dict):
+    from . import thermo
     potential, ens, qs = opts["potential"], opts["ensemble"], opts["grid"]
     profile = thermo.thermo_profile(potential, ens, qs, normalization=opts["normalization"])
 
@@ -510,6 +522,7 @@ def _run_thermo(opts: dict):
 
 
 def _run_quantize(opts: dict):
+    from . import bohr_sommerfeld as bs
     potential, hbar, levels = opts["potential"], opts["hbar"], opts["levels"]
     motion = None if opts["class"] == "auto" else bs.MotionKind(opts["class"])
     if motion is bs.MotionKind.ROTATION and potential.period is None:
@@ -523,6 +536,7 @@ def _run_quantize(opts: dict):
             pt.stability is not Stability.MAXIMUM for pt in potential.landscape.equilibria))
         k = 2 * levels[-1] + 1 if periodic else wells * (levels[-1] + 1)
         _check_level_count(k, opts["grid-size"])
+        from . import schrodinger
         oracle = schrodinger.fd_eigensolve(potential, hbar=hbar, box=opts["box"],
                                            M=opts["grid-size"], k=k,
                                            boundary="periodic" if periodic else "dirichlet")
@@ -537,6 +551,7 @@ def _run_quantize(opts: dict):
 
 
 def _run_propagate(opts: dict):
+    from . import propagator as prop
     potential, hbar, slice_counts = opts["potential"], opts["hbar"], opts["slices"]
     q_a, q_b, t = opts["from"], opts["to"], opts["time"]
     limit = prop.kernel_phase(potential, q_a, q_b, t, E=opts["energy"], hbar=hbar,
@@ -559,6 +574,7 @@ def _check_level_count(k: int, M: int) -> None:
 
 
 def _run_oracle(opts: dict):
+    from . import schrodinger
     potential, hbar, k, box = opts["potential"], opts["hbar"], opts["levels"], opts["box"]
     if opts["boundary"] == "auto":
         # the echo shows the boundary the solve used

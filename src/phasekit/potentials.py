@@ -58,6 +58,13 @@ class Potential:
     def second_derivative(self, q):
         raise NotImplementedError
 
+    def _equilibria(self) -> list[EquilibriumPoint]:
+        """The roots of V' that `landscape` holds, sorted."""
+        raise NotImplementedError
+
+    #: the highest V over one period for a family with a period, else None
+    _crest: float | None = None
+
     @cached_property
     def landscape(self) -> Landscape:
         """Equilibria, global minimum, crest and walks, found on first use and kept."""
@@ -96,6 +103,9 @@ class Harmonic(Potential):
     def second_derivative(self, q):
         return self.m * self.omega**2 * np.ones_like(q, dtype=float)
 
+    def _equilibria(self):
+        return [_equilibrium(self, 0.0)]
+
 
 @dataclass(frozen=True)
 class Quartic(Potential):
@@ -114,6 +124,9 @@ class Quartic(Potential):
 
     def second_derivative(self, q):
         return 3.0 * self.lam * (q * q)
+
+    def _equilibria(self):
+        return [_equilibrium(self, 0.0)]
 
 
 def _horner(coeffs, q):
@@ -157,6 +170,35 @@ class Polynomial(Potential):
     def second_derivative(self, q):
         return _horner(self._descending[2], q)
 
+    def _equilibria(self):
+        """A scan of (-10, 10), then of the two new shells of each doubling of it while an
+        end lies within Fujiwara's bound on the roots of V', at most 60 times."""
+        bound = _root_bound(self._descending[1])
+        window = (-10.0, 10.0)
+        points = find_equilibria(self, window)
+        for _ in range(60):
+            lo, hi = window
+            if hi > bound:
+                break
+            window = (2.0 * lo, 2.0 * hi)
+            # a root on a shared end is found by both scans
+            points = list(dict.fromkeys(find_equilibria(self, (window[0], lo)) + points
+                                        + find_equilibria(self, (hi, window[1]))))
+        return points
+
+
+def _root_bound(coeffs) -> float:
+    """Fujiwara's (1916) bound on |z| over the complex roots of the polynomial with
+    `coeffs`, highest power first: 2 max_k |c_k / c_0|^(1/k), its last term halved;
+    0 for a constant, inf where a ratio overflows."""
+    coeffs = coeffs[next((i for i, c in enumerate(coeffs) if c != 0.0), len(coeffs)):]
+    n = len(coeffs) - 1
+    if n < 1:
+        return 0.0
+    ratios = [abs(c / coeffs[0]) for c in coeffs[1:]]
+    ratios[-1] /= 2.0
+    return 2.0 * max(r ** (1.0 / k) for k, r in enumerate(ratios, 1))
+
 
 @dataclass(frozen=True)
 class Pendulum(Potential):
@@ -176,6 +218,14 @@ class Pendulum(Potential):
 
     def second_derivative(self, q):
         return self.amplitude * np.cos(q)
+
+    def _equilibria(self):
+        # k pi in (-10, 10), the bits a scan of it polishes
+        return [_equilibrium(self, k * math.pi) for k in range(-3, 4)]
+
+    @property
+    def _crest(self):
+        return float(self.amplitude)  # -amplitude cos(pi)
 
 
 @dataclass(frozen=True)
@@ -201,6 +251,11 @@ class Rotor(Potential):
     def second_derivative(self, q):
         return np.zeros_like(q, dtype=float)[()]
 
+    def _equilibria(self):
+        return []
+
+    _crest = 0.0
+
 
 @dataclass(frozen=True)
 class Morse(Potential):
@@ -222,6 +277,10 @@ class Morse(Potential):
     def second_derivative(self, q):
         y = np.exp(-self.width * q)
         return 2.0 * self.depth * self.width**2 * y * (2.0 * y - 1.0)
+
+    def _equilibria(self):
+        # not a scan: where exp(-width q) underflows, V' is exactly 0
+        return [_equilibrium(self, 0.0)]
 
 
 _FAMILIES = {cls.family: cls for cls in (Harmonic, Quartic, Polynomial, Pendulum,
@@ -260,7 +319,8 @@ def potential_from_json(obj: dict) -> Potential:
                 kwargs[f.name] = json_number(obj[f.name])
     except (TypeError, OverflowError):
         raise ValueError(f"fields of family {family!r} must be numbers")
-    if not all(np.isfinite(v).all() for v in kwargs.values()):
+    if not all(map(math.isfinite, [x for v in kwargs.values()
+                                   for x in (v if isinstance(v, tuple) else (v,))])):
         raise ValueError(f"fields of family {family!r} must be finite")
     for k, v in kwargs.items():  # every scale must be positive; lam or depth <= 0 leaves no well
         if k in ("m", "inertia", "omega", "lam", "depth", "width") and v <= 0.0:
@@ -373,19 +433,27 @@ def find_equilibria(
         roots.append(_solve(potential.derivative, potential.second_derivative, 0.0,
                             float(below), float(above)))
     roots.sort()
-    curvatures = [float(potential.second_derivative(q0)) for q0 in roots]
-    return [EquilibriumPoint(q0, c, _classify(c)) for q0, c in zip(roots, curvatures)]
+    return [_equilibrium(potential, q0) for q0 in roots]
+
+
+def _equilibrium(potential: Potential, q0: float) -> EquilibriumPoint:
+    """The equilibrium at q0, classified by its curvature V''(q0)."""
+    curvature = float(potential.second_derivative(q0))
+    return EquilibriumPoint(q0, curvature, _classify(curvature))
 
 
 @dataclass(frozen=True)
 class Landscape:
-    """A potential's equilibria (roots of V' on the search window, sorted), minimum,
-    crest and turning-point walks.
+    """A potential's equilibria, minimum, crest and turning-point walks.
 
-    ``minimum`` is the lowest non-maximum equilibrium, the first on a tie;
-    where there is none (flat, monotone or unbounded V) it is the window's
-    lower end, marked degenerate with zero curvature.  ``v_min`` is V there.
-    ``crest`` is the highest of 2049 samples of one period, or None.
+    ``equilibria`` are the roots of V', sorted, as the family gives them:
+    in closed form (none for the rotor, k pi in (-10, 10) for the
+    pendulum, 0 for every other family but the polynomial), or found by a
+    polynomial's scan out to its root bound.  ``minimum`` is the lowest
+    non-maximum equilibrium, the first on a tie; where there is none (flat,
+    monotone or unbounded V) it is the lower-V end of (-10, 10), marked
+    degenerate with zero curvature.  ``v_min`` is V there.  ``crest`` is V's
+    highest value over one period, or None on the line.
 
     ``walks`` holds the outward walks from the minimum, right then left, as
     read-only ``(stops, peaks)`` arrays.  The stops are the minimum, the
@@ -428,38 +496,21 @@ def _walk(potential: Potential, equilibria, q0: float, direction: float):
 
 
 def _build_landscape(potential: Potential) -> Landscape:
-    """Scan (-10, 10), then double the window while an end lies below every equilibrium.
-
-    A doubling scans only the two new shells, so the first window's
-    equilibria never change; families with a period never grow.
-    """
-    window = (-10.0, 10.0)
-    points = find_equilibria(potential, window)
+    """The family's equilibria (`Potential._equilibria`), the lowest non-maximum of them,
+    its crest and the walks out of that minimum."""
+    points = potential._equilibria()
+    candidates = [pt for pt in points if pt.stability is not Stability.MAXIMUM]
     # steep walls overflow to inf far out; inf is never the lower end
     with np.errstate(over="ignore"):
-        for _ in range(60 if potential.period is None else 0):
-            lowest = min((float(potential.value(pt.q0)) for pt in points), default=np.inf)
-            if min(float(potential.value(window[0])), float(potential.value(window[1]))) >= lowest:
-                break
-            lo, hi = window
-            window = (2.0 * lo, 2.0 * hi)
-            # a root on a shared end is found by both scans
-            points = list(dict.fromkeys(find_equilibria(potential, (window[0], lo)) + points
-                                        + find_equilibria(potential, (hi, window[1]))))
-
-        candidates = [pt for pt in points if pt.stability is not Stability.MAXIMUM]
         if candidates:
             minimum = min(candidates, key=lambda pt: float(potential.value(pt.q0)))
         else:  # V is monotone away from any maximum, so its lowest point is an end
-            q = min(window, key=lambda x: float(potential.value(x)))
+            q = min((-10.0, 10.0), key=lambda x: float(potential.value(x)))
             minimum = EquilibriumPoint(q0=q, curvature=0.0, stability=Stability.DEGENERATE)
         v_min = float(potential.value(minimum.q0))
-
-    crest = None if potential.period is None else float(
-        np.max(potential.value(np.linspace(0.0, potential.period, 2049))))
     walks = tuple(_walk(potential, points, minimum.q0, direction) for direction in (+1.0, -1.0))
-    return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min, crest=crest,
-                     walks=walks)
+    return Landscape(equilibria=tuple(points), minimum=minimum, v_min=v_min,
+                     crest=potential._crest, walks=walks)
 
 
 def well_box(potential: Potential, level: float, accept=None) -> tuple[float, float] | None:

@@ -360,21 +360,23 @@ SHIFTED_WELL = Polynomial(coeffs=(112.5, -15.0, 0.5))  # (q - 15)^2 / 2
 
 
 class TestLandscapeReuse:
-    def test_quantize_scans_the_landscape_once(self, monkeypatch):
-        scans = []
-        scan = potentials.find_equilibria
-
-        def counted(*args, **kwargs):
-            scans.append(args)
-            return scan(*args, **kwargs)
-
-        monkeypatch.setattr(potentials, "find_equilibria", counted)
-        pot = Harmonic()
+    @pytest.mark.parametrize("pot,windows", [(Harmonic(), 0),
+                                             (Polynomial(coeffs=SHIFTED_WELL.coeffs), 3)],
+                             ids=["harmonic", "shifted-well"])
+    def test_quantize_builds_the_landscape_once(self, monkeypatch, pot, windows):
+        # a family with its equilibria in closed form scans no window; the shifted
+        # polynomial well scans (-10, 10) and the two shells out to its root bound, 15
+        builds, scans = [], []
+        build, scan = potentials._build_landscape, potentials.find_equilibria
+        monkeypatch.setattr(potentials, "_build_landscape",
+                            lambda p: builds.append(p) or build(p))
+        monkeypatch.setattr(potentials, "find_equilibria",
+                            lambda *args: scans.append(args) or scan(*args))
         quantize(pot, range(11))
-        assert len(scans) == 1
         turning_points(pot, 3.0)
         classify_motion(pot, 3.0)
-        assert len(scans) == 1
+        assert builds == [pot]
+        assert len(scans) == windows
 
 
 class TestShiftedWell:

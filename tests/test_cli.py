@@ -21,6 +21,9 @@ HARMONIC = '{"family": "harmonic", "m": 1.0, "omega": 1.0}'
 QUARTIC = '{"family": "quartic", "m": 1.0, "lam": 1.0}'
 ROTOR = '{"family": "rotor", "inertia": 1.0}'
 TILTED = '{"family": "polynomial", "coeffs": [0, 0.3, -2, 0, 0.5]}'
+# q^2/2 - q^4/3600 + 1e-8 q^6: a well at 0, barriers at +-30.80 and its deepest wells at
+# +-132.55, all but the first outside the landscape's first window (-10, 10)
+SEXTIC = '{"family": "polynomial", "coeffs": [0, 0, 0.5, 0, -0.0002777777777777778, 0, 1e-8]}'
 BETA_ONE = '{"beta": 1.0}'
 
 
@@ -654,6 +657,36 @@ class TestQuantizeCommand:
         for row in json.loads(out)["levels"]:
             assert abs(row["relative_error"]) < 1e-6
 
+    def test_oracle_pairs_a_morse_well_of_large_width(self, run):
+        # where exp(-width q) underflows, V' is exactly 0: a scan of (-10, 10) took 71
+        # such points for wells, the oracle was asked for 144 states, and state 15 met
+        # the wall of this box (BoxError).  The family's one well asks for two
+        code, out, err = run("quantize", "--potential",
+                             '{"family":"morse","depth":1e6,"width":80}', "--levels", "0..1",
+                             "--oracle", "on", "--box=-0.02:0.1", "--grid-size", "1024")
+        assert code == 0, err
+        for row in json.loads(out)["levels"]:
+            assert abs(row["relative_error"]) < 2e-4
+
+    def test_a_v_unbounded_below_with_no_minimum_stays_in_its_window(self, run):
+        # V = -q^2 has only a maximum and a root bound of 0, so the landscape takes the
+        # lower end of (-10, 10), V = -100, for its floor.  The window used to double 60
+        # times first, and the error named "E=-1.32923e+38"
+        code, out, err = run("quantize", "--potential",
+                             '{"family": "polynomial", "coeffs": [0, 0, -1]}', "--levels", "0..1")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]  # the one JSON document on stderr
+        assert (error["kind"], error["type"]) == ("computation", "ForbiddenRegionError")
+        assert error["message"] == ("E=-99.999 gives unbounded non-periodic motion; no closed "
+                                    "orbit to quantize")
+
+    def test_the_sextic_quantizes_its_deepest_well(self, run):
+        # with only (-10, 10) scanned, the levels were 0.4999 and 1.4991, of the well at 0
+        code, out, err = run("quantize", "--potential", SEXTIC, "--levels", "0..1")
+        assert code == 0, err
+        assert [row["E_bs"] for row in json.loads(out)["levels"]] == [
+            -22723.950323953082, -22718.030920343961]
+
     def test_djde_column(self, run):
         code, out, _ = run("quantize", "--potential", HARMONIC, "--levels", "0..1",
                            "--djde", "on")
@@ -784,22 +817,34 @@ class TestPropagateCommand:
         assert (error["kind"], error["type"]) == ("computation", "OverflowError")
         assert error["message"] == f"{quantity} overflows"
 
-    @pytest.mark.parametrize("t", ["3", "1.58"])
-    def test_a_maximum_the_landscape_missed_is_one_named_error(self, run, t):
-        # q^2/2 - q^4/3600 + 1e-8 q^6 has a barrier at 30.8 that the landscape's scan of
-        # (-10, 10) misses.  In t = 3 the branch scan's root-finder met infinite times at
-        # it: a RuntimeWarning traceback under -W error, else AccuracyError
-        sextic = ('{"family": "polynomial", '
-                  '"coeffs": [0, 0, 0.5, 0, -0.0002777777777777778, 0, 1e-8]}')
+    @pytest.mark.parametrize("t,E", [("3", "239.40694062915765"),
+                                     ("1.58", "288.52867617258664")])
+    def test_a_path_over_the_sextic_s_outer_barrier(self, run, t, E):
+        # the barrier at 30.8 lies outside the first window of the landscape's scan.
+        # When the landscape missed it, the branch scan's root-finder met infinite times
+        # there in t = 3: a RuntimeWarning traceback under -W error, else an error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run("propagate", "--potential", sextic, "--from", "20",
+            code, out, err = run("propagate", "--potential", SEXTIC, "--from", "20",
                                  "--to", "40", "--time", t)
+        assert (code, err) == (0, "")
+        assert f'"E": {E},' in out
+
+    def test_a_maximum_the_landscape_missed_is_one_named_error(self, run):
+        # V' = q ((q - c)^2 - d^2) changes sign twice inside one cell of the scan's grid,
+        # so the landscape misses its bump at c - d (test_propagator.py)
+        c, d = 1.0 + 2.0**-10, 0.004
+        bump = json.dumps({"family": "polynomial",
+                           "coeffs": [0.0, 0.0, (c * c - d * d) / 2.0, -2.0 * c / 3.0, 0.25]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("propagate", "--potential", bump, "--from", "0.996",
+                                 "--to", "1.006", "--time", "50")
         assert (code, out) == (1, "")
         error = json.loads(err)["error"]  # the one JSON document on stderr
         assert (error["kind"], error["type"]) == ("computation", "TrajectoryError")
-        assert error["message"] == ("V exceeds e_lo=156.196 between q_a=20 and q_b=40, at a "
-                                    "maximum the landscape missed")
+        assert error["message"] == ("V exceeds e_lo=0.0836514 between q_a=0.996 and "
+                                    "q_b=1.006, at a maximum the landscape missed")
 
     def test_nonpositive_time_rejected(self, run):
         code, _, err = run("propagate", "--potential", HARMONIC,
@@ -849,6 +894,15 @@ class TestOracleCommand:
         assert code == 0, err
         assert payload["eigenvalues"] == pytest.approx(json.loads(out)["eigenvalues"],
                                                        rel=1e-4)
+
+    def test_the_sextic_s_default_box_holds_its_deepest_wells(self, run):
+        # the box was (-8, 8), about the well at 0 alone, and level 0 read 0.49979100654258568;
+        # the two outer wells hold a degenerate pair
+        code, out, err = run("oracle", "--potential", SEXTIC, "--levels", "2")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["box"] == [-644.55160514601107, 379.44839485398893]
+        assert payload["eigenvalues"] == [-22724.020446851111, -22724.020446851111]
 
     def test_rotor_resolves_to_periodic(self, run):
         code, out, _ = run("oracle", "--potential", ROTOR, "--levels", "3",
@@ -914,6 +968,47 @@ def test_only_an_eigensolve_imports_scipy():
     loaded = json.loads(done.stdout)
     assert loaded.pop("oracle") is True
     assert loaded == dict.fromkeys(loaded, False)
+
+
+#: the phasekit modules loaded after one run of the subcommand in argv[1], as JSON
+MODULE_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from phasekit.cli import main
+
+    argv = json.loads(sys.argv[1])
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("phasekit."))))
+""")
+
+
+def test_each_subcommand_imports_only_the_layers_it_runs():
+    h = '{"family": "harmonic"}'
+    runs = {
+        (): [],
+        ("quantize", "--potential", h, "--levels", "0..1"): ["bohr_sommerfeld"],
+        ("quantize", "--potential", h, "--levels", "0..1", "--oracle", "on",
+         "--grid-size", "64"): ["bohr_sommerfeld", "schrodinger"],
+        # wigner and propagate use bohr_sommerfeld's Gauss-Legendre tables and walls
+        ("wigner", "--potential", h, "--ensemble", '{"beta": 1}', "--grid", "0:1:2",
+         "--deltas", "0:0.1:2"): ["bohr_sommerfeld", "wigner"],
+        ("thermo", "--potential", h, "--ensemble", '{"beta": 1}', "--grid", "0:1:2"):
+            ["bohr_sommerfeld", "thermo", "wigner"],
+        ("equilibrium", "--potential", h): ["bohr_sommerfeld", "thermo", "wigner"],
+        ("propagate", "--potential", h, "--from", "1", "--to", "0", "--time", "1",
+         "--slices", "64"): ["bohr_sommerfeld", "propagator"],
+        ("oracle", "--potential", h, "--levels", "1", "--grid-size", "64"): ["schrodinger"],
+    }
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv, layers in runs.items():
+        done = subprocess.run([sys.executable, "-c", MODULE_PROBE, json.dumps(argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == sorted(
+            f"phasekit.{m}" for m in ["cli", "ensemble", "errors", "potentials", *layers]), argv
 
 
 def test_rotor_oracle_prints_the_same_bytes_under_one_and_two_blas_threads():

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,6 +355,17 @@ def test_equilibria_are_exact_zeros_and_sign_changes(potential, expected):
         (pt.q0, pt.stability) for pt in points]
 
 
+def landscape_scans(potential, monkeypatch):
+    """The windows that building `potential`'s landscape scans, and the landscape."""
+    scans = []
+    scan = potentials.find_equilibria
+    monkeypatch.setattr(potentials, "find_equilibria",
+                        lambda p, interval: scans.append(interval) or scan(p, interval))
+    land = potential.landscape
+    monkeypatch.undo()
+    return scans, land
+
+
 class TestLandscape:
     def test_centred_well_keeps_the_first_window(self):
         land = DOUBLE_WELL.landscape
@@ -374,18 +386,40 @@ class TestLandscape:
         assert land.minimum.stability is Stability.MINIMUM
         assert land.v_min == pytest.approx(0.0, abs=1e-12)
 
-    def test_growth_keeps_the_equilibria_of_the_first_window(self, monkeypatch):
-        # a metastable well at 0 (barrier tops at +-5) on a potential unbounded below
-        pot = Polynomial(coeffs=(0.0, 0.0, 1.0, 0.0, -0.02))
-        scans = []
-        scan = potentials.find_equilibria
-        monkeypatch.setattr(potentials, "find_equilibria",
-                            lambda p, interval: scans.append(interval) or scan(p, interval))
-        land = pot.landscape
-        monkeypatch.undo()
+    def test_growth_scans_to_the_root_bound_and_keeps_the_first_window(self, monkeypatch):
+        # Fujiwara's bound on the roots of V' = q - q^3/900 + 6e-8 q^5 is
+        # 2 (1/900 / 6e-8)^(1/2) = 272.2: the window doubles to (-320, 320), and the
+        # outer roots, +-30.80 (maxima) and +-132.55 (minima), lie in its shells
+        pot = Polynomial(coeffs=(0.0, 0.0, 0.5, 0.0, -1.0 / 3600.0, 0.0, 1e-8))
+        scans, land = landscape_scans(pot, monkeypatch)
+        assert scans == [SEARCH_WINDOW] + [
+            shell for k in range(5) for shell in ((-20.0 * 2**k, -10.0 * 2**k),
+                                                   (10.0 * 2**k, 20.0 * 2**k))]
+        assert [(round(pt.q0, 2), pt.stability) for pt in land.equilibria] == [
+            (-132.55, Stability.MINIMUM), (-30.8, Stability.MAXIMUM), (0.0, Stability.MINIMUM),
+            (30.8, Stability.MAXIMUM), (132.55, Stability.MINIMUM)]
+        assert [pt for pt in land.equilibria if abs(pt.q0) < 10.0] == find_equilibria(
+            pot, SEARCH_WINDOW)
+        assert land.minimum == land.equilibria[0]  # the first of two equal wells
+
+    def test_a_root_bound_that_overflows_caps_the_scan(self, monkeypatch):
+        # V' = 2e300 q + 4e-300 q^3: the ratio of its coefficients overflows, so the
+        # window doubles 60 times, the cap, and stops at 10 * 2^60 = 1.15e19
+        scans, land = landscape_scans(Polynomial(coeffs=(0.0, 0.0, 1e300, 0.0, 1e-300)),
+                                      monkeypatch)
         assert len(scans) == 1 + 2 * 60  # the first window, then two shells per doubling
         assert scans[-1] == (10.0 * 2.0**59, 10.0 * 2.0**60)
+        assert [(pt.q0, pt.stability) for pt in land.equilibria] == [(0.0, Stability.MINIMUM)]
+
+    def test_a_v_unbounded_below_scans_only_to_its_root_bound(self, monkeypatch):
+        # V = q^2 - 0.02 q^4 has a metastable well at 0 and barrier tops at +-5; its
+        # root bound is 10, so the window doubles once, not 60 times, and the well is
+        # the minimum
+        pot = Polynomial(coeffs=(0.0, 0.0, 1.0, 0.0, -0.02))
+        scans, land = landscape_scans(pot, monkeypatch)
+        assert scans == [SEARCH_WINDOW, (-20.0, -10.0), (10.0, 20.0)]
         assert list(land.equilibria) == find_equilibria(pot, SEARCH_WINDOW)
+        assert [round(pt.q0, 12) for pt in land.equilibria] == [-5.0, 0.0, 5.0]
         assert land.minimum.q0 == 0.0
 
     def test_periodic_family_never_grows(self):
@@ -400,6 +434,40 @@ class TestLandscape:
         assert land.minimum.stability is Stability.DEGENERATE
         assert land.minimum.curvature == 0.0
         assert (land.v_min, land.crest) == (0.0, 0.0)
+
+
+_SCALE = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(potential=st.one_of(
+    st.builds(Harmonic, m=_SCALE, omega=_SCALE),
+    st.builds(Quartic, m=_SCALE, lam=_SCALE),
+    st.builds(Pendulum, m=_SCALE, amplitude=_SCALE),
+    st.builds(Rotor, inertia=_SCALE),
+    # from width 70 on, exp(-width q) nears underflow inside the window
+    st.builds(Morse, m=_SCALE, depth=_SCALE, width=st.floats(1e-3, 70.0))))
+def test_closed_form_equilibria_are_the_scan_s_to_the_bit(potential):
+    def bits(points):
+        return [(pt.q0.hex(), pt.curvature.hex(), pt.stability) for pt in points]
+
+    with mock.patch.object(potentials, "find_equilibria", side_effect=AssertionError("scan")):
+        points = potential._equilibria()
+    assert bits(points) == bits(find_equilibria(potential, SEARCH_WINDOW))
+    if potential.period is not None:  # the crest as the highest of 2049 samples of a period
+        samples = potential.value(np.linspace(0.0, potential.period, 2049))
+        assert potential.landscape.crest.hex() == float(np.max(samples)).hex()
+
+
+@pytest.mark.parametrize("width,scanned", [(80.0, 72), (100.0, 262), (1000.0, 949)])
+def test_a_morse_well_of_large_width_has_one_equilibrium(width, scanned, monkeypatch):
+    # where exp(-width q) underflows, V' is exactly 0 on the scan's grid, and the scan
+    # takes each such point for a degenerate equilibrium
+    potential = Morse(width=width)
+    assert len(find_equilibria(potential, SEARCH_WINDOW)) == scanned
+    scans, land = landscape_scans(potential, monkeypatch)
+    assert scans == []
+    assert land.equilibria == (EquilibriumPoint(0.0, 2.0 * width**2, Stability.MINIMUM),)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -19,7 +20,7 @@ from phasekit import (
     Rotor,
     SeparatrixError,
 )
-from phasekit import propagator
+from phasekit import potentials, propagator
 from phasekit.bohr_sommerfeld import action, quantize, turning_points
 from phasekit.cli import main
 from phasekit.propagator import (
@@ -320,6 +321,14 @@ def _reference_action(potential, q_a, q_b, t, E, crests=()):
 S_CL_TOL = 1e-13
 
 
+@dataclasses.dataclass(frozen=True)
+class _FirstWindowOnly(Polynomial):
+    """A polynomial whose landscape holds only the equilibria a scan of (-10, 10) finds."""
+
+    def _equilibria(self):
+        return potentials.find_equilibria(self, (-10.0, 10.0))
+
+
 class TestEnergyEquation:
     def test_benchmark_shaped_draws(self):
         # 60 draws: S_cl matches an adaptive W - E t, and RK4 from the limit's v0 on the
@@ -415,20 +424,48 @@ class TestEnergyEquation:
         assert paths.direct(e_top)[0] > 0.05
         assert kernel_phase(Quartic(), 0.0, 1e-5, 0.05).energy == e_top
 
-    @pytest.mark.parametrize("t", [1.58, 0.5, 3.0])
-    def test_a_maximum_the_landscape_missed_is_an_error(self, t):
-        # the landscape scans (-10, 10), where V(+-10) = 47 > V(0), so it never sees the
-        # barrier at 30.8 (V = 225).  From 20 (V = 156) to 40 the direct leg at e_lo plus
-        # the straight line's kinetic energy clears the barrier but takes longer than
-        # t: that energy is no root, and no E is certified.  In t = 3 the branch scan
-        # brackets a root where a wall at the barrier jumps, and its refinement meets
-        # an infinite time there
+    @pytest.mark.parametrize("t,E", [(3.0, 239.40694062915765), (1.58, 288.52867617258664),
+                                     (0.5, 1003.3883412466378)])
+    def test_a_path_over_the_sextic_s_outer_barrier(self, t, E):
+        # q^2/2 - q^4/3600 + 1e-8 q^6 has barriers at +-30.80 (V = 232.88), outside the
+        # first window (-10, 10) but inside its root bound, 272.2.  From 20 (V = 156) to
+        # 40 every path climbs over the barrier at 30.8: the landscape holds it, so each
+        # leg is graded there and E is certified above it
         sextic = Polynomial(coeffs=(0, 0, 0.5, 0, -1 / 3600, 0, 1e-8))
+        assert [round(pt.q0, 2) for pt in sextic.landscape.equilibria] == [
+            -132.55, -30.8, 0.0, 30.8, 132.55]
+        assert kernel_phase(sextic, 20.0, 40.0, t).energy == E
+
+    @pytest.mark.parametrize("t", [1.58, 0.5, 3.0])
+    def test_a_barrier_the_landscape_hides_is_an_error(self, t):
+        # the sextic's landscape as a scan of (-10, 10) alone sees only the well at 0,
+        # where V(+-10) = 47 > V(0), and not the barrier at 30.8 (V = 225).  From 20
+        # (V = 156) to 40 the direct leg at e_lo plus the straight line's kinetic energy
+        # clears the barrier but takes longer than t: that energy is no root, and no E
+        # is certified.  In t = 3 the branch scan brackets a root where a wall at the
+        # barrier jumps, and its refinement meets an infinite time there
+        sextic = _FirstWindowOnly(coeffs=(0, 0, 0.5, 0, -1 / 3600, 0, 1e-8))
         assert [pt.q0 for pt in sextic.landscape.equilibria] == [0.0]
         with pytest.raises(propagator.TrajectoryError,
                            match=r"^V exceeds e_lo=156\.196 between q_a=20 and q_b=40, at "
                                  "a maximum the landscape missed$"):
             kernel_phase(sextic, 20.0, 40.0, t)
+
+    @pytest.mark.parametrize("t", [50.0, 1000.0])
+    def test_a_maximum_the_landscape_missed_is_an_error(self, t):
+        # V' = q ((q - c)^2 - d^2), c = 1 + 2^-10 the middle of a cell of the scan's grid
+        # and d = 0.004: V' changes sign twice inside that cell and at neither of its
+        # ends, so the scan misses the maximum at c - d and the minimum at c + d.  From
+        # 0.996 to 1.006 the path must clear the missed bump, 4.1e-9 above
+        # e_lo = V(0.996); in a long t its energy lies just above the bump's top, and
+        # the root-finder meets a time that is not finite below it
+        c, d = 1.0 + 2.0**-10, 0.004
+        bump = Polynomial(coeffs=(0.0, 0.0, (c * c - d * d) / 2.0, -2.0 * c / 3.0, 0.25))
+        assert [pt.q0 for pt in bump.landscape.equilibria] == [0.0]
+        with pytest.raises(propagator.TrajectoryError,
+                           match=r"^V exceeds e_lo=0\.0836514 between q_a=0\.996 and "
+                                 r"q_b=1\.006, at a maximum the landscape missed$"):
+            kernel_phase(bump, 0.996, 1.006, t)
 
     @settings(max_examples=100, deadline=None)
     @given(potential=st.one_of(

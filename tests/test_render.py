@@ -178,6 +178,17 @@ def test_array_table_csv_matches_the_per_cell_renderer(table):
            lambda: "\n".join(["# phasekit t", "# config: {}"] + _ref_csv(table)) + "\n", table)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), st.booleans(), st.integers(),
+                 st.integers(min_value=-2**400, max_value=2**400),
+                 st.text(), st.text(st.characters(max_codepoint=0x9f))),
+       st.text())
+def test_scalars_and_keys_are_written_as_json_dumps_writes_them(value, key):
+    # the emitter writes these itself; text draws hold non-ASCII and control characters
+    assert _json(value) == json.dumps(value)
+    assert _json({key: value}, 0) == json.dumps({key: value}, indent=2)
+
+
 @pytest.mark.parametrize("distinct", [6, 7])
 def test_each_side_of_the_distinct_value_rule(distinct, monkeypatch):
     # 12 cells: with at most 6 distinct values each is formatted once (and looked up
