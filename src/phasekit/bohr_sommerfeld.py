@@ -22,7 +22,7 @@ from .errors import (
     ForbiddenRegionError,
     SeparatrixError,
 )
-from .potentials import Potential, _solve
+from .potentials import Potential, Stability, _solve
 
 if TYPE_CHECKING:  # quantize without an oracle never loads the eigensolver
     from .schrodinger import EigenSolution
@@ -63,11 +63,6 @@ class SpectrumResult:
     levels: tuple
 
 
-def _cross(potential: Potential, E: float, inside: float, outside: float) -> float:
-    """Solve V(q) = E between an allowed point (V <= E) and a forbidden one (V > E)."""
-    return _solve(potential.value, potential.derivative, E, inside, outside)
-
-
 def turning_points(potential: Potential, E: float) -> tuple[float, float] | None:
     """Pair (a, b) with V(a) = V(b) = E around the global minimum, or None.
 
@@ -95,7 +90,7 @@ def _wall(potential: Potential, walk, E: float) -> float | None:
     i = peaks.searchsorted(E, side="right")
     if i == len(peaks):
         return None
-    return _cross(potential, E, float(stops[i]), float(stops[i + 1]))
+    return _solve(potential.value, potential.derivative, E, float(stops[i]), float(stops[i + 1]))
 
 
 def classify_motion(potential: Potential, E: float) -> MotionKind:
@@ -210,10 +205,11 @@ def _oracle_level(oracle: EigenSolution, n: int, motion: MotionKind,
     """The oracle energy paired with level n at energy E, or None.
 
     A libration level counts the computed states, in energy order, by their
-    probability in its well, out to the crests beyond its turning points: a
-    state of this well counts one, a state of another well none, and each
-    state of a tunnelling pair split over two mirror wells a half.  Level n
-    pairs with the state at which the count first exceeds n + 1/4.
+    probability in its well, out to the landscape's nearest maximum beyond each
+    turning point (the grid end where there is none): a state of this well
+    counts one, a state of another well none, and each state of a tunnelling
+    pair split over two mirror wells a half.  Level n pairs with the state at
+    which the count first exceeds n + 1/4.
     """
     if motion is MotionKind.LIBRATION:
         a, b = turning_points(potential, E)
@@ -224,14 +220,11 @@ def _oracle_level(oracle: EigenSolution, n: int, motion: MotionKind,
             q = start + np.mod(q - start, length)
             order = np.argsort(q)
             q = q[order]
-        v = potential.value(q)
-        lo, hi = np.searchsorted(q, a), np.searchsorted(q, b, side="right")
-        # V rises from each turning point to the crest beyond it
-        falls = np.flatnonzero(np.diff(v[max(hi - 1, 0):]) < 0)
-        right = max(hi - 1, 0) + falls[0] if len(falls) else len(q) - 1
-        rises = np.flatnonzero(np.diff(v[:lo + 1]) > 0)
-        left = rises[-1] + 1 if len(rises) else 0
-        psi = oracle.eigenvectors[order][left:right + 1]
+        crests = [pt.q0 for pt in potential.landscape.equilibria
+                  if pt.stability is Stability.MAXIMUM]
+        left = max((x for x in crests if x < a), default=-math.inf)
+        right = min((x for x in crests if x > b), default=math.inf)
+        psi = oracle.eigenvectors[order][q.searchsorted(left):q.searchsorted(right, "right")]
         count = np.cumsum(np.sum(psi ** 2, axis=0) * oracle.spacing)
         passed = np.flatnonzero(count > n + 0.25)
         if not len(passed):

@@ -56,10 +56,6 @@ class Trajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def sampled_energy(self, potential: Potential) -> np.ndarray:
-        v = np.asarray(potential.value(self.positions), dtype=float)
-        return 0.5 * self.mass * self.velocities**2 + v
-
 
 @dataclass(frozen=True)
 class KernelPhase:
@@ -102,11 +98,6 @@ def _constant_value(potential: Potential) -> float | None:
     if isinstance(potential, Polynomial) and all(c == 0.0 for c in potential.coeffs[1:]):
         return float(potential.coeffs[0])
     return None
-
-
-def _lagrangian(traj: Trajectory, potential: Potential) -> np.ndarray:
-    v = np.asarray(potential.value(traj.positions), dtype=float)
-    return 0.5 * traj.mass * traj.velocities**2 - v
 
 
 def _rk4(potential: Potential, q0: float, v0: float, t: float, N: int):
@@ -194,11 +185,6 @@ def harmonic_two_point_action(m: float, omega: float, q_a: float, q_b: float,
                                       - 2.0 * q_a * q_b)
 
 
-def classical_action(traj: Trajectory, potential: Potential) -> float:
-    """Trapezoid integral of L = m v^2 / 2 - V along the sampled path."""
-    return float(np.trapezoid(_lagrangian(traj, potential), traj.times))
-
-
 def loop_action(traj: Trajectory) -> float:
     """Integral of p dq = m v^2 dt accumulated along the sampled path."""
     return float(np.trapezoid(traj.mass * traj.velocities**2, traj.times))
@@ -206,9 +192,11 @@ def loop_action(traj: Trajectory) -> float:
 
 def sliced_phase(traj: Trajectory, potential: Potential, E: float,
                  hbar: float = 1.0) -> KernelPhase:
-    """Left-endpoint Riemann sum of (L - E) dt / hbar over the slice chain."""
+    """Left-endpoint Riemann sum of (L - E) dt / hbar, L = m v^2 / 2 - V, over the slice
+    chain."""
     dt = traj.duration / traj.slices
-    lag = _lagrangian(traj, potential)
+    v = np.asarray(potential.value(traj.positions), dtype=float)
+    lag = 0.5 * traj.mass * traj.velocities**2 - v
     return _phase(float(np.sum(lag[:-1]) * dt), E, traj.duration, traj.slices, traj.mass,
                   float(traj.velocities[0]), hbar)
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .bohr_sommerfeld import _leggauss
+from .bohr_sommerfeld import _rules
 from .ensemble import CanonicalEnsemble
 from .errors import AccuracyError, NormalizationError
 from .potentials import Potential, well_box
@@ -92,8 +92,8 @@ def _normalizer(potential: Potential, ens: CanonicalEnsemble) -> float:
     """
     lo, hi = normalization_box(potential, ens)
     v_min = potential.landscape.v_min
-    (t_coarse, w_coarse), (t_fine, w_fine) = _leggauss(PANEL_ORDER), _leggauss(2 * PANEL_ORDER)
-    nodes = np.concatenate([t_coarse, t_fine]) + 1.0
+    nodes, _, _, weights = _rules(PANEL_ORDER, 2.0)  # both rules on [0, 2], end to end
+    w_coarse, w_fine = weights[:PANEL_ORDER], weights[PANEL_ORDER:]
     left, width = np.linspace(lo, hi, 17)[:-1], np.full(16, (hi - lo) / 16)
     parent = np.full(16, np.inf)  # relative difference of each panel's parent
     accepted: list[float] = []

@@ -93,12 +93,12 @@ class TestTurningPoints:
         assert b > 1.0
 
 
-def bisect_crossing(potential, E, inside, outside):
-    """Reference for `_cross`: bisect V(q) = E to 1e-15 relative."""
+def bisect_crossing(value, derivative, E, inside, outside):
+    """Reference for a turning point's `_solve`: bisect V(q) = E to 1e-15 relative."""
     lo, hi = inside, outside
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(potential.value(mid)) <= E:
+        if float(value(mid)) <= E:
             lo = mid
         else:
             hi = mid
@@ -119,26 +119,12 @@ CROSSING_CASES = [
 ]
 
 
-class CountedValues:
-    """A potential whose V calls are counted."""
-
-    def __init__(self, potential):
-        self.potential, self.calls = potential, 0
-
-    def value(self, q):
-        self.calls += 1
-        return self.potential.value(q)
-
-    def derivative(self, q):
-        return self.potential.derivative(q)
-
-
 class TestCrossingsAgainstBisection:
     @pytest.mark.parametrize("potential, energies", CROSSING_CASES)
     def test_newton_roots_match_the_bisection_reference(self, potential, energies,
                                                         monkeypatch):
         newton = [turning_points(potential, E) for E in energies]
-        monkeypatch.setattr(bohr_sommerfeld, "_cross", bisect_crossing)
+        monkeypatch.setattr(bohr_sommerfeld, "_solve", bisect_crossing)
         reference = [turning_points(potential, E) for E in energies]
         for got, want in zip(newton, reference):
             assert got == pytest.approx(want, rel=1e-14)
@@ -148,15 +134,15 @@ class TestCrossingsAgainstBisection:
                                                             monkeypatch):
         # a Newton step that rounds onto a bracket end must stop the solve, not
         # send it bisecting back across the bracket
-        cross, counts = bohr_sommerfeld._cross, []
+        solve, counts = bohr_sommerfeld._solve, []
 
-        def counted(pot, E, inside, outside):
-            probe = CountedValues(pot)
-            root = cross(probe, E, inside, outside)
-            counts.append(probe.calls)
+        def counted(value, derivative, E, inside, outside):
+            calls = []
+            root = solve(lambda q: calls.append(q) or value(q), derivative, E, inside, outside)
+            counts.append(len(calls))
             return root
 
-        monkeypatch.setattr(bohr_sommerfeld, "_cross", counted)
+        monkeypatch.setattr(bohr_sommerfeld, "_solve", counted)
         for E in energies:
             turning_points(potential, E)
         assert len(counts) == 2 * len(energies)
@@ -355,6 +341,10 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(Harmonic(), bad)
 
+    def test_a_rotation_on_the_line_is_refused(self):
+        with pytest.raises(ValueError, match="needs a periodic potential"):
+            quantize(Harmonic(), [0], motion=MotionKind.ROTATION)
+
 
 SHIFTED_WELL = Polynomial(coeffs=(112.5, -15.0, 0.5))  # (q - 15)^2 / 2
 
@@ -492,7 +482,7 @@ def reference_turning_points(potential, E):
             ahead = [x for x in ahead if direction * (x - half) <= 1e-9] + [half]
         for x in ahead:
             if float(potential.value(x)) > E:
-                return bohr_sommerfeld._cross(potential, E, q, x)
+                return potentials._solve(potential.value, potential.derivative, E, q, x)
             q = x
         if potential.period is not None:
             return None
@@ -500,7 +490,7 @@ def reference_turning_points(potential, E):
         for _ in range(80):
             q_next = q + direction * step
             if float(potential.value(q_next)) > E:
-                return bohr_sommerfeld._cross(potential, E, q, q_next)
+                return potentials._solve(potential.value, potential.derivative, E, q, q_next)
             q = q_next
             step *= 2.0
         return None
@@ -629,6 +619,25 @@ class TestKeptWork:
         calls.clear()
         action(potential, second)
         assert [call for call in calls if not call[1]] == [(True, False)]
+
+    @pytest.mark.parametrize("potential, hbar, box", [
+        (Harmonic(), 1.0, None),
+        (Polynomial(coeffs=(0.0, 0.3, -2.0, 0.0, 0.5)), 0.2, None),
+        (Pendulum(amplitude=5.0), 0.5, (-math.pi, math.pi)),
+    ], ids=["harmonic", "tilted", "pendulum-periodic"])
+    def test_an_oracle_adds_no_array_v_call(self, potential, hbar, box, monkeypatch):
+        # a libration level's well ends at the landscape's maxima, so pairing it with an
+        # oracle state evaluates V on no grid point
+        oracle = fd_eigensolve(potential, hbar=hbar, box=box, M=1024, k=6,
+                               boundary="dirichlet" if box is None else "periodic")
+        potential.landscape
+        calls = self.count_value_calls(potential, monkeypatch)
+        quantize(potential, range(3), hbar=hbar)
+        alone = sum(array for array, _ in calls)
+        calls.clear()
+        res = quantize(potential, range(3), hbar=hbar, oracle=oracle)
+        assert None not in [lv.oracle_energy for lv in res.levels]
+        assert sum(array for array, _ in calls) <= alone
 
     @pytest.mark.parametrize("potential, E", [
         (Harmonic(), 3.0),

@@ -804,6 +804,7 @@ class TestPropagateCommand:
             "quartic-short", "morse-far", "morse-short", "pendulum-far", "pendulum-short",
             "tilted-far", "tilted-short", "heavy-quartic", "slow-harmonic", "long-harmonic",
             "high-scan"])
+    @pytest.mark.fresh_interpreter
     def test_an_overflowing_two_point_request_is_one_named_error(self, run, potential, q_b,
                                                                   t, quantity):
         # each ended in a RuntimeWarning traceback, in an OverflowError that named no
@@ -819,6 +820,7 @@ class TestPropagateCommand:
 
     @pytest.mark.parametrize("t,E", [("3", "239.40694062915765"),
                                      ("1.58", "288.52867617258664")])
+    @pytest.mark.fresh_interpreter
     def test_a_path_over_the_sextic_s_outer_barrier(self, run, t, E):
         # the barrier at 30.8 lies outside the first window of the landscape's scan.
         # When the landscape missed it, the branch scan's root-finder met infinite times
@@ -830,6 +832,7 @@ class TestPropagateCommand:
         assert (code, err) == (0, "")
         assert f'"E": {E},' in out
 
+    @pytest.mark.fresh_interpreter
     def test_a_maximum_the_landscape_missed_is_one_named_error(self, run):
         # V' = q ((q - c)^2 - d^2) changes sign twice inside one cell of the scan's grid,
         # so the landscape misses its bump at c - d (test_propagator.py)

@@ -100,6 +100,7 @@ COMMANDS = {
 
 @pytest.mark.parametrize("stem, fmt", [(stem, fmt) for stem, (_, fmts) in COMMANDS.items()
                                        for fmt in fmts])
+@pytest.mark.fresh_interpreter
 def test_command_output_matches_its_golden(stem, fmt, capsys):
     assert main([*COMMANDS[stem][0], "--format", fmt]) == 0
     out, _ = capsys.readouterr()

@@ -312,6 +312,11 @@ def test_an_interval_without_a_finite_width_is_refused(interval):
         find_equilibria(Harmonic(), interval)
 
 
+def test_a_zero_tolerance_is_refused():
+    with pytest.raises(ValueError, match="tolerance"):
+        find_equilibria(Harmonic(), SEARCH_WINDOW, tolerance=0.0)
+
+
 @pytest.mark.parametrize("interval", [SEARCH_WINDOW, (-1.0, 1.3), (-3.0, 2.0)])
 def test_flat_bottom_is_degenerate_on_and_off_the_grid(interval):
     # V' = q^3 is about 1e-12 already at q = 1e-4, where V'' = 3e-8 would read as a minimum
@@ -421,6 +426,18 @@ class TestLandscape:
         assert list(land.equilibria) == find_equilibria(pot, SEARCH_WINDOW)
         assert [round(pt.q0, 12) for pt in land.equilibria] == [-5.0, 0.0, 5.0]
         assert land.minimum.q0 == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the shell (640, 1280) is scanned in steps of 0.3125, and V' changes sign twice "
+        "within one of them (ROADMAP item 20)"))
+    def test_a_close_pair_far_out_is_in_the_landscape(self):
+        # V' = q (q - 1000.1) (q - 1000.2): a maximum and a minimum 0.1 apart
+        pot = Polynomial(coeffs=(0, 0, 500150.01, -666.7666666666667, 0.25))
+        pair = [(pt.q0, pt.stability) for pt in find_equilibria(pot, (999.0, 1001.0))]
+        assert pair == [(1000.1000000001025, Stability.MAXIMUM),
+                        (1000.1999999997051, Stability.MINIMUM)]
+        land = [(pt.q0, pt.stability) for pt in pot.landscape.equilibria]
+        assert land[1:] == [(pytest.approx(q0, rel=1e-12), s) for q0, s in pair]
 
     def test_periodic_family_never_grows(self):
         land = Pendulum(amplitude=3.0).landscape

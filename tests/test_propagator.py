@@ -24,7 +24,6 @@ from phasekit import potentials, propagator
 from phasekit.bohr_sommerfeld import action, quantize, turning_points
 from phasekit.cli import main
 from phasekit.propagator import (
-    classical_action,
     classical_trajectory,
     harmonic_two_point_action,
     initial_value_trajectory,
@@ -35,6 +34,17 @@ from phasekit.propagator import (
 
 FREE = Polynomial(m=1.0, coeffs=(0.0,))
 _SCALE = st.floats(0.5, 2.0)
+
+
+def sampled_energy(traj, potential):
+    """m v^2 / 2 + V at each sample of a trajectory."""
+    return 0.5 * traj.mass * traj.velocities**2 + potential.value(traj.positions)
+
+
+def classical_action(traj, potential):
+    """Trapezoid integral of L = m v^2 / 2 - V along a sampled path."""
+    lagrangian = 0.5 * traj.mass * traj.velocities**2 - potential.value(traj.positions)
+    return float(np.trapezoid(lagrangian, traj.times))
 
 
 class TestClassicalTrajectory:
@@ -53,7 +63,7 @@ class TestClassicalTrajectory:
         traj = classical_trajectory(Harmonic(), 1.0, 1.0, math.pi / 2, 256)
         assert traj.positions[0] == pytest.approx(1.0)
         assert traj.positions[-1] == pytest.approx(1.0, abs=1e-12)
-        es = traj.sampled_energy(Harmonic())
+        es = sampled_energy(traj, Harmonic())
         assert np.ptp(es) <= 1e-12
 
     def test_focal_time_raises(self):
@@ -66,12 +76,17 @@ class TestClassicalTrajectory:
 
     def test_the_sampled_path_conserves_energy(self):
         traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
-        assert np.ptp(traj.sampled_energy(Quartic())) <= 1e-10
+        assert np.ptp(sampled_energy(traj, Quartic())) <= 1e-10
 
+    @pytest.mark.parametrize("call", [
+        classical_trajectory,
+        initial_value_trajectory,
+        lambda potential, q_a, q_b, t, N: kernel_phase(potential, q_a, q_b, t, N=N),
+    ], ids=["classical_trajectory", "initial_value_trajectory", "kernel_phase"])
     @pytest.mark.parametrize("t,N", [(0.0, 16), (-1.0, 16), (1.0, 0)])
-    def test_bad_arguments(self, t, N):
+    def test_bad_arguments(self, call, t, N):
         with pytest.raises(ValueError):
-            classical_trajectory(FREE, 0.0, 1.0, t, N)
+            call(FREE, 0.0, 1.0, t, N)
 
 
 class TestActions:
@@ -165,7 +180,7 @@ class TestKernelPhase:
         traj = classical_trajectory(Quartic(), 0.0, 1.0, 1.0, 4096)
         assert passes == []
         assert traj.velocities[0] == kp.v0
-        assert np.ptp(traj.sampled_energy(Quartic()) - kp.energy) <= 1e-10
+        assert np.ptp(sampled_energy(traj, Quartic()) - kp.energy) <= 1e-10
         # the trapezoid sum over the path converges to S_cl at second order
         assert classical_action(traj, Quartic()) == pytest.approx(kp.S_cl, abs=1e-7)
         assert (kp.slices, kp.prefactor_log) == (4096, 0.0)
@@ -252,6 +267,7 @@ class TestSampledPaths:
     @pytest.mark.xfail(strict=True, raises=AccuracyError, reason=(
         "the piece that ends at the turning point fails its time check: each halving crowds "
         "its Gauss nodes nearer the wall, where E - V(q) cancels, and the estimate grows"))
+    @pytest.mark.fresh_interpreter
     def test_a_one_turn_pendulum_path_the_sampler_refuses(self):
         # one of 13 in 200 requests of the seeded sweep below, all with one turning point:
         # S_cl certifies, RK4 from v0 on 8192 steps lands on q_b within 1e-11, and the RK4
@@ -412,7 +428,7 @@ class TestEnergyEquation:
         # its samples certify once its panel is halved twice in phi and once at a tau
         # midpoint; RK4 from its v0 follows them
         path = classical_trajectory(well, *request, 4096)
-        assert path.sampled_energy(well)[0] == pytest.approx(0.0296094348, rel=1e-9)
+        assert sampled_energy(path, well)[0] == pytest.approx(0.0296094348, rel=1e-9)
         rk4 = initial_value_trajectory(well, request[0], path.velocities[0], request[2], 4096)
         assert np.max(np.abs(path.positions - rk4.positions)) <= DYNAMICS_TOL
 
@@ -426,6 +442,7 @@ class TestEnergyEquation:
 
     @pytest.mark.parametrize("t,E", [(3.0, 239.40694062915765), (1.58, 288.52867617258664),
                                      (0.5, 1003.3883412466378)])
+    @pytest.mark.fresh_interpreter
     def test_a_path_over_the_sextic_s_outer_barrier(self, t, E):
         # q^2/2 - q^4/3600 + 1e-8 q^6 has barriers at +-30.80 (V = 232.88), outside the
         # first window (-10, 10) but inside its root bound, 272.2.  From 20 (V = 156) to
@@ -520,6 +537,7 @@ class TestMorseBranches:
     @pytest.mark.parametrize("potential, q_a, q_b, t", [
         (Morse(depth=10.0), 0.5, -0.25, 2.0), (TILTED_WELL, -1.0, 1.0, 3.0),
     ], ids=["morse", "tilted-double-well"])
+    @pytest.mark.fresh_interpreter
     def test_one_pass_over_the_scan_grid(self, potential, q_a, q_b, t, monkeypatch):
         # the scan's energies are rows of one rule call, with the bits of one energy at a
         # time; the tilted well's rows are graded at its crest
@@ -567,6 +585,7 @@ def _finite(text):
 
 
 class TestSeededSweep:
+    @pytest.mark.fresh_interpreter
     def test_a_seeded_propagate_sweep_exits_cleanly(self, capsys):
         # 100 requests: each prints finite JSON, or exits 1 with one JSON error of a path
         # that does not exist or does not certify; no other exception and no warning.  They
